@@ -265,7 +265,7 @@ def count_matches(dictionary: Dictionary, x: MaskedString) -> int:
 
 
 def mismatch_masks(dictionary: Dictionary, x: str | MaskedString) -> np.ndarray:
-    """Per-entry mismatch bitmasks against ``x``, as an int64 vector.
+    """Per-entry mismatch bitmasks against ``x``, as a uint64 vector.
 
     Positions already masked in ``x`` never count as mismatches.  Entry i
     matches ``x`` under an extra mask K exactly when result[i] is a subset
@@ -282,5 +282,7 @@ def mismatch_masks(dictionary: Dictionary, x: str | MaskedString) -> np.ndarray:
     diff = dictionary.codes != _codes(base)
     if mask:
         diff &= ~_mask_row(mask, dictionary.length)
+    # Signed weights keep the integer matmul fast; bit 63 weighs -2^63, and a
+    # sum of distinct powers stays in range, so the uint64 view is exact.
     powers = np.left_shift(np.int64(1), np.arange(dictionary.length, dtype=np.int64))
-    return diff.astype(np.int64) @ powers
+    return (diff.astype(np.int64) @ powers).view(np.uint64)

@@ -1,15 +1,36 @@
 """Exact minimum-mask solvers, single query and multi query.
 
-The driver grows the mask size k from zero and asks for the heaviest
-k-section of the mismatch hypergraph; the first k whose best section
-reaches the match threshold is optimal.  The multi-query variant carries
-one weight coordinate per query and closes branching with a small dynamic
-program that picks vectors whose component-wise sum dominates a target.
+One entry point per problem (``solve_pmdm``, ``solve_mpmdm``,
+``decide_k_pmdm``) picks its engine by a single cost rule on the string
+length l:
+
+* l <= ``TABLE_MAX_LENGTH`` (20): a table of 2^l subset counts.  The
+  per-entry mismatch bitmasks are histogrammed and completed by an
+  in-place sum-over-subsets pass (Yates's zeta transform), so counts[K]
+  is the number of entries the query matches when masked at K.  The
+  optimum size k is the smallest popcount among masks whose count reaches
+  the threshold; for several queries the count is the element-wise
+  minimum of the per-query tables.  The same kernel fills
+  ``index.small_ell_build``.
+* l > ``TABLE_MAX_LENGTH``: the mismatch hypergraph.  The driver grows k
+  from zero and asks for the heaviest k-section; the first k whose best
+  section reaches the threshold is optimal.  The multi-query variant
+  carries one weight coordinate per query and closes branching with a
+  small dynamic program that picks vectors whose component-wise sum
+  dominates a target.
+
+Both engines break ties the same way, so the engine never changes the
+answer: among qualifying masks of the optimal size, the highest count,
+then the lexicographically smallest position list.  For several queries
+the table ranks by the highest sum of counts, as the enumeration does;
+branching returns the first qualifying mask it finds.  ``bruteforce_pmdm``
+and the enumeration helpers stay as reference oracles for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
@@ -36,6 +57,61 @@ from .hypergraph import (
 #: Enumeration is used for a multi-query feasibility level while
 #: C(n, k) * 2^k * m stays below this.
 DEFAULT_ENUM_BUDGET = 1 << 21
+
+#: Longest string answered from the full table of 2^l subset counts; longer
+#: strings go to the per-k hypergraph search.  At 20 the table is 4 MB of
+#: int32 and took about 25 ms to fill at d = 1e4 on one core of a Xeon
+#: host, whatever the optimal k, while a single pure-Python k >= 8 step of
+#: the hypergraph search can take seconds already at l = 15.
+TABLE_MAX_LENGTH = 20
+
+
+def subset_counts(masks: np.ndarray, length: int) -> np.ndarray:
+    """counts[K] = how many ``masks`` are subsets of K, for every K < 2^length.
+
+    A histogram of the masks completed by an in-place sum-over-subsets pass:
+    after folding bit b, counts[K] covers every mask that equals K above bit
+    b and is a subset of K on bits 0..b.
+    """
+    counts = np.bincount(masks.astype(np.int64), minlength=1 << length)
+    counts = counts.astype(np.int32)
+    for b in range(length):
+        view = counts.reshape(-1, 2, 1 << b)
+        view[:, 1] += view[:, 0]
+    return counts
+
+
+@lru_cache(maxsize=None)
+def _popcounts(length: int) -> np.ndarray:
+    pop = np.bitwise_count(np.arange(1 << length, dtype=np.uint32))
+    pop.flags.writeable = False
+    return pop
+
+
+def _reversed_bits(masks: np.ndarray, length: int) -> np.ndarray:
+    """Bit order reversed, so position 1 becomes the most significant bit."""
+    out = np.zeros(len(masks), dtype=np.int64)
+    for b in range(length):
+        out |= ((masks >> b) & 1) << (length - 1 - b)
+    return out
+
+
+def _best_in_table(
+    qualifying: np.ndarray, weight: np.ndarray, length: int
+) -> MaskSet:
+    """Smallest qualifying mask; ties by highest ``weight``, then by the
+    lexicographically smallest position list.
+
+    Among sets of one size, the lexicographically smaller position list is
+    the one holding the smallest position of the symmetric difference, that
+    is the larger value once bit order is reversed.
+    """
+    pop = _popcounts(length)
+    k = pop[qualifying].min()
+    tied = np.flatnonzero(qualifying & (pop == k))
+    w = weight[tied]
+    tied = tied[w == w.max()]
+    return MaskSet.from_bits(int(tied[np.argmax(_reversed_bits(tied, length))]))
 
 
 @dataclass(frozen=True)
@@ -120,12 +196,22 @@ def _require_feasible(threshold: int, size: int) -> None:
 
 
 def solve_pmdm(inst: PmdmInstance) -> MaskSet:
-    """Smallest mask whose application matches at least ``threshold`` entries."""
+    """Smallest mask whose application matches at least ``threshold`` entries.
+
+    Strings of at most ``TABLE_MAX_LENGTH`` positions are answered from the
+    subset-count table, longer ones by the per-k hypergraph search.  Either
+    way, ties go to the mask matching the most entries, then to the
+    lexicographically smallest position list.
+    """
     _require_feasible(inst.threshold, inst.dictionary.size)
+    length = inst.dictionary.length
+    if length <= TABLE_MAX_LENGTH:
+        counts = subset_counts(mismatch_masks(inst.dictionary, inst.query), length)
+        return _best_in_table(counts >= inst.threshold, counts, length)
     h = build_hypergraph(inst.dictionary, inst.query)
     if h.base_weight >= inst.threshold:
         return MaskSet()
-    for k in range(1, inst.dictionary.length + 1):
+    for k in range(1, length + 1):
         result = heaviest_k_section(h.restricted(k), k)
         if result.weight >= inst.threshold:
             return result.nodes
@@ -143,6 +229,10 @@ def decide_k_pmdm(inst: PmdmInstance, k: int) -> bool:
         raise ValueError("k must be non-negative")
     if inst.threshold > inst.dictionary.size or k > inst.dictionary.length:
         return False
+    length = inst.dictionary.length
+    if length <= TABLE_MAX_LENGTH:
+        counts = subset_counts(mismatch_masks(inst.dictionary, inst.query), length)
+        return bool(counts[_popcounts(length) == k].max() >= inst.threshold)
     h = build_hypergraph(inst.dictionary, inst.query, k_cutoff=k if k >= 1 else None)
     if k == 0:
         return h.base_weight >= inst.threshold
@@ -323,13 +413,31 @@ def _feasible_by_branching(
 def solve_mpmdm(
     inst: MpmdmInstance, enum_budget: int = DEFAULT_ENUM_BUDGET
 ) -> MaskSet:
-    """Smallest mask under which every query matches at least ``threshold``."""
+    """Smallest mask under which every query matches at least ``threshold``.
+
+    Strings of at most ``TABLE_MAX_LENGTH`` positions are answered from the
+    element-wise minimum of the per-query subset-count tables; ties go to
+    the highest sum of per-query counts, then to the lexicographically
+    smallest position list, the ranking ``_feasible_by_enumeration`` uses.
+    Longer strings take the per-k hypergraph search, which enumerates while
+    C(l, k) * 2^k * m stays within ``enum_budget`` and branches beyond it.
+    """
     _require_feasible(inst.threshold, inst.dictionary.size)
+    length = inst.dictionary.length
+    if length <= TABLE_MAX_LENGTH:
+        worst = total = None
+        for q in inst.queries:
+            counts = subset_counts(mismatch_masks(inst.dictionary, q), length)
+            if worst is None:
+                worst, total = counts, counts.astype(np.int64)
+            else:
+                np.minimum(worst, counts, out=worst)
+                total += counts
+        return _best_in_table(worst >= inst.threshold, total, length)
     m = len(inst.queries)
     h = _tuple_hypergraph(inst.dictionary, inst.queries)
     if _dominates(h.base_weight, inst.threshold):
         return MaskSet()
-    length = inst.dictionary.length
     for k in range(1, length + 1):
         hk = h.restricted(k)
         if (comb(length, k) << k) * m <= enum_budget:

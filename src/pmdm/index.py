@@ -32,6 +32,7 @@ from .core import (
     MaskSet,
     mismatch_masks,
 )
+from .exact import subset_counts
 
 #: Largest string length for which 2^length tables may be built.
 DEFAULT_TABLE_LIMIT = 24
@@ -64,12 +65,7 @@ def small_ell_build(
             f"length {length} exceeds the table limit {table_limit} "
             f"(2^{length} counters)"
         )
-    masks = mismatch_masks(dictionary, q)
-    counts = np.bincount(masks, minlength=1 << length).astype(np.int64)
-    idx = np.arange(1 << length)
-    for b in range(length):
-        with_bit = idx[(idx >> b) & 1 == 1]
-        counts[with_bit] += counts[with_bit ^ (1 << b)]
+    counts = subset_counts(mismatch_masks(dictionary, q), length)
     return SmallEllTable(counts, length, dictionary.size)
 
 
@@ -422,26 +418,51 @@ def _w(fh, fmt: str, *values) -> None:
     fh.write(struct.pack("<" + fmt, *values))
 
 
-def _r(fh, fmt: str):
-    size = struct.calcsize("<" + fmt)
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError("truncated index file")
-    return struct.unpack("<" + fmt, data)
+class _Reader:
+    """Cursor over an index file's bytes.  Every read is checked against the
+    bytes left, so a corrupt count fails with ValueError instead of
+    allocating without bound."""
+
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def read(self, n: int, itemsize: int = 1) -> bytes:
+        start = self.pos
+        end = start + n * itemsize
+        if end > len(self.data):
+            raise ValueError(
+                f"corrupt index file: {n} items of {itemsize} bytes requested, "
+                f"{len(self.data) - start} bytes left"
+            )
+        self.pos = end
+        return self.data[start:end]
+
+    def fields(self, fmt: str) -> tuple:
+        st = _STRUCTS[fmt]
+        return st.unpack(self.read(st.size))
+
+    def array(self, dtype: str, n: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.read(n, dtype.itemsize), dtype=dtype)
+
+    def string(self) -> str:
+        (n,) = self.fields("Q")
+        return self.read(n).decode("utf-8")
+
+
+_STRUCTS = {
+    fmt: struct.Struct("<" + fmt)
+    for fmt in ("B", "I", "II", "Q", "QI", "QQ", "IBI", "IBII")
+}
 
 
 def _w_str(fh, s: str) -> None:
     raw = s.encode("utf-8")
     _w(fh, "Q", len(raw))
     fh.write(raw)
-
-
-def _r_str(fh) -> str:
-    (n,) = _r(fh, "Q")
-    data = fh.read(n)
-    if len(data) != n:
-        raise ValueError("truncated index file")
-    return data.decode("utf-8")
 
 
 def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
@@ -488,66 +509,66 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load_half(fh, offset: int) -> _HalfMaps:
-    (width,) = _r(fh, "B")
+def _load_half(rd: _Reader, offset: int, width: int) -> _HalfMaps:
+    if rd.fields("B") != (width,):
+        raise ValueError("index header disagrees with payload")
     half = _HalfMaps(offset, width)
     for _ in range(1 << width):
-        (n_groups,) = _r(fh, "I")
+        (n_groups,) = rd.fields("I")
         keys: list[str] = []
-        counts = np.empty(n_groups, dtype=np.int64)
+        counts: list[int] = []
         members: list[np.ndarray] = []
-        for g in range(n_groups):
-            keys.append(_r_str(fh))
-            (counts[g],) = _r(fh, "Q")
-            (n_members,) = _r(fh, "I")
-            members.append(
-                np.array(_r(fh, "I" * n_members), dtype=np.int64)
-                if n_members
-                else np.empty(0, dtype=np.int64)
-            )
+        for _ in range(n_groups):
+            keys.append(rd.string())
+            count, n_members = rd.fields("QI")
+            if count != n_members:
+                raise ValueError("index group count disagrees with its member list")
+            counts.append(count)
+            members.append(rd.array("<u4", n_members).astype(np.int64))
         half.keys.append(keys)
         half.key_to_gid.append({key: g for g, key in enumerate(keys)})
-        half.counts.append(counts)
+        half.counts.append(np.array(counts, dtype=np.int64))
         half.members.append(members)
     return half
 
 
 def load_index(path) -> Dictionary | SimpleIndex | SplitIndex:
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
+        rd = _Reader(fh.read())
+        magic = rd.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError("not an index file (bad magic)")
-        (kind,) = _r(fh, "B")
+        (kind,) = rd.fields("B")
         if kind == _KIND_DICTIONARY:
-            length, size = _r(fh, "II")
-            entries = _r_str(fh).split("\n")
+            length, size = rd.fields("II")
+            entries = rd.string().split("\n")
             dictionary = Dictionary(entries)
             if dictionary.length != length or dictionary.size != size:
                 raise ValueError("index header disagrees with payload")
             return dictionary
         if kind == _KIND_SIMPLE:
-            length, mask_size, z0 = _r(fh, "IBI")
-            (n_items,) = _r(fh, "Q")
+            length, mask_size, z0 = rd.fields("IBI")
+            (n_items,) = rd.fields("Q")
             table: dict[tuple[int, str], int] = {}
             for _ in range(n_items):
-                (bits,) = _r(fh, "Q")
-                key = _r_str(fh)
-                (count,) = _r(fh, "Q")
+                bits, n = rd.fields("QQ")  # the key's length leads the key
+                key = rd.read(n).decode("utf-8")
+                (count,) = rd.fields("Q")
                 table[(bits, key)] = count
             return SimpleIndex(length, mask_size, z0, table)
         if kind == _KIND_SPLIT:
-            length, lam, tau, z0 = _r(fh, "IBII")
-            (size,) = _r(fh, "I")
-            entries = tuple(_r_str(fh).split("\n"))
+            length, lam, tau, z0 = rd.fields("IBII")
+            (size,) = rd.fields("I")
+            entries = tuple(rd.string().split("\n"))
             if len(entries) != size:
                 raise ValueError("index header disagrees with payload")
-            left = _load_half(fh, 0)
-            right = _load_half(fh, lam)
-            (n_tables,) = _r(fh, "I")
+            left = _load_half(rd, 0, lam)
+            right = _load_half(rd, lam, length - lam)
+            (n_tables,) = rd.fields("I")
             pair_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             for _ in range(n_tables):
-                bits, n_pairs = _r(fh, "QQ")
-                flat = np.array(_r(fh, "QQ" * n_pairs), dtype=np.int64).reshape(-1, 2)
+                bits, n_pairs = rd.fields("QQ")
+                flat = rd.array("<u8", 2 * n_pairs).astype(np.int64).reshape(-1, 2)
                 pair_tables[int(bits)] = (flat[:, 0].copy(), flat[:, 1].copy())
             return SplitIndex(length, lam, tau, z0, entries, left, right, pair_tables)
         raise ValueError(f"unknown index kind {kind}")

@@ -39,7 +39,7 @@ def oracle_count(dictionary: Dictionary, q: str, mask_bits: int) -> int:
 def oracle_counts_all_masks(dictionary: Dictionary, q: str) -> np.ndarray:
     """Linear-scan counts for every mask, via mismatch-bit subset tests."""
     bits = mismatch_masks(dictionary, q)
-    all_masks = np.arange(1 << dictionary.length, dtype=np.int64)
+    all_masks = np.arange(1 << dictionary.length, dtype=np.uint64)
     hits = (bits[None, :] & ~all_masks[:, None]) == 0
     return hits.sum(axis=1)
 
