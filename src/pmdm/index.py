@@ -40,7 +40,7 @@ DEFAULT_TABLE_LIMIT = 24
 #: Cap on C(length, k) * d workspace for the fixed-size tables.
 DEFAULT_WORKSPACE_LIMIT = 1 << 26
 
-_MAGIC = b"PMDM1"
+_MAGIC = b"PMDM2"
 _KIND_DICTIONARY = 1
 _KIND_SIMPLE = 2
 _KIND_SPLIT = 3
@@ -410,12 +410,41 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
 
 
 # ---------------------------------------------------------------------------
-# Binary serialization: magic "PMDM1", kind tag, parameters, little-endian
-# tables.
+# Binary serialization.  A file is the magic "PMDM2", a kind byte, then
+# little-endian fields; every table is written as a few whole arrays, and
+# keys as one UTF-8 blob (u8 byte count, then the keys back to back, each
+# exactly as long as its mask leaves unmasked):
+#
+# * dictionary: length u4, size u4, then the entries joined by "\n" as a blob;
+# * simple: length u4, mask_size u4, z0 u4, n u8, then bits u8[n],
+#   counts u8[n] and the keys, length - mask_size characters each;
+# * split: length u4, half_split u1, tau u4, z0 u4, size u4 and the entries
+#   as for a dictionary; then per side of width w: groups per mask u4[2^w],
+#   group sizes u8[total groups], members u4[size * 2^w] (each mask's groups
+#   back to back) and the keys, where mask m contributes
+#   groups[m] * (w - popcount m) characters; then the pair tables: n u4,
+#   bits u8[n], pairs per table u8[n], all pair keys u8[], all counts u8[].
+#
+# Files of the older one-field-per-item layout (magic "PMDM1") are refused
+# and must be rebuilt.
 
 
 def _w(fh, fmt: str, *values) -> None:
     fh.write(struct.pack("<" + fmt, *values))
+
+
+def _w_array(fh, values, dtype: str) -> None:
+    fh.write(np.asarray(values, dtype=dtype).tobytes())
+
+
+def _w_str(fh, s: str) -> None:
+    raw = s.encode("utf-8")
+    _w(fh, "Q", len(raw))
+    fh.write(raw)
+
+
+def _cat(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
 
 
 class _Reader:
@@ -452,17 +481,24 @@ class _Reader:
         (n,) = self.fields("Q")
         return self.read(n).decode("utf-8")
 
+    def keys(self, n_keys: np.ndarray, widths: np.ndarray) -> list[list[str]]:
+        """A key blob cut into ``n_keys[i]`` keys of ``widths[i]`` characters."""
+        text = self.string()
+        if len(text) != int(np.dot(n_keys.astype(np.int64), widths)):
+            raise ValueError("corrupt index file: key blob length disagrees with its key counts")
+        out: list[list[str]] = []
+        pos = 0
+        for n, width in zip(n_keys.tolist(), widths.tolist()):
+            end = pos + n * width
+            if width:
+                out.append([text[i : i + width] for i in range(pos, end, width)])
+            else:
+                out.append([""] * n)
+            pos = end
+        return out
 
-_STRUCTS = {
-    fmt: struct.Struct("<" + fmt)
-    for fmt in ("B", "I", "II", "Q", "QI", "QQ", "IBI", "IBII")
-}
 
-
-def _w_str(fh, s: str) -> None:
-    raw = s.encode("utf-8")
-    _w(fh, "Q", len(raw))
-    fh.write(raw)
+_STRUCTS = {fmt: struct.Struct("<" + fmt) for fmt in ("B", "I", "II", "Q", "IIIQ", "IBII")}
 
 
 def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
@@ -475,100 +511,124 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
         elif isinstance(obj, SimpleIndex):
             if obj.fingerprints is not None:
                 raise TypeError("fingerprint-keyed indexes are in-memory only")
+            table = obj.table
             _w(fh, "B", _KIND_SIMPLE)
-            _w(fh, "IBI", obj.length, obj.mask_size, obj.min_threshold)
-            _w(fh, "Q", len(obj.table))
-            for (bits, key), count in sorted(obj.table.items()):
-                _w(fh, "Q", bits)
-                _w_str(fh, key)
-                _w(fh, "Q", count)
+            _w(fh, "IIIQ", obj.length, obj.mask_size, obj.min_threshold, len(table))
+            _w_array(fh, np.fromiter((bits for bits, _ in table), np.uint64, len(table)), "<u8")
+            _w_array(fh, np.fromiter(table.values(), np.uint64, len(table)), "<u8")
+            _w_str(fh, "".join(key for _, key in table))
         elif isinstance(obj, SplitIndex):
             _w(fh, "B", _KIND_SPLIT)
             _w(fh, "IBII", obj.length, obj.half_split, obj.tau, obj.min_threshold)
             _w(fh, "I", len(obj.entries))
             _w_str(fh, "\n".join(obj.entries))
             for side in (obj.left, obj.right):
-                _w(fh, "B", side.width)
-                for m in range(1 << side.width):
-                    keys = side.keys[m]
-                    _w(fh, "I", len(keys))
-                    for g, key in enumerate(keys):
-                        _w_str(fh, key)
-                        _w(fh, "Q", int(side.counts[m][g]))
-                        members = side.members[m][g]
-                        _w(fh, "I", len(members))
-                        for e in members:
-                            _w(fh, "I", int(e))
-            _w(fh, "I", len(obj.pair_tables))
-            for bits in sorted(obj.pair_tables):
-                keys, counts = obj.pair_tables[bits]
-                _w(fh, "QQ", bits, len(keys))
-                for k, c in zip(keys, counts):
-                    _w(fh, "QQ", int(k), int(c))
+                _w_array(fh, [len(keys) for keys in side.keys], "<u4")
+                _w_array(fh, _cat(side.counts), "<u8")
+                _w_array(fh, _cat([mm for groups in side.members for mm in groups]), "<u4")
+                _w_str(fh, "".join(key for keys in side.keys for key in keys))
+            order = sorted(obj.pair_tables)
+            tables = [obj.pair_tables[bits] for bits in order]
+            _w(fh, "I", len(order))
+            _w_array(fh, order, "<u8")
+            _w_array(fh, [len(keys) for keys, _ in tables], "<u8")
+            _w_array(fh, _cat([keys for keys, _ in tables]), "<u8")
+            _w_array(fh, _cat([counts for _, counts in tables]), "<u8")
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load_half(rd: _Reader, offset: int, width: int) -> _HalfMaps:
-    if rd.fields("B") != (width,):
+def _load_dictionary(rd: _Reader) -> Dictionary:
+    length, size = rd.fields("II")
+    dictionary = Dictionary(rd.string().split("\n"))
+    if dictionary.length != length or dictionary.size != size:
         raise ValueError("index header disagrees with payload")
+    return dictionary
+
+
+def _load_simple(rd: _Reader) -> SimpleIndex:
+    length, mask_size, z0, n = rd.fields("IIIQ")
+    if not 1 <= mask_size <= length or z0 < 1:
+        raise ValueError("corrupt index file: header field out of range")
+    bits = rd.array("<u8", n)
+    counts = rd.array("<u8", n)
+    (keys,) = rd.keys(np.array([n]), np.array([length - mask_size]))
+    return SimpleIndex(length, mask_size, z0, dict(zip(zip(bits.tolist(), keys), counts.tolist())))
+
+
+def _load_half(rd: _Reader, offset: int, width: int, size: int) -> _HalfMaps:
+    n_masks = 1 << width
+    n_groups = rd.array("<u4", n_masks)
+    sizes = rd.array("<u8", int(n_groups.sum()))
+    members = rd.array("<u4", size * n_masks)
+    ends = np.cumsum(n_groups, dtype=np.int64)
+    if (
+        not n_groups.all()
+        or (sizes > size).any()
+        or (np.add.reduceat(sizes, ends - n_groups) != size).any()
+    ):
+        raise ValueError("corrupt index file: group sizes do not add up to the dictionary size")
+    if (members >= size).any():
+        raise ValueError("corrupt index file: member id out of range")
+    keys = rd.keys(n_groups, width - np.bitwise_count(np.arange(n_masks)))
+    counts = sizes.astype(np.int64)
+    members = members.astype(np.int64).reshape(n_masks, size)
     half = _HalfMaps(offset, width)
-    for _ in range(1 << width):
-        (n_groups,) = rd.fields("I")
-        keys: list[str] = []
-        counts: list[int] = []
-        members: list[np.ndarray] = []
-        for _ in range(n_groups):
-            keys.append(rd.string())
-            count, n_members = rd.fields("QI")
-            if count != n_members:
-                raise ValueError("index group count disagrees with its member list")
-            counts.append(count)
-            members.append(rd.array("<u4", n_members).astype(np.int64))
-        half.keys.append(keys)
-        half.key_to_gid.append({key: g for g, key in enumerate(keys)})
-        half.counts.append(np.array(counts, dtype=np.int64))
-        half.members.append(members)
+    start = 0
+    for m, end in enumerate(ends.tolist()):
+        group_sizes = counts[start:end]
+        half.counts.append(group_sizes)
+        half.members.append(np.split(members[m], np.cumsum(group_sizes[:-1])))
+        half.keys.append(keys[m])
+        half.key_to_gid.append(dict(zip(keys[m], range(len(keys[m])))))
+        start = end
     return half
+
+
+def _load_split(rd: _Reader) -> SplitIndex:
+    length, lam, tau, z0 = rd.fields("IBII")
+    (size,) = rd.fields("I")
+    if lam != (length + 1) // 2 or not 1 <= tau <= size or not 1 <= z0 <= size:
+        raise ValueError("corrupt index file: header field out of range")
+    entries = tuple(rd.string().split("\n"))
+    if len(entries) != size or any(len(entry) != length for entry in entries):
+        raise ValueError("index header disagrees with payload")
+    left = _load_half(rd, 0, lam, size)
+    right = _load_half(rd, lam, length - lam, size)
+    (n_tables,) = rd.fields("I")
+    bits = rd.array("<u8", n_tables)
+    n_pairs = rd.array("<u8", n_tables)
+    if (n_pairs > size).any():
+        raise ValueError("corrupt index file: more pairs than entries")
+    cuts = np.cumsum(n_pairs, dtype=np.int64)[:-1]
+    n_total = int(n_pairs.sum())
+    keys = np.split(rd.array("<u8", n_total).astype(np.int64), cuts)
+    counts = np.split(rd.array("<u8", n_total).astype(np.int64), cuts)
+    pair_tables = dict(zip(bits.tolist(), zip(keys, counts)))
+    return SplitIndex(length, lam, tau, z0, entries, left, right, pair_tables)
+
+
+_LOADERS = {
+    _KIND_DICTIONARY: _load_dictionary,
+    _KIND_SIMPLE: _load_simple,
+    _KIND_SPLIT: _load_split,
+}
 
 
 def load_index(path) -> Dictionary | SimpleIndex | SplitIndex:
     with open(path, "rb") as fh:
         rd = _Reader(fh.read())
-        magic = rd.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError("not an index file (bad magic)")
-        (kind,) = rd.fields("B")
-        if kind == _KIND_DICTIONARY:
-            length, size = rd.fields("II")
-            entries = rd.string().split("\n")
-            dictionary = Dictionary(entries)
-            if dictionary.length != length or dictionary.size != size:
-                raise ValueError("index header disagrees with payload")
-            return dictionary
-        if kind == _KIND_SIMPLE:
-            length, mask_size, z0 = rd.fields("IBI")
-            (n_items,) = rd.fields("Q")
-            table: dict[tuple[int, str], int] = {}
-            for _ in range(n_items):
-                bits, n = rd.fields("QQ")  # the key's length leads the key
-                key = rd.read(n).decode("utf-8")
-                (count,) = rd.fields("Q")
-                table[(bits, key)] = count
-            return SimpleIndex(length, mask_size, z0, table)
-        if kind == _KIND_SPLIT:
-            length, lam, tau, z0 = rd.fields("IBII")
-            (size,) = rd.fields("I")
-            entries = tuple(rd.string().split("\n"))
-            if len(entries) != size:
-                raise ValueError("index header disagrees with payload")
-            left = _load_half(rd, 0, lam)
-            right = _load_half(rd, lam, length - lam)
-            (n_tables,) = rd.fields("I")
-            pair_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for _ in range(n_tables):
-                bits, n_pairs = rd.fields("QQ")
-                flat = rd.array("<u8", 2 * n_pairs).astype(np.int64).reshape(-1, 2)
-                pair_tables[int(bits)] = (flat[:, 0].copy(), flat[:, 1].copy())
-            return SplitIndex(length, lam, tau, z0, entries, left, right, pair_tables)
+    magic = rd.read(len(_MAGIC))
+    if magic == b"PMDM1":
+        raise ValueError(
+            "index file has the retired PMDM1 layout; rebuild it with `pmdm index build`"
+        )
+    if magic != _MAGIC:
+        raise ValueError("not an index file (bad magic)")
+    (kind,) = rd.fields("B")
+    if kind not in _LOADERS:
         raise ValueError(f"unknown index kind {kind}")
+    obj = _LOADERS[kind](rd)
+    if rd.pos != len(rd.data):
+        raise ValueError("corrupt index file: trailing bytes after the tables")
+    return obj

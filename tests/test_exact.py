@@ -17,6 +17,7 @@ from pmdm import (
     solve_mpmdm,
     solve_pmdm,
 )
+from pmdm import exact
 from pmdm.core import CapacityError
 
 from support import (
@@ -164,7 +165,10 @@ def test_mpmdm_against_enumeration():
             assert len(mask) >= len(single)
 
 
-def test_mpmdm_branching_path_agrees_with_enumeration():
+def test_mpmdm_branching_path_agrees_with_enumeration(monkeypatch):
+    # at these lengths the subset-count table would answer before
+    # enum_budget is read, so force the hypergraph path
+    monkeypatch.setattr(exact, "TABLE_MAX_LENGTH", 0)
     rng = random.Random(41)
     for _ in range(25):
         base = random_instance(rng, max_length=7, max_size=15, max_sigma=3)

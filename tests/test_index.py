@@ -267,6 +267,49 @@ def test_serialization_round_trips(tmp_path):
         assert split_query(loaded, "abab", z) == split_query(sidx, "abab", z)
 
 
+def test_serialization_round_trips_randomized(tmp_path):
+    # non-ASCII symbols, odd lengths and length 1 exercise the key blobs
+    rng = random.Random(23)
+    path = tmp_path / "index.bin"
+    for _ in range(12):
+        letters = rng.choice(["ab", "αβγ", "a日😀"])
+        length = rng.randint(1, 7)
+        d = Dictionary(
+            "".join(rng.choice(letters) for _ in range(length))
+            for _ in range(rng.randint(1, 40))
+        )
+        k = rng.randint(1, length)
+        z0 = rng.randint(1, d.size)
+        idx = simple_build(d, k, z0)
+        save_index(path, idx)
+        loaded = load_index(path)
+        assert loaded.table == idx.table
+        assert (loaded.length, loaded.mask_size, loaded.min_threshold) == (length, k, z0)
+
+        sidx = split_build(d, rng.randint(1, d.size), rng.randint(1, d.size))
+        save_index(path, sidx)
+        loaded = load_index(path)
+        assert (loaded.half_split, loaded.tau, loaded.min_threshold) == (
+            sidx.half_split, sidx.tau, sidx.min_threshold
+        )
+        for side, stored in ((sidx.left, loaded.left), (sidx.right, loaded.right)):
+            assert stored.keys == side.keys and stored.key_to_gid == side.key_to_gid
+            for m in range(1 << side.width):
+                assert (stored.counts[m] == side.counts[m]).all()
+                assert all(
+                    (a == b).all() for a, b in zip(stored.members[m], side.members[m], strict=True)
+                )
+        assert loaded.pair_tables.keys() == sidx.pair_tables.keys()
+        for bits, (keys, counts) in sidx.pair_tables.items():
+            assert (loaded.pair_tables[bits][0] == keys).all()
+            assert (loaded.pair_tables[bits][1] == counts).all()
+        q = d[rng.randrange(d.size)]
+        for bits in range(1 << length):
+            assert count_for_mask(loaded, q, bits) == count_for_mask(sidx, q, bits)
+        for z in (sidx.min_threshold, d.size):
+            assert split_query(loaded, q, z) == split_query(sidx, q, z)
+
+
 def test_serialization_rejects_garbage(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTPM1whatever")

@@ -1,16 +1,24 @@
 """Crafted corrupt index files fail with ValueError, and the CLI exits 2.
 
 A count field that claims more items than the file holds must be refused
-before anything of that size is allocated.
+before anything of that size is allocated, and a field that the queries
+would index with must be refused when it is out of range.
 """
 
 import struct
 
+import numpy as np
 import pytest
 
 from pmdm import Dictionary
 from pmdm.cli import main
-from pmdm.index import count_for_mask, load_index, save_index, split_build
+from pmdm.index import (
+    count_for_mask,
+    load_index,
+    save_index,
+    simple_build,
+    split_build,
+)
 
 HUGE = (1 << 32) - 1
 
@@ -20,26 +28,47 @@ def _str(text: str, declared: int | None = None) -> bytes:
     return struct.pack("<Q", len(raw) if declared is None else declared) + raw
 
 
-def split_file(count: int = 1, n_members: int = 1, n_pairs: int = 1) -> bytes:
+def _u4(*values: int) -> bytes:
+    return np.array(values, dtype="<u4").tobytes()
+
+
+def _u8(*values: int) -> bytes:
+    return np.array(values, dtype="<u8").tobytes()
+
+
+def split_file(
+    tau: int = 1,
+    half_split: int = 1,
+    n_groups: int = 1,
+    group_size: int = 1,
+    member: int = 0,
+    key: str = "a",
+    n_pairs: int = 1,
+) -> bytes:
     """The split index of the one-entry dictionary ["a"] with tau=1, written
-    field by field, with the first group's count and member count and every
-    pair count replaceable."""
-
-    def group(key: str, count: int, members: int) -> bytes:
-        return _str(key) + struct.pack("<QI", count, members) + struct.pack("<I", 0)
-
-    out = b"PMDM1" + struct.pack("<BIBII", 3, 1, 1, 1, 1) + struct.pack("<I", 1) + _str("a")
-    out += struct.pack("<BI", 1, 1) + group("a", count, n_members)
-    out += struct.pack("<I", 1) + group("", 1, 1)
-    out += struct.pack("<BI", 0, 1) + group("", 1, 1)
-    out += struct.pack("<I", 2)
-    for bits in (0, 1):
-        out += struct.pack("<QQ", bits, n_pairs) + struct.pack("<QQ", 0, 1)
+    array by array, with the header's tau and half split, the left side's
+    first group count, first group size, first member id and key blob, and
+    every pair count replaceable."""
+    out = b"PMDM2" + struct.pack("<BIBII", 3, 1, half_split, tau, 1)
+    out += struct.pack("<I", 1) + _str("a")
+    # left half, width 1: mask 0 keeps "a", mask 1 keeps ""
+    out += _u4(n_groups, 1) + _u8(group_size, 1) + _u4(member, 0) + _str(key)
+    # right half, width 0: one mask, one empty key
+    out += _u4(1) + _u8(1) + _u4(0) + _str("")
+    # pair tables for the full masks 0 and 1
+    out += struct.pack("<I", 2) + _u8(0, 1) + _u8(n_pairs, n_pairs) + _u8(0, 0) + _u8(1, 1)
     return out
 
 
-def dictionary_file(declared: int | None = None) -> bytes:
-    return b"PMDM1" + struct.pack("<BII", 1, 1, 2) + _str("a\nb", declared)
+def simple_file(n: int = 2, mask_size: int = 1) -> bytes:
+    """The k=1 simple index of ["ab"], items in build order: mask {1} keeps
+    "b", mask {2} keeps "a"."""
+    header = struct.pack("<BIIIQ", 2, 2, mask_size, 1, n)
+    return b"PMDM2" + header + _u8(0b01, 0b10) + _u8(1, 1) + _str("ba")
+
+
+def dictionary_file(declared: int | None = None, magic: bytes = b"PMDM2") -> bytes:
+    return magic + struct.pack("<BII", 1, 1, 2) + _str("a\nb", declared)
 
 
 def test_crafted_split_file_matches_the_real_one(tmp_path):
@@ -50,16 +79,35 @@ def test_crafted_split_file_matches_the_real_one(tmp_path):
     assert [count_for_mask(loaded, "a", bits) for bits in (0, 1)] == [1, 1]
 
 
+def test_crafted_simple_file_matches_the_real_one(tmp_path):
+    path = tmp_path / "real.bin"
+    idx = simple_build(Dictionary(["ab"]), 1, 1)
+    save_index(path, idx)
+    assert path.read_bytes() == simple_file()
+    assert load_index(path).table == idx.table == {(0b01, "b"): 1, (0b10, "a"): 1}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
-        pytest.param(split_file(n_members=HUGE), id="member-count"),
-        pytest.param(split_file(count=(1 << 64) - 1), id="group-count"),
+        pytest.param(split_file(group_size=(1 << 64) - 1), id="member-count"),
+        pytest.param(split_file(n_groups=HUGE), id="group-count"),
         pytest.param(split_file(n_pairs=1 << 60), id="pair-count"),
         pytest.param(dictionary_file(declared=1 << 62), id="string-length"),
         pytest.param(dictionary_file()[:-1], id="truncated-string"),
         pytest.param(split_file()[:-9], id="truncated-pairs"),
         pytest.param(split_file()[:3], id="truncated-magic"),
+        pytest.param(split_file(member=7), id="member-out-of-range"),
+        pytest.param(split_file(group_size=0), id="group-sizes-sum"),
+        pytest.param(split_file(key="ab"), id="key-blob-too-long"),
+        pytest.param(split_file(key=""), id="key-blob-too-short"),
+        pytest.param(split_file(tau=2), id="tau-out-of-range"),
+        pytest.param(split_file(half_split=0), id="half-split"),
+        pytest.param(split_file() + b"\0", id="trailing-bytes"),
+        pytest.param(simple_file(n=3), id="simple-count"),
+        pytest.param(simple_file(n=1 << 61), id="simple-count-huge"),
+        pytest.param(simple_file(mask_size=0), id="simple-mask-size"),
+        pytest.param(dictionary_file(magic=b"PMDM1"), id="old-format"),
     ],
 )
 def test_corrupt_counts_are_refused(tmp_path, capsys, payload):
@@ -70,6 +118,13 @@ def test_corrupt_counts_are_refused(tmp_path, capsys, payload):
     code = main(["index", "query", "--index", str(path), "--query", "a", "--z", "1"])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_old_format_asks_for_a_rebuild(tmp_path):
+    path = tmp_path / "old.bin"
+    path.write_bytes(dictionary_file(magic=b"PMDM1"))
+    with pytest.raises(ValueError, match="rebuild"):
+        load_index(path)
 
 
 def test_intact_crafted_dictionary_file_loads(tmp_path):
