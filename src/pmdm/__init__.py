@@ -68,6 +68,7 @@ from .index import (
     small_ell_build,
     small_ell_query,
     split_build,
+    split_counts,
     split_query,
 )
 from .reductions import (
@@ -141,5 +142,6 @@ __all__ = [
     "solve_mpmdm",
     "solve_pmdm",
     "split_build",
+    "split_counts",
     "split_query",
 ]

@@ -29,7 +29,7 @@ from .index import (
     DEFAULT_TABLE_LIMIT,
     SimpleIndex,
     SplitIndex,
-    count_for_mask,
+    _select_mask,
     load_index,
     save_index,
     simple_build,
@@ -37,7 +37,7 @@ from .index import (
     small_ell_build,
     small_ell_query,
     split_build,
-    split_query,
+    split_counts,
 )
 from .reductions import Graph, MuInstance, clique_to_pmdm, mu_to_pmdm, pmdm_to_mu
 
@@ -195,8 +195,9 @@ def _cmd_index_query(args) -> int:
             return 0
         mask, matches = found
     elif isinstance(obj, SplitIndex):
-        mask = split_query(obj, args.query, args.z)
-        matches = count_for_mask(obj, args.query, mask)
+        counts = split_counts(obj, args.query)
+        mask = _select_mask(counts, args.z, obj.size, obj.min_threshold)
+        matches = int(counts[mask.bits])
     else:
         raise ValueError("unsupported index payload")
     _emit(

@@ -66,14 +66,17 @@ DEFAULT_ENUM_BUDGET = 1 << 21
 TABLE_MAX_LENGTH = 20
 
 
-def subset_counts(masks: np.ndarray, length: int) -> np.ndarray:
+def subset_counts(masks: np.ndarray, length: int, rows: int = 1) -> np.ndarray:
     """counts[K] = how many ``masks`` are subsets of K, for every K < 2^length.
 
     A histogram of the masks completed by an in-place sum-over-subsets pass:
     after folding bit b, counts[K] covers every mask that equals K above bit
-    b and is a subset of K on bits 0..b.
+    b and is a subset of K on bits 0..b.  Bits at and above ``length`` are
+    never folded, so ``rows`` independent tables can share one call: a mask
+    ``r << length | m`` counts in row r only, and the result holds
+    ``rows << length`` counters, row after row.
     """
-    counts = np.bincount(masks.astype(np.int64), minlength=1 << length)
+    counts = np.bincount(masks.astype(np.int64), minlength=rows << length)
     counts = counts.astype(np.int32)
     for b in range(length):
         view = counts.reshape(-1, 2, 1 << b)

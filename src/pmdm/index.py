@@ -10,7 +10,11 @@ Three structures, trading construction cost and space for query speed:
   supported threshold;
 * half-split tables: counts and member lists per masked half, plus exact
   pair counters for the half patterns frequent on both sides; rare halves
-  fall back to scanning their short member lists.
+  fall back to scanning their short member lists.  A query computes the
+  count of all 2^l masks at once: 2 * 2^(l/2) dictionary lookups of the
+  query's half contents, one scan over the at most 2^(l/2) * max(tau, z0)
+  members of its rare halves, and one vectorized search of the pair
+  counters for the remaining masks; no step reads the whole dictionary.
 
 All three agree with a plain linear scan on every mask they cover.
 """
@@ -30,9 +34,10 @@ from .core import (
     Dictionary,
     InfeasibleThresholdError,
     MaskSet,
+    _codes,
     mismatch_masks,
 )
-from .exact import subset_counts
+from .exact import _popcounts, subset_counts
 
 #: Largest string length for which 2^length tables may be built.
 DEFAULT_TABLE_LIMIT = 24
@@ -71,15 +76,21 @@ def small_ell_build(
 
 def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
     """Fewest-position mask reaching ``z`` matches; ties by bitmask value."""
-    if z < 1:
-        raise ValueError("z must be positive")
-    if z > table.size:
-        raise InfeasibleThresholdError(
-            f"threshold {z} exceeds dictionary size {table.size}"
-        )
-    qualifying = np.flatnonzero(table.counts >= z)
-    ranks = (np.bitwise_count(qualifying).astype(np.int64) << 32) | qualifying
-    return MaskSet.from_bits(int(qualifying[np.argmin(ranks)]))
+    return _select_mask(table.counts, z, table.size)
+
+
+def _select_mask(counts: np.ndarray, z: int, size: int, min_threshold: int = 1) -> MaskSet:
+    """Among the masks whose count reaches ``z``, the one with the fewest
+    positions, then the smallest bitmask value.  ``counts`` holds one count
+    per mask, indexed by its bits."""
+    if z < min_threshold:
+        raise ValueError(f"z={z} below the minimum supported threshold {min_threshold}")
+    if z > size:
+        raise InfeasibleThresholdError(f"threshold {z} exceeds dictionary size {size}")
+    qualifying = counts >= z
+    pop = _popcounts(len(counts).bit_length() - 1)
+    k = pop[qualifying].min()
+    return MaskSet.from_bits(int(np.argmax(qualifying & (pop == k))))
 
 
 @dataclass(frozen=True)
@@ -227,47 +238,87 @@ def simple_query(
     return best
 
 
+def _unmasked_columns(offset: int, width: int) -> list[list[int]]:
+    """For each half mask m, the string positions of the half that m keeps."""
+    return [[offset + j for j in range(width) if not m >> j & 1] for m in range(1 << width)]
+
+
 class _HalfMaps:
-    """Per-side grouping: for each half mask, masked-half contents with
-    counts and member entry lists."""
+    """One side's grouping of the entries by their masked half.
 
-    __slots__ = ("offset", "width", "key_to_gid", "counts", "members", "keys")
+    Under each half mask m (bit j masks position ``offset + j``), entries
+    with equal symbols on the kept ``columns[m]`` form a group.  Groups are
+    numbered mask by mask: mask m owns the ids ``group_base[m]`` up to
+    ``group_base[m + 1]``, and ``key_to_gid[m]`` maps a kept content to its
+    id within the mask.  ``counts[g]`` is group g's size.  ``members`` is a
+    (2^width, size) uint32 array whose row m lists every entry once, mask
+    m's groups back to back, so group g's members are
+    ``members.ravel()[starts[g] : starts[g] + counts[g]]``.  Apart from the
+    derived ``group_base``, ``starts`` and ``columns``, this is one side of
+    the PMDM2 file.
+    """
 
-    def __init__(self, offset: int, width: int):
+    __slots__ = ("offset", "width", "key_to_gid", "counts", "members", "group_base", "starts", "columns")
+
+    def __init__(self, offset, width, key_to_gid, n_groups, counts, members):
         self.offset = offset
         self.width = width
-        self.key_to_gid: list[dict[str, int]] = []
-        self.counts: list[np.ndarray] = []
-        self.members: list[list[np.ndarray]] = []
-        self.keys: list[list[str]] = []
+        self.key_to_gid: list[dict[str, int]] = key_to_gid
+        self.counts: np.ndarray = counts
+        self.members: np.ndarray = members
+        self.group_base = np.concatenate(([0], np.cumsum(n_groups, dtype=np.int64)))
+        # every mask's groups partition the entries, so the running total of
+        # the sizes reaches row m of ``members`` exactly at m * size
+        self.starts = np.cumsum(counts) - counts
+        self.columns = _unmasked_columns(offset, width)
 
 
-def _build_half(codes: np.ndarray, offset: int, width: int) -> tuple[_HalfMaps, list[np.ndarray]]:
-    half = _HalfMaps(offset, width)
+def _build_half(codes: np.ndarray, offset: int, width: int) -> tuple[_HalfMaps, np.ndarray]:
+    """One side's maps, and each entry's group id within every half mask as a
+    (2^width, size) array."""
     d = codes.shape[0]
-    inverses: list[np.ndarray] = []
-    for m in range(1 << width):
-        cols = [offset + j for j in range(width) if not m >> j & 1]
+    key_to_gid, counts, members, inverses = [], [], [], []
+    for cols in _unmasked_columns(offset, width):
         if cols:
             void = _void_view(codes[:, cols])
-            uniq, inv, counts = np.unique(void, return_inverse=True, return_counts=True)
+            uniq, inv, group_sizes = np.unique(void, return_inverse=True, return_counts=True)
             keys = _decode_rows(uniq, len(cols))
         else:
             inv = np.zeros(d, dtype=np.int64)
-            counts = np.array([d], dtype=np.int64)
+            group_sizes = np.array([d])
             keys = [""]
-        order = np.argsort(inv, kind="stable")
-        members = np.split(order, np.cumsum(counts)[:-1])
-        half.key_to_gid.append({key: g for g, key in enumerate(keys)})
-        half.counts.append(counts.astype(np.int64))
-        half.members.append([np.asarray(mm, dtype=np.int64) for mm in members])
-        half.keys.append(keys)
-        inverses.append(np.asarray(inv, dtype=np.int64))
-    return half, inverses
+        key_to_gid.append(dict(zip(keys, range(len(keys)))))
+        counts.append(group_sizes)
+        members.append(np.argsort(inv, kind="stable"))
+        inverses.append(inv)
+    half = _HalfMaps(
+        offset,
+        width,
+        key_to_gid,
+        [len(group_sizes) for group_sizes in counts],
+        np.concatenate(counts).astype(np.int64),
+        np.array(members, dtype=np.uint32),
+    )
+    return half, np.array(inverses, dtype=np.int64)
 
 
 class SplitIndex:
-    """Half-split structure: per-half tables plus frequent-pair counters."""
+    """Half-split structure: per-half tables plus frequent-pair counters.
+
+    The string is cut after ``half_split`` positions; a full mask ``bits``
+    is the left half mask ``bits & (2^half_split - 1)`` and the right half
+    mask ``bits >> half_split``.  The pair counters of all full masks are
+    flat arrays: full mask ``pair_bits[i]`` owns the segment
+    ``pair_starts[i]`` to ``pair_starts[i + 1]`` of ``pair_keys`` (sorted
+    keys ``left gid * right groups of the mask + right gid``) and
+    ``pair_counts``, and ``pair_segment[bits]`` is that i, or -1 for a mask
+    without counters.  ``codes`` is the entries' (size, length) uint32
+    code-point matrix, which the rare-half scans read.
+
+    A query (``split_counts``) costs 2 * 2^(l/2) dictionary lookups, one
+    scan over at most 2^(l/2) * max(tau, z0) members of rare halves, and
+    one vectorized search of the pair counters of at most 2^l masks.
+    """
 
     __slots__ = (
         "length",
@@ -275,20 +326,34 @@ class SplitIndex:
         "tau",
         "min_threshold",
         "entries",
+        "codes",
         "left",
         "right",
-        "pair_tables",
+        "pair_bits",
+        "pair_starts",
+        "pair_keys",
+        "pair_counts",
+        "pair_segment",
     )
 
-    def __init__(self, length, half_split, tau, min_threshold, entries, left, right, pair_tables):
+    def __init__(
+        self, length, half_split, tau, min_threshold, entries, codes, left, right,
+        pair_bits, pair_sizes, pair_keys, pair_counts,
+    ):
         self.length = length
         self.half_split = half_split
         self.tau = tau
         self.min_threshold = min_threshold
         self.entries = entries
-        self.left = left
-        self.right = right
-        self.pair_tables: dict[int, tuple[np.ndarray, np.ndarray]] = pair_tables
+        self.codes: np.ndarray = codes
+        self.left: _HalfMaps = left
+        self.right: _HalfMaps = right
+        self.pair_bits: np.ndarray = pair_bits
+        self.pair_starts = np.concatenate(([0], np.cumsum(pair_sizes, dtype=np.int64)))
+        self.pair_keys: np.ndarray = pair_keys
+        self.pair_counts: np.ndarray = pair_counts
+        self.pair_segment = np.full(1 << length, -1, dtype=np.int32)
+        self.pair_segment[pair_bits] = np.arange(len(pair_bits))
 
     @property
     def size(self) -> int:
@@ -320,93 +385,138 @@ def split_build(
     lam = (length + 1) // 2
     left, inv_left = _build_half(dictionary.codes, 0, lam)
     right, inv_right = _build_half(dictionary.codes, lam, length - lam)
+    # frequent_*[m, e]: entry e's half under half mask m occurs >= tau times
+    frequent_left = left.counts[left.group_base[:-1, None] + inv_left] >= tau
+    frequent_right = right.counts[right.group_base[:-1, None] + inv_right] >= tau
+    n_right = np.diff(right.group_base)
     low = (1 << lam) - 1
-    pair_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    bits, sizes, keys, counts = [], [], [], []
     for full in range(1 << length):
         m_l = full & low
         m_r = full >> lam
-        gl = inv_left[m_l]
-        gr = inv_right[m_r]
-        frequent = (left.counts[m_l][gl] >= tau) & (right.counts[m_r][gr] >= tau)
+        frequent = frequent_left[m_l] & frequent_right[m_r]
         if not frequent.any():
             continue
-        n_right = len(right.counts[m_r])
-        combined = gl[frequent] * n_right + gr[frequent]
-        keys, counts = np.unique(combined, return_counts=True)
-        pair_tables[full] = (keys.astype(np.int64), counts.astype(np.int64))
+        combined = inv_left[m_l][frequent] * n_right[m_r] + inv_right[m_r][frequent]
+        pair_keys, pair_counts = np.unique(combined, return_counts=True)
+        bits.append(full)
+        sizes.append(len(pair_keys))
+        keys.append(pair_keys)
+        counts.append(pair_counts)
     return SplitIndex(
-        length, lam, tau, z0, dictionary.entries, left, right, pair_tables
+        length, lam, tau, z0, dictionary.entries, dictionary.codes, left, right,
+        np.array(bits, dtype=np.int64), np.array(sizes, dtype=np.int64),
+        _cat(keys), _cat(counts),
     )
 
 
-def _half_content(idx: SplitIndex, q: str, side: _HalfMaps, mask_bits: int) -> str:
-    return "".join(
-        q[side.offset + j] for j in range(side.width) if not mask_bits >> j & 1
+def _half_lookup(side: _HalfMaps, q: str, rare_below: int) -> tuple[np.ndarray, ...]:
+    """Per half mask: the query's group id within the mask (-1 when no entry
+    has that content), its global group id, and whether it is rare (present
+    with fewer than ``rare_below`` members) or frequent."""
+    gid = np.array(
+        [table.get("".join([q[c] for c in cols]), -1) for table, cols in zip(side.key_to_gid, side.columns)],
+        dtype=np.int64,
     )
+    present = gid >= 0
+    group = side.group_base[:-1] + np.maximum(gid, 0)
+    rare = present & (side.counts[group] < rare_below)
+    return gid, group, rare, present & ~rare
+
+
+def _scan_groups(
+    side: _HalfMaps, groups: np.ndarray, other: _HalfMaps, codes: np.ndarray, q_codes: np.ndarray
+) -> np.ndarray:
+    """counts[i, m] = members of ``side``'s group ``groups[i]`` whose other
+    half matches the query under the other side's half mask m: each
+    member's mismatch bitmask on the other half, histogrammed per group and
+    completed by a subset-sum pass."""
+    sizes = side.counts[groups]
+    ends = np.cumsum(sizes)
+    row = np.repeat(np.arange(len(groups)), sizes)
+    # the groups' members concatenated: member i of group j sits at
+    # starts[groups[j]] + i in members.ravel()
+    at = np.arange(ends[-1]) + np.repeat(side.starts[groups] - (ends - sizes), sizes)
+    cols = slice(other.offset, other.offset + other.width)
+    diff = codes[side.members.ravel()[at], cols] != q_codes[cols]
+    mismatch = diff @ (1 << np.arange(other.width, dtype=np.int64))
+    table = subset_counts(row << other.width | mismatch, other.width, len(groups))
+    return table.reshape(len(groups), 1 << other.width)
+
+
+def _stored_pair_counts(idx: SplitIndex, bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The pair counter of each (full mask, pair key), 0 where none is
+    stored: a lower-bound bisection run inside every mask's key segment at
+    once, so no composite key can overflow."""
+    out = np.zeros(len(bits), dtype=np.int64)
+    seg = idx.pair_segment[bits]
+    hit = np.flatnonzero(seg >= 0)
+    seg, keys = seg[hit], keys[hit]
+    lo = idx.pair_starts[seg]
+    end = idx.pair_starts[seg + 1]
+    n = end - lo
+    last = len(idx.pair_keys) - 1
+    while n.any():
+        half = n >> 1
+        mid = lo + half
+        below = (n > 0) & (idx.pair_keys[np.minimum(mid, last)] < keys)
+        lo = np.where(below, mid + 1, lo)
+        n = np.where(below, n - half - 1, half)
+    at = np.minimum(lo, last)
+    found = (lo < end) & (idx.pair_keys[at] == keys)
+    out[hit[found]] = idx.pair_counts[at[found]]
+    return out
+
+
+def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
+    """counts[bits] = entries matched by ``q`` masked at ``bits``, for every
+    mask below 2^length, exactly.
+
+    On each side the query's half content is looked up under every half
+    mask.  A mask whose half content occurs in no entry counts 0.  A mask
+    whose left half is rare (seen fewer than max(tau, z0) times) counts
+    the members of that left group matching the query on the right half;
+    otherwise a rare right half does the same the other way round.  All
+    rare groups are scanned in one pass.  The remaining masks, frequent on
+    both sides, read their pair counter.
+    """
+    if len(q) != idx.length:
+        raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
+    left, right = idx.left, idx.right
+    rare_below = max(idx.tau, idx.min_threshold)
+    gid_l, group_l, rare_l, frequent_l = _half_lookup(left, q, rare_below)
+    gid_r, group_r, rare_r, frequent_r = _half_lookup(right, q, rare_below)
+    q_codes = _codes(q)
+    out = np.zeros(1 << idx.length, dtype=np.int64)
+    grid = out.reshape(1 << right.width, 1 << left.width)  # grid[m_r, m_l] is out[bits]
+    cols_l = np.flatnonzero(rare_l)
+    if cols_l.size:
+        grid[:, cols_l] = _scan_groups(left, group_l[cols_l], right, idx.codes, q_codes).T
+    rows_r = np.flatnonzero(rare_r)
+    cols_f = np.flatnonzero(frequent_l)
+    if rows_r.size and cols_f.size:
+        scanned = _scan_groups(right, group_r[rows_r], left, idx.codes, q_codes)
+        grid[np.ix_(rows_r, cols_f)] = scanned[:, cols_f]
+    rows_f = np.flatnonzero(frequent_r)
+    if rows_f.size and cols_f.size:
+        n_right = np.diff(right.group_base)[rows_f, None]
+        bits = (rows_f[:, None] << left.width | cols_f).ravel()
+        keys = (gid_l[cols_f] * n_right + gid_r[rows_f, None]).ravel()
+        out[bits] = _stored_pair_counts(idx, bits, keys)
+    return out
 
 
 def count_for_mask(idx: SplitIndex, q: str, mask: MaskSet | int) -> int:
     """Exact number of entries matched by ``q`` masked at ``mask``."""
     bits = mask.bits if isinstance(mask, MaskSet) else mask
-    if len(q) != idx.length:
-        raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
     if bits >> idx.length:
         raise ValueError("mask position out of range")
-    lam = idx.half_split
-    m_l = bits & ((1 << lam) - 1)
-    m_r = bits >> lam
-    gid_l = idx.left.key_to_gid[m_l].get(_half_content(idx, q, idx.left, m_l))
-    if gid_l is None:
-        return 0
-    gid_r = idx.right.key_to_gid[m_r].get(_half_content(idx, q, idx.right, m_r))
-    if gid_r is None:
-        return 0
-    count_l = int(idx.left.counts[m_l][gid_l])
-    count_r = int(idx.right.counts[m_r][gid_r])
-    seen_l = count_l if count_l >= idx.min_threshold else 0
-    seen_r = count_r if count_r >= idx.min_threshold else 0
-    if seen_l < idx.tau:
-        cols = [lam + j for j in range(idx.right.width) if not m_r >> j & 1]
-        total = 0
-        for e in idx.left.members[m_l][gid_l]:
-            entry = idx.entries[e]
-            if all(entry[c] == q[c] for c in cols):
-                total += 1
-        return total
-    if seen_r < idx.tau:
-        cols = [j for j in range(idx.left.width) if not m_l >> j & 1]
-        total = 0
-        for e in idx.right.members[m_r][gid_r]:
-            entry = idx.entries[e]
-            if all(entry[c] == q[c] for c in cols):
-                total += 1
-        return total
-    stored = idx.pair_tables.get(bits)
-    if stored is None:
-        return 0
-    keys, counts = stored
-    combined = gid_l * len(idx.right.counts[m_r]) + gid_r
-    pos = int(np.searchsorted(keys, combined))
-    if pos < len(keys) and keys[pos] == combined:
-        return int(counts[pos])
-    return 0
+    return int(split_counts(idx, q)[bits])
 
 
 def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
     """Fewest-position mask with exact count >= ``z``; ties by bitmask value."""
-    if z < idx.min_threshold:
-        raise ValueError(
-            f"z={z} below the index's minimum supported threshold {idx.min_threshold}"
-        )
-    if z > idx.size:
-        raise InfeasibleThresholdError(
-            f"threshold {z} exceeds dictionary size {idx.size}"
-        )
-    masks = sorted(range(1 << idx.length), key=lambda i: (i.bit_count(), i))
-    for bits in masks:
-        if count_for_mask(idx, q, bits) >= z:
-            return MaskSet.from_bits(bits)
-    raise AssertionError("full mask matches every entry; unreachable")
+    return _select_mask(split_counts(idx, q), z, idx.size, idx.min_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -523,17 +633,15 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
             _w(fh, "I", len(obj.entries))
             _w_str(fh, "\n".join(obj.entries))
             for side in (obj.left, obj.right):
-                _w_array(fh, [len(keys) for keys in side.keys], "<u4")
-                _w_array(fh, _cat(side.counts), "<u8")
-                _w_array(fh, _cat([mm for groups in side.members for mm in groups]), "<u4")
-                _w_str(fh, "".join(key for keys in side.keys for key in keys))
-            order = sorted(obj.pair_tables)
-            tables = [obj.pair_tables[bits] for bits in order]
-            _w(fh, "I", len(order))
-            _w_array(fh, order, "<u8")
-            _w_array(fh, [len(keys) for keys, _ in tables], "<u8")
-            _w_array(fh, _cat([keys for keys, _ in tables]), "<u8")
-            _w_array(fh, _cat([counts for _, counts in tables]), "<u8")
+                _w_array(fh, np.diff(side.group_base), "<u4")
+                _w_array(fh, side.counts, "<u8")
+                _w_array(fh, side.members, "<u4")
+                _w_str(fh, "".join(key for keys in side.key_to_gid for key in keys))
+            _w(fh, "I", len(obj.pair_bits))
+            _w_array(fh, obj.pair_bits, "<u8")
+            _w_array(fh, np.diff(obj.pair_starts), "<u8")
+            _w_array(fh, obj.pair_keys, "<u8")
+            _w_array(fh, obj.pair_counts, "<u8")
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -571,18 +679,10 @@ def _load_half(rd: _Reader, offset: int, width: int, size: int) -> _HalfMaps:
     if (members >= size).any():
         raise ValueError("corrupt index file: member id out of range")
     keys = rd.keys(n_groups, width - np.bitwise_count(np.arange(n_masks)))
-    counts = sizes.astype(np.int64)
-    members = members.astype(np.int64).reshape(n_masks, size)
-    half = _HalfMaps(offset, width)
-    start = 0
-    for m, end in enumerate(ends.tolist()):
-        group_sizes = counts[start:end]
-        half.counts.append(group_sizes)
-        half.members.append(np.split(members[m], np.cumsum(group_sizes[:-1])))
-        half.keys.append(keys[m])
-        half.key_to_gid.append(dict(zip(keys[m], range(len(keys[m])))))
-        start = end
-    return half
+    key_to_gid = [dict(zip(mask_keys, range(len(mask_keys)))) for mask_keys in keys]
+    return _HalfMaps(
+        offset, width, key_to_gid, n_groups, sizes.astype(np.int64), members.reshape(n_masks, size)
+    )
 
 
 def _load_split(rd: _Reader) -> SplitIndex:
@@ -590,6 +690,8 @@ def _load_split(rd: _Reader) -> SplitIndex:
     (size,) = rd.fields("I")
     if lam != (length + 1) // 2 or not 1 <= tau <= size or not 1 <= z0 <= size:
         raise ValueError("corrupt index file: header field out of range")
+    if length > DEFAULT_TABLE_LIMIT:
+        raise CapacityError(f"length {length} exceeds the table limit {DEFAULT_TABLE_LIMIT}")
     entries = tuple(rd.string().split("\n"))
     if len(entries) != size or any(len(entry) != length for entry in entries):
         raise ValueError("index header disagrees with payload")
@@ -598,14 +700,18 @@ def _load_split(rd: _Reader) -> SplitIndex:
     (n_tables,) = rd.fields("I")
     bits = rd.array("<u8", n_tables)
     n_pairs = rd.array("<u8", n_tables)
-    if (n_pairs > size).any():
-        raise ValueError("corrupt index file: more pairs than entries")
-    cuts = np.cumsum(n_pairs, dtype=np.int64)[:-1]
+    if (bits >= 1 << length).any() or (bits[1:] <= bits[:-1]).any():
+        raise ValueError("corrupt index file: pair table masks out of range or out of order")
+    if (n_pairs > size).any() or not n_pairs.all():
+        raise ValueError("corrupt index file: pair table empty or with more pairs than entries")
     n_total = int(n_pairs.sum())
-    keys = np.split(rd.array("<u8", n_total).astype(np.int64), cuts)
-    counts = np.split(rd.array("<u8", n_total).astype(np.int64), cuts)
-    pair_tables = dict(zip(bits.tolist(), zip(keys, counts)))
-    return SplitIndex(length, lam, tau, z0, entries, left, right, pair_tables)
+    keys = rd.array("<u8", n_total).view(np.int64)
+    counts = rd.array("<u8", n_total).view(np.int64)
+    codes = _codes("".join(entries)).reshape(size, length)
+    return SplitIndex(
+        length, lam, tau, z0, entries, codes, left, right,
+        bits.astype(np.int64), n_pairs.astype(np.int64), keys, counts,
+    )
 
 
 _LOADERS = {

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+
+import pmdm.index
 
 from pmdm import (
     CapacityError,
@@ -16,6 +19,7 @@ from pmdm import (
     small_ell_build,
     small_ell_query,
     split_build,
+    split_counts,
     split_query,
 )
 
@@ -159,7 +163,8 @@ def test_split_tau_d_and_intermediate_agree_with_oracle():
 def test_split_example_mask_1_3():
     idx = split_build(t1(), 2)
     # left halves masked at {1}: ?b occurs 4 times (frequent at tau = 2)
-    assert int(idx.left.counts[0b01][idx.left.key_to_gid[0b01]["b"]]) == 4
+    gid = idx.left.group_base[0b01] + idx.left.key_to_gid[0b01]["b"]
+    assert int(idx.left.counts[gid]) == 4
     count = count_for_mask(idx, "abab", MaskSet([1, 3]))
     assert count == oracle_count(t1(), "abab", 0b0101) == 3
 
@@ -240,6 +245,78 @@ def test_cross_structure_agreement_randomized():
                 assert split_query(idx, q, z) == small_ell_query(table, z)
 
 
+def _split_dictionary(rng) -> Dictionary:
+    """Lengths 1, odd and 8, non-ASCII symbols and duplicate entries."""
+    letters = rng.choice(["ab", "abc", "αβγ", "a日😀"])
+    length = rng.choice([1, 2, 3, 5, 7, 8])
+    entries = ["".join(rng.choice(letters) for _ in range(length)) for _ in range(rng.randint(1, 30))]
+    return Dictionary(entries + rng.sample(entries, rng.randint(0, len(entries))))
+
+
+def test_split_counts_match_the_oracle_randomized(tmp_path):
+    rng = random.Random(61)
+    path = tmp_path / "split.bin"
+    for _ in range(30):
+        d = _split_dictionary(rng)
+        symbols = "".join(sorted(d.alphabet())) + "z"  # "z" occurs in no entry
+        queries = [
+            d[rng.randrange(d.size)],
+            "".join(rng.choice(symbols) for _ in range(d.length)),
+            "z" * d.length,
+        ]
+        for tau in (1, math.isqrt(d.size), d.size):
+            # z0 >= tau, so halves seen between tau and z0 times are scanned
+            idx = split_build(d, tau, rng.randint(tau, d.size))
+            save_index(path, idx)
+            loaded = load_index(path)
+            for q in queries:
+                expected = oracle_counts_all_masks(d, q)
+                table = small_ell_build(d, q)
+                for built in (idx, loaded):
+                    assert (split_counts(built, q) == expected).all()
+                    for z in range(built.min_threshold, d.size + 1):
+                        mask = split_query(built, q, z)
+                        assert mask == small_ell_query(table, z)
+                assert count_for_mask(loaded, q, mask) == expected[mask.bits]
+
+
+def test_split_counts_scan_halves_below_z0():
+    # tau = 1 keeps a counter for every pair, yet with z0 = 4 a half seen
+    # fewer than 4 times is answered by scanning its members
+    d = t1()
+    idx = split_build(d, 1, z0=4)
+    gid = idx.left.group_base[0] + idx.left.key_to_gid[0]["ab"]
+    assert 1 <= idx.left.counts[gid] < 4
+    for q in ("abab", "bbbb", "abzz", "zzzz"):
+        expected = oracle_counts_all_masks(d, q)
+        assert (split_counts(idx, q) == expected).all()
+        assert count_for_mask(idx, q, 0b0011) == expected[0b0011]
+
+
+def test_split_pair_key_past_its_segment_is_not_found():
+    # here some query pair key is larger than every key stored for its
+    # mask and equal to the first key stored for the next mask
+    d = Dictionary(["aaaba", "baabb", "bbbba", "baabb", "bbbaa", "bbaab", "bbbba"])
+    idx = split_build(d, 2)
+    assert (split_counts(idx, "bbbab") == oracle_counts_all_masks(d, "bbbab")).all()
+
+
+def test_split_wrong_length_query_fails_before_any_work(monkeypatch):
+    idx = split_build(t1(), 2)
+
+    def no_work(*args):
+        raise AssertionError("looked up a query of the wrong length")
+
+    monkeypatch.setattr(pmdm.index, "_half_lookup", no_work)
+    for q in ("", "aba", "ababa"):
+        with pytest.raises(ValueError, match="query length"):
+            split_counts(idx, q)
+        with pytest.raises(ValueError, match="query length"):
+            split_query(idx, q, 2)
+        with pytest.raises(ValueError, match="query length"):
+            count_for_mask(idx, q, 0)
+
+
 def test_serialization_round_trips(tmp_path):
     d = t1()
 
@@ -293,19 +370,16 @@ def test_serialization_round_trips_randomized(tmp_path):
             sidx.half_split, sidx.tau, sidx.min_threshold
         )
         for side, stored in ((sidx.left, loaded.left), (sidx.right, loaded.right)):
-            assert stored.keys == side.keys and stored.key_to_gid == side.key_to_gid
-            for m in range(1 << side.width):
-                assert (stored.counts[m] == side.counts[m]).all()
-                assert all(
-                    (a == b).all() for a, b in zip(stored.members[m], side.members[m], strict=True)
-                )
-        assert loaded.pair_tables.keys() == sidx.pair_tables.keys()
-        for bits, (keys, counts) in sidx.pair_tables.items():
-            assert (loaded.pair_tables[bits][0] == keys).all()
-            assert (loaded.pair_tables[bits][1] == counts).all()
+            assert [list(keys) for keys in stored.key_to_gid] == [list(keys) for keys in side.key_to_gid]
+            assert stored.key_to_gid == side.key_to_gid
+            for name in ("group_base", "counts", "members", "starts"):
+                assert np.array_equal(getattr(stored, name), getattr(side, name)), name
+        for name in ("pair_bits", "pair_starts", "pair_keys", "pair_counts", "pair_segment", "codes"):
+            assert np.array_equal(getattr(loaded, name), getattr(sidx, name)), name
         q = d[rng.randrange(d.size)]
-        for bits in range(1 << length):
-            assert count_for_mask(loaded, q, bits) == count_for_mask(sidx, q, bits)
+        assert (split_counts(loaded, q) == split_counts(sidx, q)).all()
+        mask = split_query(sidx, q, sidx.min_threshold)
+        assert count_for_mask(loaded, q, mask) == count_for_mask(sidx, q, mask)
         for z in (sidx.min_threshold, d.size):
             assert split_query(loaded, q, z) == split_query(sidx, q, z)
 

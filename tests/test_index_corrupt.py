@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from pmdm import Dictionary
+from pmdm import CapacityError, Dictionary
 from pmdm.cli import main
 from pmdm.index import (
     count_for_mask,
@@ -44,19 +44,21 @@ def split_file(
     member: int = 0,
     key: str = "a",
     n_pairs: int = 1,
+    pair_bits: tuple[int, int] = (0, 1),
+    length: int = 1,
 ) -> bytes:
     """The split index of the one-entry dictionary ["a"] with tau=1, written
-    array by array, with the header's tau and half split, the left side's
-    first group count, first group size, first member id and key blob, and
-    every pair count replaceable."""
-    out = b"PMDM2" + struct.pack("<BIBII", 3, 1, half_split, tau, 1)
+    array by array, with the header's length, tau and half split, the left
+    side's first group count, first group size, first member id and key
+    blob, every pair count and the pair tables' masks replaceable."""
+    out = b"PMDM2" + struct.pack("<BIBII", 3, length, half_split, tau, 1)
     out += struct.pack("<I", 1) + _str("a")
     # left half, width 1: mask 0 keeps "a", mask 1 keeps ""
     out += _u4(n_groups, 1) + _u8(group_size, 1) + _u4(member, 0) + _str(key)
     # right half, width 0: one mask, one empty key
     out += _u4(1) + _u8(1) + _u4(0) + _str("")
     # pair tables for the full masks 0 and 1
-    out += struct.pack("<I", 2) + _u8(0, 1) + _u8(n_pairs, n_pairs) + _u8(0, 0) + _u8(1, 1)
+    out += struct.pack("<I", 2) + _u8(*pair_bits) + _u8(n_pairs, n_pairs) + _u8(0, 0) + _u8(1, 1)
     return out
 
 
@@ -104,6 +106,10 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
         pytest.param(split_file(tau=2), id="tau-out-of-range"),
         pytest.param(split_file(half_split=0), id="half-split"),
         pytest.param(split_file() + b"\0", id="trailing-bytes"),
+        pytest.param(split_file(pair_bits=(0, 2)), id="pair-mask-out-of-range"),
+        pytest.param(split_file(pair_bits=(1, 0)), id="pair-masks-out-of-order"),
+        pytest.param(split_file(pair_bits=(1, 1)), id="pair-masks-repeated"),
+        pytest.param(split_file(n_pairs=0)[:-32], id="pair-table-empty"),
         pytest.param(simple_file(n=3), id="simple-count"),
         pytest.param(simple_file(n=1 << 61), id="simple-count-huge"),
         pytest.param(simple_file(mask_size=0), id="simple-mask-size"),
@@ -117,6 +123,17 @@ def test_corrupt_counts_are_refused(tmp_path, capsys, payload):
         load_index(path)
     code = main(["index", "query", "--index", str(path), "--query", "a", "--z", "1"])
     assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_split_file_longer_than_the_table_limit_is_refused(tmp_path, capsys):
+    # the header alone decides: 2^25 masks would need a 2^25-entry map
+    path = tmp_path / "long.bin"
+    path.write_bytes(split_file(length=25, half_split=13))
+    with pytest.raises(CapacityError):
+        load_index(path)
+    code = main(["index", "query", "--index", str(path), "--query", "a", "--z", "1"])
+    assert code == 3
     assert capsys.readouterr().out == ""
 
 
