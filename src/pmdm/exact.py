@@ -47,6 +47,7 @@ from .core import (
 from .hypergraph import (
     WeightedHypergraph,
     build_hypergraph,
+    edge_arrays,
     heaviest_k_section,
     heaviest_k_section_bruteforce,
     _add,
@@ -333,11 +334,9 @@ def _tuple_hypergraph(dictionary: Dictionary, queries: Sequence[str]) -> Weighte
     edges: dict[int, list[int]] = {}
     base = [0] * m
     for j, q in enumerate(queries):
-        masks = mismatch_masks(dictionary, q)
-        base[j] = int((masks == 0).sum())
-        values, counts = np.unique(masks[masks != 0], return_counts=True)
-        for v, c in zip(values, counts):
-            edges.setdefault(int(v), [0] * m)[j] += int(c)
+        values, counts, base[j] = edge_arrays(mismatch_masks(dictionary, q))
+        for v, c in zip(values.tolist(), counts.tolist()):
+            edges.setdefault(v, [0] * m)[j] += c
     return WeightedHypergraph(
         length, {b: tuple(w) for b, w in edges.items()}, tuple(base)
     )

@@ -10,20 +10,36 @@ shrinks edges until one fits.  The greedy driver alternates exact
 small-section solves with such preprocessing, fixing a few positions per
 iteration.  The baseline simply adds one best-scored node at a time.
 
-Score comparisons are exact (integer cross-multiplication, or rationals
-for the alternative score); no floating point is involved.
+Both run on edge arrays derived from the per-entry mismatch bitmask
+vector M, which is computed once per answer: the distinct non-zero masks
+(uint64), their multiplicities (int64) and the base weight of entries
+already matched.  A greedy iteration's partial hypergraph is the grouping
+of ``M & ~solved``; deleting a node clears its bit in every edge and
+merges the edges that collide; a match count is the base weight.  The
+per-node aggregates a score needs (edge count, weight sum, size sum, or
+for the alternative score the weight sums per edge size) come from numpy,
+through one integer product with an (edges x positions) bit matrix.  The
+winning node is then picked over at most 64 nodes in exact Python ints
+(cross-multiplication, or a common denominator for the alternative
+score), so no floating point and no int64 overflow is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import NamedTuple
 
-from .core import MaskSet, count_matches, mask_apply
+import numpy as np
+
+from .core import CapacityError, MaskSet, mismatch_masks
 from .exact import PmdmInstance, _require_feasible
-from .hypergraph import WeightedHypergraph, build_hypergraph, heaviest_k_section
+from .hypergraph import WeightedHypergraph, edge_arrays, heaviest_k_section
+
+# Unused here, but the benchmark's tracer wraps these names on this module.
+from .core import count_matches  # noqa: F401
+from .hypergraph import build_hypergraph  # noqa: F401
 
 Weightings = dict[int, int]
 
@@ -53,76 +69,93 @@ class HeuristicResult(NamedTuple):
     iterations: int
 
 
+def _as_arrays(edges: Weightings) -> tuple[np.ndarray, np.ndarray]:
+    values = np.array(list(edges), dtype=np.uint64)
+    weights = np.array(list(edges.values()), dtype=np.int64)
+    return values, weights
+
+
+def _scores(
+    values: np.ndarray, weights: np.ndarray, length: int, use_alternative_score: bool
+) -> list[tuple[int, int, int]]:
+    """(position, numerator, denominator) of the score of every node in some edge."""
+    bits = (values[:, None] >> np.arange(length, dtype=np.uint64)) & np.uint64(1)
+    bits = bits.astype(np.int64)
+    sizes = np.bitwise_count(values).astype(np.int64)
+    count = bits.sum(axis=0).tolist()
+    if use_alternative_score:
+        # sum of w(e) / |e| over E_u, over the common denominator of the sizes
+        present, column = np.unique(sizes, return_inverse=True)
+        by_size = np.zeros((sizes.size, present.size), dtype=np.int64)
+        by_size[np.arange(sizes.size), column] = weights
+        sums = (bits.T @ by_size).tolist()
+        den = lcm(*present.tolist())
+        factors = [den // s for s in present.tolist()]
+        return [
+            (u + 1, sum(w * f for w, f in zip(sums[u], factors)), den)
+            for u in range(length)
+            if count[u]
+        ]
+    weight_sum, size_sum = (np.stack([weights, sizes]) @ bits).tolist()
+    return [
+        (u + 1, count[u] * weight_sum[u], size_sum[u]) for u in range(length) if count[u]
+    ]
+
+
 def node_scores(
     edges: Weightings, use_alternative_score: bool = False
 ) -> list[ScoredNode]:
     """Exact scores for every node appearing in at least one edge."""
-    stats: dict[int, list] = {}
-    if use_alternative_score:
-        for bits, w in edges.items():
-            size = bits.bit_count()
-            share = Fraction(w, size)
-            b = bits
-            while b:
-                u = b.bit_length()
-                stats.setdefault(u, [Fraction(0)])[0] += share
-                b &= ~(1 << (u - 1))
-        return sorted(ScoredNode(u, s[0]) for u, s in stats.items())
-    for bits, w in edges.items():
-        size = bits.bit_count()
-        b = bits
-        while b:
-            u = b.bit_length()
-            st = stats.setdefault(u, [0, 0, 0])
-            st[0] += 1
-            st[1] += w
-            st[2] += size
-            b &= ~(1 << (u - 1))
-    return sorted(
-        ScoredNode(u, Fraction(cnt * sw, sl)) for u, (cnt, sw, sl) in stats.items()
-    )
+    values, weights = _as_arrays(edges)
+    length = max(edges, default=0).bit_length()
+    return [
+        ScoredNode(u, Fraction(num, den))
+        for u, num, den in _scores(values, weights, length, use_alternative_score)
+    ]
 
 
-def _max_score_node(edges: Weightings, use_alternative_score: bool) -> int:
-    """Best-scored node, smallest position on ties; hot path avoids Fractions."""
-    if use_alternative_score:
-        scored = node_scores(edges, use_alternative_score=True)
-        return max(scored, key=lambda sn: (sn.score, -sn.node)).node
-    stats: dict[int, list] = {}
-    for bits, w in edges.items():
-        size = bits.bit_count()
-        b = bits
-        while b:
-            u = b.bit_length()
-            st = stats.setdefault(u, [0, 0, 0])
-            st[0] += 1
-            st[1] += w
-            st[2] += size
-            b &= ~(1 << (u - 1))
-    best_u = None
-    best = (0, 0, 1)
-    for u in sorted(stats):
-        cnt, sw, sl = stats[u]
-        # cnt*sw/sl > best iff cnt*sw*best_sl > best_cnt*best_sw*sl
-        if best_u is None or cnt * sw * best[2] > best[0] * best[1] * sl:
-            best_u = u
-            best = (cnt, sw, sl)
-    assert best_u is not None
-    return best_u
+def _best_node(
+    values: np.ndarray, weights: np.ndarray, length: int, use_alternative_score: bool
+) -> int:
+    """Best-scored node, smallest position on ties."""
+    best = None
+    for scored in _scores(values, weights, length, use_alternative_score):
+        # num/den > best_num/best_den, with both denominators positive
+        if best is None or scored[1] * best[2] > best[1] * scored[2]:
+            best = scored
+    return best[0]
 
 
-def _delete_node(edges: Weightings, base: int, node: int) -> tuple[Weightings, int]:
+def _delete_node(
+    values: np.ndarray, weights: np.ndarray, base: int, node: int
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Drop a node from every edge; emptied edges feed the base weight,
     colliding edges merge by summing."""
-    keep = ~(1 << (node - 1))
-    out: Weightings = {}
-    for bits, w in edges.items():
-        reduced = bits & keep
-        if reduced == 0:
-            base += w
-        else:
-            out[reduced] = out.get(reduced, 0) + w
-    return out, base
+    reduced = values & ~np.uint64(1 << (node - 1))
+    empty = reduced == 0
+    base += int(weights[empty].sum())
+    values, inverse = np.unique(reduced[~empty], return_inverse=True)
+    merged = np.zeros(values.size, dtype=np.int64)
+    np.add.at(merged, inverse, weights[~empty])
+    return values, merged, base
+
+
+def _reduce(
+    values: np.ndarray,
+    weights: np.ndarray,
+    base: int,
+    k: int,
+    length: int,
+    use_alternative_score: bool,
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Delete best-scored nodes until an edge of at most ``k`` nodes exists
+    (or no edge is left); also returns the deleted nodes' bits."""
+    removed = 0
+    while values.size and np.bitwise_count(values).min() > k:
+        u = _best_node(values, weights, length, use_alternative_score)
+        values, weights, base = _delete_node(values, weights, base, u)
+        removed |= 1 << (u - 1)
+    return values, weights, base, removed
 
 
 def preprocess(
@@ -136,82 +169,90 @@ def preprocess(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    edges = dict(h.edges)
-    base = h.base_weight
-    removed = 0
-    while edges and min(bits.bit_count() for bits in edges) > k:
-        u = _max_score_node(edges, use_alternative_score)
-        edges, base = _delete_node(edges, base, u)
-        removed |= 1 << (u - 1)
+    values, weights = _as_arrays(h.edges)
+    values, weights, base, removed = _reduce(
+        values, weights, h.base_weight, k, h.node_count, use_alternative_score
+    )
     if removed == 0:
         return h, MaskSet()
     nodes = tuple(v for v in h.nodes if not removed >> (v - 1) & 1)
-    return (
-        WeightedHypergraph(h.node_count, edges, base, nodes),
-        MaskSet.from_bits(removed),
-    )
+    edges = dict(zip(values.tolist(), weights.tolist()))
+    return WeightedHypergraph(h.node_count, edges, base, nodes), MaskSet.from_bits(removed)
 
 
 def greedy_pmdm(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> HeuristicResult:
     """Fix up to ``tau`` positions per iteration via exact small sections.
 
-    Each iteration rebuilds the mismatch hypergraph of the partially
-    masked query, tries section sizes 1..tau (preprocessing whenever no
-    edge is small enough), and stops at the smallest feasible combined
-    mask; otherwise it commits the tau-sized attempt and continues.  When
-    the optimum is at most tau the first iteration returns it exactly.
+    Each iteration groups the mismatch bitmasks of the partially masked
+    query into a hypergraph, tries section sizes 1..tau (preprocessing
+    whenever no edge is small enough), and stops at the smallest feasible
+    combined mask; otherwise it commits the tau-sized attempt and
+    continues.  When the optimum is at most tau the first iteration
+    returns it exactly.
+
+    Every iteration masks at least min(tau, unmasked positions) more
+    positions, so the default cap of ceil(l / tau) iterations always
+    suffices.  Raises ``CapacityError`` when ``cfg.max_iterations`` is set
+    and that many iterations end without a mask reaching the threshold.
     """
     _require_feasible(inst.threshold, inst.dictionary.size)
-    dictionary, query, z = inst.dictionary, inst.query, inst.threshold
-    solved = MaskSet()
-    if count_matches(dictionary, mask_apply(query, solved)) >= z:
-        return HeuristicResult(solved, 0)
+    z, length = inst.threshold, inst.dictionary.length
     limit = cfg.max_iterations
     if limit is None:
-        limit = ceil(dictionary.length / cfg.tau)
-    for iteration in range(1, limit + 1):
-        h = build_hypergraph(dictionary, mask_apply(query, solved))
+        limit = ceil(length / cfg.tau)
+    masks = mismatch_masks(inst.dictionary, inst.query)
+    values, weights, base = edge_arrays(masks)
+    solved = 0
+    iteration = 0
+    while base < z:
+        if iteration == limit:
+            raise CapacityError(
+                f"greedy_pmdm reached max_iterations={limit} before matching {z} entries"
+            )
+        iteration += 1
+        nodes = tuple(p for p in range(1, length + 1) if not solved >> (p - 1) & 1)
         candidates: list[MaskSet] = []
-        fallback: MaskSet | None = None
-        for k in range(1, min(cfg.tau, len(h.nodes)) + 1):
-            hk, removed = preprocess(h, k, cfg.use_alternative_score)
-            size = min(k, len(hk.nodes))
+        fallback = 0
+        for k in range(1, min(cfg.tau, len(nodes)) + 1):
+            vk, wk, bk, removed = _reduce(
+                values, weights, base, k, length, cfg.use_alternative_score
+            )
+            nodes_k = tuple(v for v in nodes if not removed >> (v - 1) & 1)
+            size = min(k, len(nodes_k))
             if size == 0:
                 continue
-            section = heaviest_k_section(hk.restricted(size), size)
-            attempt = removed | section.nodes
+            fits = np.bitwise_count(vk) <= size
+            hk = WeightedHypergraph(
+                length, dict(zip(vk[fits].tolist(), wk[fits].tolist())), bk, nodes_k
+            )
+            section = heaviest_k_section(hk, size)
+            attempt = MaskSet.from_bits(removed) | section.nodes
             if section.weight >= z:
                 candidates.append(attempt)
-            fallback = attempt
+            fallback = attempt.bits
         if candidates:
             best = min(candidates, key=lambda m: (len(m), m.positions))
-            return HeuristicResult(solved | best, iteration)
-        if fallback is None or not fallback:
-            raise AssertionError("no progress possible; unreachable for z <= d")
-        solved = solved | fallback
-        if count_matches(dictionary, mask_apply(query, solved)) >= z:
-            return HeuristicResult(solved, iteration)
-    raise AssertionError("iteration cap reached without a feasible mask")
+            return HeuristicResult(MaskSet.from_bits(solved) | best, iteration)
+        solved |= fallback
+        values, weights, base = edge_arrays(masks & ~np.uint64(solved))
+    return HeuristicResult(MaskSet.from_bits(solved), iteration)
 
 
 def baseline_pmdm(
     inst: PmdmInstance, use_alternative_score: bool = False
 ) -> HeuristicResult:
-    """Add one best-scored node at a time until the threshold is met."""
+    """Add one best-scored node at a time until the threshold is met.
+
+    Every node deletion moves the edges it empties into the base weight,
+    which is the match count of the picked mask; with no edge left it is
+    the dictionary size, so the loop ends for every feasible threshold.
+    """
     _require_feasible(inst.threshold, inst.dictionary.size)
-    dictionary, query, z = inst.dictionary, inst.query, inst.threshold
-    if count_matches(dictionary, mask_apply(query, MaskSet())) >= z:
-        return HeuristicResult(MaskSet(), 0)
-    h = build_hypergraph(dictionary, query)
-    edges = dict(h.edges)
-    base = h.base_weight
+    z, length = inst.threshold, inst.dictionary.length
+    values, weights, base = edge_arrays(mismatch_masks(inst.dictionary, inst.query))
     picked = 0
-    iterations = 0
-    while edges:
-        u = _max_score_node(edges, use_alternative_score)
+    while base < z:
+        u = _best_node(values, weights, length, use_alternative_score)
+        values, weights, base = _delete_node(values, weights, base, u)
         picked |= 1 << (u - 1)
-        iterations += 1
-        edges, base = _delete_node(edges, base, u)
-        if count_matches(dictionary, mask_apply(query, MaskSet.from_bits(picked))) >= z:
-            return HeuristicResult(MaskSet.from_bits(picked), iterations)
-    raise AssertionError("edges exhausted before reaching threshold; z <= d violated")
+    return HeuristicResult(MaskSet.from_bits(picked), picked.bit_count())

@@ -113,6 +113,19 @@ class SectionResult(NamedTuple):
     weight: Weight
 
 
+def edge_arrays(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Group a mismatch bitmask vector into a hypergraph's edges.
+
+    Returns the distinct non-zero masks in ascending order (uint64), the
+    number of entries carrying each (int64), and the number of all-zero
+    masks, which is the base weight.
+    """
+    values, weights = np.unique(masks, return_counts=True)
+    if values.size and values[0] == 0:
+        return values[1:], weights[1:], int(weights[0])
+    return values, weights, 0
+
+
 def build_hypergraph(
     dictionary: Dictionary,
     q: str | MaskedString,
@@ -128,14 +141,11 @@ def build_hypergraph(
     length = dictionary.length
     if k_cutoff is not None and not 1 <= k_cutoff <= length:
         raise ValueError(f"k_cutoff must be in [1, {length}]")
-    masks = mismatch_masks(dictionary, q)
-    base = int((masks == 0).sum())
-    sizes = np.bitwise_count(masks)
-    keep = sizes >= 1
+    values, weights, base = edge_arrays(mismatch_masks(dictionary, q))
     if k_cutoff is not None:
-        keep &= sizes <= k_cutoff
-    values, counts = np.unique(masks[keep], return_counts=True)
-    edges = {int(v): int(c) for v, c in zip(values, counts)}
+        keep = np.bitwise_count(values) <= k_cutoff
+        values, weights = values[keep], weights[keep]
+    edges = dict(zip(values.tolist(), weights.tolist()))
     if isinstance(q, MaskedString) and q.mask:
         nodes = tuple(p for p in range(1, length + 1) if p not in q.mask)
     else:

@@ -4,17 +4,32 @@ Oracles here deliberately avoid the solver code paths they check: match
 counting is done per entry (or via mismatch-bit subset tests, whose
 equivalence to per-entry matching is itself pinned by the core tests),
 optima come from plain subset enumeration, and cliques from enumerating
-node subsets.
+node subsets.  The greedy and baseline references are the heuristics'
+original dict-based drivers: per-edge Python loops for scoring and node
+deletion, a hypergraph rebuilt from the codes every iteration, and match
+checks by rescanning the dictionary.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 import numpy as np
 
-from pmdm import Dictionary, MaskSet, PmdmInstance, mismatch_masks
-from pmdm.hypergraph import WeightedHypergraph
+from pmdm import (
+    CapacityError,
+    Dictionary,
+    GreedyConfig,
+    HeuristicResult,
+    MaskSet,
+    PmdmInstance,
+    count_matches,
+    mask_apply,
+    mismatch_masks,
+)
+from pmdm.hypergraph import WeightedHypergraph, build_hypergraph, heaviest_k_section
 from pmdm.reductions import Graph
 
 T1_ENTRIES = ("abab", "abbb", "aaaa", "bbab", "abaa")
@@ -169,3 +184,114 @@ def as_bits(positions) -> int:
 
 def mask_of(*positions) -> MaskSet:
     return MaskSet(positions)
+
+
+def reference_node_scores(edges: dict[int, int], use_alternative_score=False):
+    """Sorted (position, Fraction score) pairs of every node in some edge."""
+    stats: dict[int, list] = {}
+    if use_alternative_score:
+        for bits, w in edges.items():
+            share = Fraction(w, bits.bit_count())
+            b = bits
+            while b:
+                u = b.bit_length()
+                stats.setdefault(u, [Fraction(0)])[0] += share
+                b &= ~(1 << (u - 1))
+        return sorted((u, s[0]) for u, s in stats.items())
+    for bits, w in edges.items():
+        size = bits.bit_count()
+        b = bits
+        while b:
+            u = b.bit_length()
+            st = stats.setdefault(u, [0, 0, 0])
+            st[0] += 1
+            st[1] += w
+            st[2] += size
+            b &= ~(1 << (u - 1))
+    return sorted((u, Fraction(cnt * sw, sl)) for u, (cnt, sw, sl) in stats.items())
+
+
+def _reference_best_node(edges, use_alternative_score) -> int:
+    scored = reference_node_scores(edges, use_alternative_score)
+    return max(scored, key=lambda us: (us[1], -us[0]))[0]
+
+
+def _reference_delete_node(edges, base, node):
+    keep = ~(1 << (node - 1))
+    out: dict[int, int] = {}
+    for bits, w in edges.items():
+        reduced = bits & keep
+        if reduced == 0:
+            base += w
+        else:
+            out[reduced] = out.get(reduced, 0) + w
+    return out, base
+
+
+def reference_preprocess(h: WeightedHypergraph, k: int, use_alternative_score=False):
+    """Remove best-scored nodes until an edge of size at most ``k`` exists."""
+    edges = dict(h.edges)
+    base = h.base_weight
+    removed = 0
+    while edges and min(bits.bit_count() for bits in edges) > k:
+        u = _reference_best_node(edges, use_alternative_score)
+        edges, base = _reference_delete_node(edges, base, u)
+        removed |= 1 << (u - 1)
+    if removed == 0:
+        return h, MaskSet()
+    nodes = tuple(v for v in h.nodes if not removed >> (v - 1) & 1)
+    return (
+        WeightedHypergraph(h.node_count, edges, base, nodes),
+        MaskSet.from_bits(removed),
+    )
+
+
+def reference_greedy(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> HeuristicResult:
+    dictionary, query, z = inst.dictionary, inst.query, inst.threshold
+    solved = MaskSet()
+    if count_matches(dictionary, mask_apply(query, solved)) >= z:
+        return HeuristicResult(solved, 0)
+    limit = cfg.max_iterations
+    if limit is None:
+        limit = ceil(dictionary.length / cfg.tau)
+    for iteration in range(1, limit + 1):
+        h = build_hypergraph(dictionary, mask_apply(query, solved))
+        candidates = []
+        fallback = None
+        for k in range(1, min(cfg.tau, len(h.nodes)) + 1):
+            hk, removed = reference_preprocess(h, k, cfg.use_alternative_score)
+            size = min(k, len(hk.nodes))
+            if size == 0:
+                continue
+            section = heaviest_k_section(hk.restricted(size), size)
+            attempt = removed | section.nodes
+            if section.weight >= z:
+                candidates.append(attempt)
+            fallback = attempt
+        if candidates:
+            best = min(candidates, key=lambda m: (len(m), m.positions))
+            return HeuristicResult(solved | best, iteration)
+        assert fallback
+        solved = solved | fallback
+        if count_matches(dictionary, mask_apply(query, solved)) >= z:
+            return HeuristicResult(solved, iteration)
+    raise CapacityError(f"reached max_iterations={limit}")
+
+
+def reference_baseline(inst: PmdmInstance, use_alternative_score=False) -> HeuristicResult:
+    dictionary, query, z = inst.dictionary, inst.query, inst.threshold
+    if count_matches(dictionary, mask_apply(query, MaskSet())) >= z:
+        return HeuristicResult(MaskSet(), 0)
+    h = build_hypergraph(dictionary, query)
+    edges = dict(h.edges)
+    base = h.base_weight
+    picked = 0
+    iterations = 0
+    while edges:
+        u = _reference_best_node(edges, use_alternative_score)
+        picked |= 1 << (u - 1)
+        iterations += 1
+        edges, base = _reference_delete_node(edges, base, u)
+        if count_matches(dictionary, mask_apply(query, MaskSet.from_bits(picked))) >= z:
+            return HeuristicResult(MaskSet.from_bits(picked), iterations)
+    raise AssertionError("edges exhausted before reaching threshold")

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import pmdm.heuristic
 from pmdm import (
+    CapacityError,
     Dictionary,
     GreedyConfig,
     InfeasibleThresholdError,
@@ -18,7 +20,17 @@ from pmdm import (
 )
 from pmdm.heuristic import node_scores
 
-from support import as_bits, oracle_count, random_instance, t1
+from support import (
+    as_bits,
+    oracle_count,
+    random_hypergraph,
+    random_instance,
+    reference_baseline,
+    reference_greedy,
+    reference_node_scores,
+    reference_preprocess,
+    t1,
+)
 
 
 def edge_map(h):
@@ -160,3 +172,96 @@ def test_heuristics_with_alternative_score_stay_feasible():
         b = baseline_pmdm(inst, use_alternative_score=True)
         for mask in (g.mask, b.mask):
             assert oracle_count(inst.dictionary, inst.query, mask.bits) >= inst.threshold
+
+
+def test_greedy_iteration_cap_raises_capacity_error():
+    inst = PmdmInstance(Dictionary(["aaaa", "bbbb"]), "abab", 2)
+    with pytest.raises(CapacityError, match="max_iterations=1"):
+        greedy_pmdm(inst, GreedyConfig(tau=1, max_iterations=1))
+
+
+def test_heuristics_scan_the_codes_once(monkeypatch):
+    calls = []
+    original = pmdm.heuristic.mismatch_masks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rescans the dictionary")
+
+    monkeypatch.setattr(pmdm.heuristic, "mismatch_masks", counted)
+    monkeypatch.setattr(pmdm.heuristic, "count_matches", forbidden)
+    monkeypatch.setattr(pmdm.heuristic, "build_hypergraph", forbidden)
+    inst = PmdmInstance(t1(), "abab", 5)
+    assert greedy_pmdm(inst, GreedyConfig(tau=1)).iterations > 1
+    assert len(calls) == 1
+    assert len(baseline_pmdm(inst).mask) > 1
+    assert len(calls) == 2
+
+
+ALPHABETS = ("ab", "abc", "abcd", "αβγ", "日本語字", "😀😃x")
+LENGTHS = tuple(range(1, 13)) + (63, 64)
+
+
+def _clustered_instance(rng, length):
+    """Entries are noisy copies of a few centers, with duplicates."""
+    letters = rng.choice(ALPHABETS)
+    centers = [
+        "".join(rng.choice(letters) for _ in range(length))
+        for _ in range(rng.randint(1, 4))
+    ]
+    noise = rng.choice((0.1, 0.3, 0.6))
+
+    def mutate(s):
+        return "".join(rng.choice(letters) if rng.random() < noise else c for c in s)
+
+    entries = [mutate(rng.choice(centers)) for _ in range(rng.randint(1, 25))]
+    entries += rng.sample(entries, rng.randint(0, len(entries)))
+    rng.shuffle(entries)
+    query = rng.choice(entries) if rng.random() < 0.5 else mutate(rng.choice(centers))
+    z = len(entries) if rng.random() < 0.2 else rng.randint(1, len(entries))
+    return PmdmInstance(Dictionary(entries), query, z)
+
+
+def _outcome(solver, *args):
+    try:
+        return solver(*args)
+    except CapacityError as exc:
+        return type(exc)
+
+
+def test_heuristics_match_the_reference_randomized():
+    rng = random.Random(63)
+    capped = 0
+    for i in range(336):
+        inst = _clustered_instance(rng, LENGTHS[i % len(LENGTHS)])
+        alternative = i % 2 == 1
+        cfg = GreedyConfig(
+            tau=rng.randint(1, 4),
+            max_iterations=rng.choice((None, 1, 2, 3)),
+            use_alternative_score=alternative,
+        )
+        expected = _outcome(reference_greedy, inst, cfg)
+        capped += expected is CapacityError
+        assert _outcome(greedy_pmdm, inst, cfg) == expected, (i, inst, cfg)
+        assert baseline_pmdm(inst, alternative) == reference_baseline(inst, alternative), i
+    assert capped > 0
+
+
+def test_preprocess_and_scores_match_the_reference_randomized():
+    rng = random.Random(64)
+    for i in range(200):
+        h = random_hypergraph(rng, max_nodes=64, max_edges=60, max_edge_size=8)
+        alternative = i % 2 == 1
+        assert [tuple(s) for s in node_scores(h.edges, alternative)] == (
+            reference_node_scores(h.edges, alternative)
+        )
+        k = rng.randint(1, 4)
+        got, removed = preprocess(h, k, alternative)
+        want, want_removed = reference_preprocess(h, k, alternative)
+        assert removed == want_removed
+        assert (got.edges, got.base_weight, got.nodes) == (
+            want.edges, want.base_weight, want.nodes
+        )
