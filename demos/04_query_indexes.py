@@ -38,7 +38,7 @@ print()
 idx = simple_build(dictionary, k=2, z0=2)
 found = simple_query(idx, query, 20)
 print("fixed-size k=2, z=20:", found and (list(found[0].positions), found[1]))
-print("stored items:", len(idx.table))
+print("stored items:", len(idx.counts))
 print()
 
 # Half-split structure: frequent half patterns answered by pair counters,

@@ -64,6 +64,7 @@ from .index import (
     load_index,
     save_index,
     simple_build,
+    simple_counts,
     simple_query,
     small_ell_build,
     small_ell_query,
@@ -135,6 +136,7 @@ __all__ = [
     "save_index",
     "section_weight",
     "simple_build",
+    "simple_counts",
     "simple_query",
     "small_ell_build",
     "small_ell_query",

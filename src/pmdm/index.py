@@ -7,7 +7,10 @@ Three structures, trading construction cost and space for query speed:
   exact number of entries the query matches when masked by K;
 * fixed-size tables: for one mask size k, counts of identical masked
   strings under each of the C(length, k) masks, pruned below a minimum
-  supported threshold;
+  supported threshold, held as one sorted array of (mask rank, kept code
+  points) keys beside one array of counts.  A query searches its C(length,
+  k) keys in one pass and picks the highest count, ties going to the
+  lexicographically smallest position list;
 * half-split tables: counts and member lists per masked half, plus exact
   pair counters for the half patterns frequent on both sides; rare halves
   fall back to scanning their short member lists.  A query computes the
@@ -21,15 +24,16 @@ All three agree with a plain linear scan on every mask they cover.
 
 from __future__ import annotations
 
-import random
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .core import (
+    MAX_LENGTH,
     CapacityError,
     Dictionary,
     InfeasibleThresholdError,
@@ -93,42 +97,45 @@ def _select_mask(counts: np.ndarray, z: int, size: int, min_threshold: int = 1) 
     return MaskSet.from_bits(int(np.argmax(qualifying & (pop == k))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimpleIndex:
-    """Counts of identical masked strings for every mask of one size.
+    """Counts of identical masked strings for every mask of one size k.
 
-    Only items whose count reaches ``min_threshold`` are kept, so queries
-    below that threshold are rejected as unsupported.  Keys are the exact
-    unmasked symbols by default; with ``fingerprints`` set they are 64-bit
-    rolling hashes instead, each guarded by a representative entry that
-    queries are verified against (collisions between stored groups are
-    eliminated at build time by re-drawing the hash base).
+    Masks are numbered by their rank in ``itertools.combinations`` order.
+    ``counts[i]`` entries share the masked string of ``keys[i]``, a void
+    row of the mask's rank as a big-endian uint32, then the native uint32
+    code points the mask keeps (none when k = length); so the keys, in
+    byte order, are sorted by mask first and hold no repeats.  Items with
+    counts below ``min_threshold`` are dropped, and so are queries below it.
     """
 
     length: int
     mask_size: int
     min_threshold: int
-    table: dict[tuple[int, str | int], int]
-    fingerprints: "_Fingerprinter | None" = None
-    representatives: dict[tuple[int, int], str] | None = None
+    keys: np.ndarray
+    counts: np.ndarray
 
 
-class _Fingerprinter:
-    """Polynomial rolling hash of code points modulo a Mersenne prime."""
+@lru_cache(maxsize=8)
+def _combinations(length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every mask of ``k`` of ``length`` positions, in ``combinations``
+    order: its bits (uint64) and its kept positions, ascending, as a
+    (C(length, k), length - k) array."""
+    masked = np.zeros((comb(length, k), length), dtype=bool)
+    masked[np.arange(len(masked))[:, None], list(combinations(range(length), k))] = True
+    bits = masked @ (np.uint64(1) << np.arange(length, dtype=np.uint64))
+    kept = np.nonzero(~masked)[1].reshape(len(masked), length - k)
+    bits.flags.writeable = kept.flags.writeable = False
+    return bits, kept
 
-    MODULUS = (1 << 61) - 1
 
-    def __init__(self, seed: int = 0, modulus: int = MODULUS):
-        self.seed = seed
-        self.modulus = modulus
-        span = max(1, modulus - 512)
-        self.base = 256 + random.Random(0x509D9 + seed).randrange(span)
-
-    def of(self, symbols: str) -> int:
-        value = 0
-        for c in symbols:
-            value = (value * self.base + ord(c) + 1) % self.modulus
-        return value
+def _key_rows(ranks, codes: np.ndarray) -> np.ndarray:
+    """``SimpleIndex`` keys: each mask rank as a big-endian uint32, then a
+    row of kept code points."""
+    rows = np.empty((codes.shape[0], 1 + codes.shape[1]), dtype=np.uint32)
+    rows[:, 0] = np.asarray(ranks, dtype=">u4").view(np.uint32)
+    rows[:, 1:] = codes
+    return _void_view(rows)
 
 
 def _void_view(block: np.ndarray) -> np.ndarray:
@@ -148,8 +155,6 @@ def simple_build(
     k: int,
     z0: int = 1,
     workspace_limit: int = DEFAULT_WORKSPACE_LIMIT,
-    use_fingerprints: bool = False,
-    _modulus: int = _Fingerprinter.MODULUS,
 ) -> SimpleIndex:
     """Group masked strings per mask of size ``k``; keep counts >= ``z0``."""
     length = dictionary.length
@@ -162,80 +167,47 @@ def simple_build(
         raise CapacityError(
             f"workspace C({length},{k})*{d} exceeds limit {workspace_limit}"
         )
-    groups: list[tuple[int, list[str], np.ndarray]] = []
-    for masked in combinations(range(length), k):
-        bits = 0
-        for p in masked:
-            bits |= 1 << p
-        cols = [p for p in range(length) if not bits >> p & 1]
-        if cols:
-            void = _void_view(dictionary.codes[:, cols])
-            uniq, counts = np.unique(void, return_counts=True)
-            keys = _decode_rows(uniq, len(cols))
-        else:
-            keys, counts = [""], np.array([d])
-        groups.append((bits, keys, counts))
-    if not use_fingerprints:
-        table: dict[tuple[int, str | int], int] = {}
-        for bits, keys, counts in groups:
-            for key, count in zip(keys, counts):
-                if count >= z0:
-                    table[(bits, key)] = int(count)
-        return SimpleIndex(length, k, z0, table)
-    # fingerprint keys: re-draw the hash base until no two distinct stored
-    # contents collide, then remember one representative per key so queries
-    # can verify what they hit
-    for seed in range(64):
-        fp = _Fingerprinter(seed, _modulus)
-        table = {}
-        reps: dict[tuple[int, int], str] = {}
-        collided = False
-        for bits, keys, counts in groups:
-            for key, count in zip(keys, counts):
-                if count < z0:
-                    continue
-                slot = (bits, fp.of(key))
-                if slot in reps and reps[slot] != key:
-                    collided = True
-                    break
-                reps[slot] = key
-                table[slot] = int(count)
-            if collided:
-                break
-        if not collided:
-            return SimpleIndex(length, k, z0, table, fp, reps)
-    raise CapacityError("could not find a collision-free fingerprint base")
+    _, kept = _combinations(length, k)
+    keys, counts = [], []
+    for rank, cols in enumerate(kept):
+        uniq, n = np.unique(_key_rows(np.full(d, rank), dictionary.codes[:, cols]), return_counts=True)
+        keys.append(uniq[n >= z0])
+        counts.append(n[n >= z0])
+    return SimpleIndex(length, k, z0, np.concatenate(keys), np.concatenate(counts).astype(np.int64))
 
 
-def simple_query(
-    idx: SimpleIndex, q: str, z: int
-) -> tuple[MaskSet, int] | None:
-    """Best stored mask of the index's size with count >= ``z``, or None."""
+def simple_counts(idx: SimpleIndex, q: str) -> np.ndarray:
+    """counts[r] = stored count of ``q`` masked by the mask of rank r (in
+    ``combinations`` order), or 0 where that masked string is not stored:
+    one search of the C(length, k) query keys in the sorted ``keys``."""
+    if len(q) != idx.length:
+        raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
+    _, kept = _combinations(idx.length, idx.mask_size)
+    wanted = _key_rows(np.arange(len(kept)), _codes(q)[kept])
+    at = np.searchsorted(idx.keys, wanted)
+    hit = at < len(idx.keys)
+    hit[hit] = idx.keys[at[hit]] == wanted[hit]
+    out = np.zeros(len(kept), dtype=np.int64)
+    out[hit] = idx.counts[at[hit]]
+    return out
+
+
+def simple_query(idx: SimpleIndex, q: str, z: int) -> tuple[MaskSet, int] | None:
+    """The mask of the index's size with the highest stored count, if that
+    count reaches ``z``, with the count; else None.  Ties go to the
+    lexicographically smallest position list (the first in
+    ``combinations`` order).  Costs one search of C(length, k) keys."""
     if z < idx.min_threshold:
         raise ValueError(
             f"z={z} below the index's minimum supported threshold "
             f"{idx.min_threshold}; counts below it were discarded"
         )
-    if len(q) != idx.length:
-        raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
-    best: tuple[MaskSet, int] | None = None
-    for masked in combinations(range(idx.length), idx.mask_size):
-        bits = 0
-        for p in masked:
-            bits |= 1 << p
-        content = "".join(q[p] for p in range(idx.length) if not bits >> p & 1)
-        if idx.fingerprints is None:
-            count = idx.table.get((bits, content))
-        else:
-            slot = (bits, idx.fingerprints.of(content))
-            count = idx.table.get(slot)
-            if count is not None and idx.representatives[slot] != content:
-                count = None  # hash collision with a different stored group
-        if count is None or count < z:
-            continue
-        if best is None or count > best[1]:
-            best = (MaskSet.from_bits(bits), count)
-    return best
+    counts = simple_counts(idx, q)
+    best = int(np.argmax(counts))
+    if counts[best] < z:
+        return None
+    bits, _ = _combinations(idx.length, idx.mask_size)
+    return MaskSet.from_bits(int(bits[best])), int(counts[best])
 
 
 def _unmasked_columns(offset: int, width: int) -> list[list[int]]:
@@ -527,7 +499,8 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
 #
 # * dictionary: length u4, size u4, then the entries joined by "\n" as a blob;
 # * simple: length u4, mask_size u4, z0 u4, n u8, then bits u8[n],
-#   counts u8[n] and the keys, length - mask_size characters each;
+#   counts u8[n] and the keys, length - mask_size characters each; items in
+#   the byte order of the in-memory keys (mask rank, then code points);
 # * split: length u4, half_split u1, tau u4, z0 u4, size u4 and the entries
 #   as for a dictionary; then per side of width w: groups per mask u4[2^w],
 #   group sizes u8[total groups], members u4[size * 2^w] (each mask's groups
@@ -619,14 +592,14 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
             _w(fh, "II", obj.length, obj.size)
             _w_str(fh, "\n".join(obj.entries))
         elif isinstance(obj, SimpleIndex):
-            if obj.fingerprints is not None:
-                raise TypeError("fingerprint-keyed indexes are in-memory only")
-            table = obj.table
+            bits, _ = _combinations(obj.length, obj.mask_size)
+            rows = obj.keys.view(np.uint32).reshape(len(obj.keys), 1 + obj.length - obj.mask_size)
             _w(fh, "B", _KIND_SIMPLE)
-            _w(fh, "IIIQ", obj.length, obj.mask_size, obj.min_threshold, len(table))
-            _w_array(fh, np.fromiter((bits for bits, _ in table), np.uint64, len(table)), "<u8")
-            _w_array(fh, np.fromiter(table.values(), np.uint64, len(table)), "<u8")
-            _w_str(fh, "".join(key for _, key in table))
+            _w(fh, "IIIQ", obj.length, obj.mask_size, obj.min_threshold, len(rows))
+            # a key's first uint32 holds its mask rank, big-endian
+            _w_array(fh, bits[rows[:, 0].astype(np.uint32).view(">u4")], "<u8")
+            _w_array(fh, obj.counts, "<u8")
+            _w_str(fh, rows[:, 1:].astype("<u4").tobytes().decode("utf-32-le"))
         elif isinstance(obj, SplitIndex):
             _w(fh, "B", _KIND_SPLIT)
             _w(fh, "IBII", obj.length, obj.half_split, obj.tau, obj.min_threshold)
@@ -656,12 +629,32 @@ def _load_dictionary(rd: _Reader) -> Dictionary:
 
 def _load_simple(rd: _Reader) -> SimpleIndex:
     length, mask_size, z0, n = rd.fields("IIIQ")
-    if not 1 <= mask_size <= length or z0 < 1:
+    if not 1 <= mask_size <= length <= MAX_LENGTH or z0 < 1:
         raise ValueError("corrupt index file: header field out of range")
+    if comb(length, mask_size) > DEFAULT_WORKSPACE_LIMIT:
+        raise CapacityError(f"C({length},{mask_size}) masks exceed the limit {DEFAULT_WORKSPACE_LIMIT}")
     bits = rd.array("<u8", n)
     counts = rd.array("<u8", n)
-    (keys,) = rd.keys(np.array([n]), np.array([length - mask_size]))
-    return SimpleIndex(length, mask_size, z0, dict(zip(zip(bits.tolist(), keys), counts.tolist())))
+    text = rd.string()
+    width = length - mask_size
+    if len(text) != n * width:
+        raise ValueError("corrupt index file: key blob length disagrees with its key counts")
+    # items come mask by mask in combinations order: find each item's rank
+    all_bits, _ = _combinations(length, mask_size)
+    order = np.argsort(all_bits)
+    rank = order[np.searchsorted(all_bits, bits, sorter=order).clip(max=len(order) - 1)]
+    if (all_bits[rank] != bits).any():
+        raise ValueError(
+            f"corrupt index file: an item's mask is not {mask_size} of the {length} positions"
+        )
+    keys = _key_rows(rank, _codes(text).reshape(n, width))
+    rows = keys.view(np.uint8).reshape(n, keys.dtype.itemsize)
+    later, earlier = rows[1:], rows[:-1]
+    first = (later != earlier).argmax(axis=1)  # first differing byte
+    at = np.arange(len(first))
+    if not (later[at, first] > earlier[at, first]).all():
+        raise ValueError("corrupt index file: simple index items out of order or repeated")
+    return SimpleIndex(length, mask_size, z0, keys, counts.astype(np.int64))
 
 
 def _load_half(rd: _Reader, offset: int, width: int, size: int) -> _HalfMaps:

@@ -59,6 +59,28 @@ def oracle_counts_all_masks(dictionary: Dictionary, q: str) -> np.ndarray:
     return hits.sum(axis=1)
 
 
+def combination_bits(length: int, k: int) -> np.ndarray:
+    """Bitmask of every set of ``k`` positions, in ``combinations`` order."""
+    return np.array([sum(1 << p for p in c) for c in combinations(range(length), k)], dtype=np.int64)
+
+
+def reference_simple_query(dictionary: Dictionary, k: int, z0: int, q: str, z: int):
+    """The fixed-size index's answer by enumeration: among the masks of
+    ``k`` positions whose per-entry count reaches ``z0`` (the index keeps
+    no smaller group) and ``z``, the first with the highest count in
+    ``combinations`` order, with that count; None when there is none."""
+    if z < z0:
+        raise ValueError(f"z={z} below the minimum supported threshold {z0}")
+    if len(q) != dictionary.length:
+        raise ValueError(f"query length {len(q)} differs from {dictionary.length}")
+    best = None
+    for bits in combination_bits(dictionary.length, k).tolist():
+        count = oracle_count(dictionary, q, bits)
+        if count >= z and (best is None or count > best[1]):
+            best = (MaskSet.from_bits(bits), count)
+    return best
+
+
 def oracle_optimum_size(dictionary: Dictionary, q: str, z: int) -> int:
     """Smallest mask size reaching z matches, by exhaustive enumeration."""
     bits = [int(b) for b in mismatch_masks(dictionary, q)]

@@ -15,6 +15,7 @@ from pmdm import (
     load_index,
     save_index,
     simple_build,
+    simple_counts,
     simple_query,
     small_ell_build,
     small_ell_query,
@@ -24,9 +25,11 @@ from pmdm import (
 )
 
 from support import (
+    combination_bits,
     oracle_count,
     oracle_counts_all_masks,
     random_dictionary,
+    reference_simple_query,
     t1,
 )
 
@@ -64,23 +67,28 @@ def test_small_ell_capacity_guard():
 
 def test_simple_build_t1_contents():
     idx = simple_build(t1(), 1, 2)
-    # keys are the unmasked symbols; the mask identifies the hidden column
-    assert idx.table[(0b0001, "bab")] == 2
-    assert idx.table[(0b0100, "abb")] == 2
-    assert idx.table[(0b1000, "aba")] == 2
+    # keys are the unmasked symbols; the mask identifies the hidden column:
+    # ?bab, ab?b and aba? each match two entries, a?ab only abab (pruned)
+    assert simple_counts(idx, "abab").tolist() == [2, 0, 2, 2]
     # masking position 2 also leaves a pair: aaaa and abaa both become a?aa
-    assert idx.table[(0b0010, "aaa")] == 2
-    assert len(idx.table) == 4
+    assert simple_counts(idx, "aaaa").tolist() == [0, 2, 0, 0]
+    assert len(idx.counts) == 4
+    for q in ("abab", "aaaa", "bbbb"):
+        expected = oracle_counts_all_masks(t1(), q)[combination_bits(4, 1)]
+        assert (simple_counts(idx, q) == np.where(expected >= 2, expected, 0)).all()
 
 
 def test_simple_build_full_mask_single_entry():
     idx = simple_build(t1(), 4, 1)
-    assert idx.table == {(0b1111, ""): 5}
+    assert idx.counts.tolist() == [5]
+    assert simple_counts(idx, "bbbb").tolist() == [5]
 
 
 def test_simple_build_prunes_below_minimum():
     idx = simple_build(t1(), 2, 4)
-    assert idx.table == {}
+    assert len(idx.keys) == len(idx.counts) == 0
+    assert simple_counts(idx, "abab").tolist() == [0] * 6
+    assert simple_query(idx, "abab", 4) is None
 
 
 def test_simple_query_examples():
@@ -96,51 +104,49 @@ def test_simple_query_examples():
 def test_simple_counts_match_oracle_per_query():
     rng = random.Random(5)
     d = random_dictionary(rng, max_length=6, max_size=60, max_sigma=3)
-    expected_cache = {}
     for k in range(1, d.length + 1):
         idx = simple_build(d, k, 1)
         for q in set(d.entries):
-            expected = expected_cache.setdefault(q, oracle_counts_all_masks(d, q))
-            for bits in range(1 << d.length):
-                if bits.bit_count() != k:
+            expected = oracle_counts_all_masks(d, q)[combination_bits(d.length, k)]
+            assert (simple_counts(idx, q) == expected).all()
+
+
+def test_simple_query_matches_the_reference_randomized(tmp_path):
+    # non-ASCII alphabets, duplicate entries, k = l (empty keys), z0 > 1,
+    # tied counts, query symbols no entry has, wrong lengths, z below z0;
+    # built and loaded indexes answer alike
+    rng = random.Random(31)
+    path = tmp_path / "simple.bin"
+    seen = {"none": 0, "tie": 0, "k=l": 0, "z0>1": 0, "raises": 0}
+    for _ in range(80):
+        letters = rng.choice(["ab", "abc", "αβγ", "a日😀"])
+        length = rng.randint(1, 6)
+        pool = ["".join(rng.choice(letters) for _ in range(length)) for _ in range(rng.randint(1, 6))]
+        d = Dictionary(rng.choice(pool) for _ in range(rng.randint(1, 30)))
+        k = rng.choice([rng.randint(1, length), length])
+        z0 = rng.randint(1, min(3, d.size))
+        built = simple_build(d, k, z0)
+        save_index(path, built)
+        loaded = load_index(path)
+        seen["k=l"] += k == length
+        seen["z0>1"] += z0 > 1
+        queries = [rng.choice(pool), "".join(rng.choice(letters + "x") for _ in range(length))]
+        for q in queries + [queries[0] + "a", queries[0][1:]]:
+            for z in sorted({1, z0, rng.randint(1, d.size), d.size, d.size + 1}):
+                try:
+                    expected = reference_simple_query(d, k, z0, q, z)
+                except ValueError:
+                    seen["raises"] += 1
+                    for idx in (built, loaded):
+                        with pytest.raises(ValueError):
+                            simple_query(idx, q, z)
                     continue
-                key = "".join(
-                    q[p] for p in range(d.length) if not bits >> p & 1
-                )
-                assert idx.table.get((bits, key), 0) == expected[bits]
-
-
-def test_simple_fingerprint_mode_matches_exact_mode():
-    rng = random.Random(77)
-    for _ in range(10):
-        d = random_dictionary(rng, max_length=6, max_size=50, max_sigma=3)
-        k = rng.randint(1, d.length)
-        exact = simple_build(d, k, 1)
-        hashed = simple_build(d, k, 1, use_fingerprints=True)
-        assert len(hashed.table) == len(exact.table)
-        for q in list(set(d.entries))[:5]:
-            for z in (1, 2, d.size):
-                assert simple_query(exact, q, z) == simple_query(hashed, q, z)
-
-
-def test_simple_fingerprint_collisions_force_resalt():
-    # a 2-value modulus guarantees collisions for every base, so the build
-    # keeps re-drawing and finally gives up
-    d = t1()
-    with pytest.raises(CapacityError):
-        simple_build(d, 1, 1, use_fingerprints=True, _modulus=2)
-    # a modest modulus still collides for some bases yet succeeds after
-    # re-salting; results must agree with the exact-key build
-    hashed = simple_build(d, 1, 1, use_fingerprints=True, _modulus=251)
-    exact = simple_build(d, 1, 1)
-    for z in (1, 2, 5):
-        assert simple_query(hashed, "abab", z) == simple_query(exact, "abab", z)
-    save_err = None
-    try:
-        save_index("/tmp/should-not-exist.bin", hashed)
-    except TypeError as exc:
-        save_err = exc
-    assert save_err is not None
+                for idx in (built, loaded):
+                    assert simple_query(idx, q, z) == expected, (d.entries, k, z0, q, z)
+                counts = [oracle_count(d, q, bits) for bits in combination_bits(length, k).tolist()]
+                seen["none"] += expected is None
+                seen["tie"] += expected is not None and counts.count(expected[1]) > 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_split_tau_one_pairs_answer_everything():
@@ -329,7 +335,7 @@ def test_serialization_round_trips(tmp_path):
     idx = simple_build(d, 1, 2)
     save_index(path, idx)
     loaded = load_index(path)
-    assert loaded.table == idx.table
+    assert np.array_equal(loaded.keys, idx.keys) and np.array_equal(loaded.counts, idx.counts)
     assert (loaded.length, loaded.mask_size, loaded.min_threshold) == (4, 1, 2)
 
     path = tmp_path / "split.bin"
@@ -360,7 +366,9 @@ def test_serialization_round_trips_randomized(tmp_path):
         idx = simple_build(d, k, z0)
         save_index(path, idx)
         loaded = load_index(path)
-        assert loaded.table == idx.table
+        assert np.array_equal(loaded.keys, idx.keys) and np.array_equal(loaded.counts, idx.counts)
+        for q in (d[0], d[d.size - 1][::-1]):
+            assert (simple_counts(loaded, q) == simple_counts(idx, q)).all()
         assert (loaded.length, loaded.mask_size, loaded.min_threshold) == (length, k, z0)
 
         sidx = split_build(d, rng.randint(1, d.size), rng.randint(1, d.size))

@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+import pmdm.index
 from pmdm import CapacityError, Dictionary
 from pmdm.cli import main
 from pmdm.index import (
@@ -17,8 +18,10 @@ from pmdm.index import (
     load_index,
     save_index,
     simple_build,
+    simple_counts,
     split_build,
 )
+from support import combination_bits, oracle_counts_all_masks
 
 HUGE = (1 << 32) - 1
 
@@ -62,11 +65,18 @@ def split_file(
     return out
 
 
-def simple_file(n: int = 2, mask_size: int = 1) -> bytes:
+def simple_file(
+    n: int | None = None,
+    mask_size: int = 1,
+    length: int = 2,
+    bits: tuple[int, ...] = (0b01, 0b10),
+    keys: str = "ba",
+) -> bytes:
     """The k=1 simple index of ["ab"], items in build order: mask {1} keeps
-    "b", mask {2} keeps "a"."""
-    header = struct.pack("<BIIIQ", 2, 2, mask_size, 1, n)
-    return b"PMDM2" + header + _u8(0b01, 0b10) + _u8(1, 1) + _str("ba")
+    "b", mask {2} keeps "a".  The header's item count, mask size and length,
+    the items' masks and the key blob are replaceable; every count is 1."""
+    header = struct.pack("<BIIIQ", 2, length, mask_size, 1, len(bits) if n is None else n)
+    return b"PMDM2" + header + _u8(*bits) + _u8(*[1] * len(bits)) + _str(keys)
 
 
 def dictionary_file(declared: int | None = None, magic: bytes = b"PMDM2") -> bytes:
@@ -86,7 +96,11 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
     idx = simple_build(Dictionary(["ab"]), 1, 1)
     save_index(path, idx)
     assert path.read_bytes() == simple_file()
-    assert load_index(path).table == idx.table == {(0b01, "b"): 1, (0b10, "a"): 1}
+    loaded = load_index(path)
+    assert np.array_equal(loaded.keys, idx.keys) and np.array_equal(loaded.counts, idx.counts)
+    for q in ("ab", "bb", "aa"):
+        expected = oracle_counts_all_masks(Dictionary(["ab"]), q)[combination_bits(2, 1)]
+        assert (simple_counts(loaded, q) == expected).all()
 
 
 @pytest.mark.parametrize(
@@ -113,6 +127,12 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
         pytest.param(simple_file(n=3), id="simple-count"),
         pytest.param(simple_file(n=1 << 61), id="simple-count-huge"),
         pytest.param(simple_file(mask_size=0), id="simple-mask-size"),
+        pytest.param(simple_file(length=65, mask_size=65, bits=(), keys=""), id="simple-length"),
+        pytest.param(simple_file(bits=(0b01, 0b100)), id="simple-mask-out-of-range"),
+        pytest.param(simple_file(bits=(0b01, 0b11)), id="simple-mask-wrong-size"),
+        pytest.param(simple_file(bits=(0b10, 0b01), keys="ab"), id="simple-masks-out-of-order"),
+        pytest.param(simple_file(bits=(0b01, 0b01), keys="bb"), id="simple-items-repeated"),
+        pytest.param(simple_file(bits=(0b01, 0b01), keys="ba"), id="simple-keys-out-of-order"),
         pytest.param(dictionary_file(magic=b"PMDM1"), id="old-format"),
     ],
 )
@@ -133,6 +153,22 @@ def test_split_file_longer_than_the_table_limit_is_refused(tmp_path, capsys):
     with pytest.raises(CapacityError):
         load_index(path)
     code = main(["index", "query", "--index", str(path), "--query", "a", "--z", "1"])
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_simple_file_with_too_many_masks_is_refused(tmp_path, capsys, monkeypatch):
+    # C(64, 32) masks would each be searched by every query; the header
+    # alone decides, before any mask is enumerated
+    def no_masks(*args):
+        raise AssertionError("masks enumerated before the capacity check")
+
+    monkeypatch.setattr(pmdm.index, "_combinations", no_masks)
+    path = tmp_path / "wide.bin"
+    path.write_bytes(simple_file(length=64, mask_size=32, bits=(), keys=""))
+    with pytest.raises(CapacityError):
+        load_index(path)
+    code = main(["index", "query", "--index", str(path), "--query", "a" * 64, "--z", "1"])
     assert code == 3
     assert capsys.readouterr().out == ""
 
