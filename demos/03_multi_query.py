@@ -1,5 +1,5 @@
-"""One mask serving several queries at once, and the vector program
-closing its search.
+"""One mask serving several queries at once, and the paper's
+vector-domination subproblem.
 
 Run: python demos/03_multi_query.py
 """
@@ -34,8 +34,8 @@ for q in queries:
     print(f"{q} alone needs {len(alone)} positions; together: {len(mask)}")
 print()
 
-# The search's closing subproblem: pick vectors whose component-wise sum
-# dominates a target.
+# The paper's vector subproblem, solved on its own: pick vectors whose
+# component-wise sum dominates a target.
 vectors = [(1, 0), (0, 1), (1, 1), (2, 0)]
 target = (2, 1)
 chosen = solve_khv(KhvInstance(vectors, target, 2))

@@ -70,15 +70,22 @@ def _cell(value) -> str:
 
 
 def _load_queries(args) -> list[str]:
+    """The queries of ``--query``, ``--query-file`` and ``--multi``; more
+    than one, which asks for a shared mask, only with ``--multi``."""
     queries: list[str] = []
     if args.query is not None:
         queries.append(args.query)
-    path = getattr(args, "multi", None) or getattr(args, "query_file", None)
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            queries.extend(line for line in fh.read().splitlines() if line)
+    for path in (args.query_file, args.multi):
+        if path:
+            with open(path, "r", encoding="utf-8") as fh:
+                queries.extend(line for line in fh.read().splitlines() if line)
     if not queries:
         raise ValueError("no query given; use --query or --query-file/--multi")
+    if len(queries) > 1 and not args.multi:
+        raise ValueError(
+            f"{len(queries)} queries given; pass the query file with --multi "
+            "for one mask shared by all of them"
+        )
     return queries
 
 

@@ -204,9 +204,18 @@ class Dictionary:
 
     @classmethod
     def from_file(cls, path, wildcard: str = WILDCARD) -> "Dictionary":
-        """Load one string per line; a trailing empty line is ignored."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        """Load one string per line; a trailing empty line is ignored.
+
+        Lines are split on line feeds only, and a line holding a carriage
+        return (as every line of a CRLF file does) is refused rather than
+        read with the return as a symbol or as a line break.
+        """
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        if "\r" in text:
+            line = text.count("\n", 0, text.index("\r")) + 1
+            raise ValueError(f"line {line} contains a carriage return")
+        lines = text.split("\n")
         if lines and lines[-1] == "":
             lines.pop()
         for i, line in enumerate(lines):

@@ -12,26 +12,27 @@ length l:
   the threshold; for several queries the count is the element-wise
   minimum of the per-query tables.  The same kernel fills
   ``index.small_ell_build``.
-* l > ``TABLE_MAX_LENGTH``: the mismatch hypergraph.  The driver grows k
-  from zero and asks for the heaviest k-section; the first k whose best
-  section reaches the threshold is optimal.  The multi-query variant
-  carries one weight coordinate per query and closes branching with a
-  small dynamic program that picks vectors whose component-wise sum
-  dominates a target.
+* l > ``TABLE_MAX_LENGTH``, single query: the mismatch hypergraph.  k
+  grows from zero, asking for the heaviest k-section each time; the first
+  k whose best section reaches the threshold is optimal.
+* l > ``TABLE_MAX_LENGTH``, ``solve_mpmdm``: the unmasked positions form
+  a maximum frequent itemset.  Per query and position, the entries
+  agreeing with the query there form a set; a depth-first search over
+  frequent extensions (Eclat) grows the kept set, cutting a branch only
+  when it cannot reach the best size found.
 
-Both engines break ties the same way, so the engine never changes the
-answer: among qualifying masks of the optimal size, the highest count,
-then the lexicographically smallest position list.  For several queries
-the table ranks by the highest sum of counts, as the enumeration does;
-branching returns the first qualifying mask it finds.  ``bruteforce_pmdm``
-and the enumeration helpers stay as reference oracles for the tests.
+Every engine breaks ties the same way, so the engine never changes the
+answer: among qualifying masks of the optimal size, the highest count
+(for several queries, the highest sum of counts), then the
+lexicographically smallest position list.  ``bruteforce_pmdm`` stays as a
+reference oracle for the tests, and ``solve_khv`` solves the paper's
+vector-domination subproblem on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -45,22 +46,14 @@ from .core import (
     mismatch_masks,
 )
 from .hypergraph import (
-    WeightedHypergraph,
     build_hypergraph,
-    edge_arrays,
     heaviest_k_section,
     heaviest_k_section_bruteforce,
-    _add,
-    _bits_of,
-    _section_bits,
 )
 
-#: Enumeration is used for a multi-query feasibility level while
-#: C(n, k) * 2^k * m stays below this.
-DEFAULT_ENUM_BUDGET = 1 << 21
-
 #: Longest string answered from the full table of 2^l subset counts; longer
-#: strings go to the per-k hypergraph search.  At 20 the table is 4 MB of
+#: strings go to the per-k hypergraph search (single query) or the
+#: kept-set search (``solve_mpmdm``).  At 20 the table is 4 MB of
 #: int32 and took about 25 ms to fill at d = 1e4 on one core of a Xeon
 #: host, whatever the optimal k, while a single pure-Python k >= 8 step of
 #: the hypergraph search can take seconds already at l = 15.
@@ -327,102 +320,67 @@ def solve_khv(inst: KhvInstance) -> Optional[list[int]]:
     return chosen
 
 
-def _tuple_hypergraph(dictionary: Dictionary, queries: Sequence[str]) -> WeightedHypergraph:
-    """Edge weights become per-query mismatch-multiplicity tuples."""
-    m = len(queries)
-    length = dictionary.length
-    edges: dict[int, list[int]] = {}
-    base = [0] * m
-    for j, q in enumerate(queries):
-        values, counts, base[j] = edge_arrays(mismatch_masks(dictionary, q))
-        for v, c in zip(values.tolist(), counts.tolist()):
-            edges.setdefault(v, [0] * m)[j] += c
-    return WeightedHypergraph(
-        length, {b: tuple(w) for b, w in edges.items()}, tuple(base)
-    )
+def _agree_sets(dictionary: Dictionary, queries: Sequence[str]) -> list[tuple[int, ...]]:
+    """agree[p][j] as an int: bit e is set when entry e agrees with
+    ``queries[j]`` at position p + 1."""
+    per_query = []
+    for q in queries:
+        masks = mismatch_masks(dictionary, q)
+        per_query.append([
+            int.from_bytes(np.packbits((masks >> p & 1) == 0, bitorder="little").tobytes(), "little")
+            for p in range(dictionary.length)
+        ])
+    return list(zip(*per_query))
 
 
-def _dominates(weight: tuple, threshold: int) -> bool:
-    return all(c >= threshold for c in weight)
+def _largest_kept_set(agree: list[tuple[int, ...]], size: int, threshold: int) -> int:
+    """Bits of the best kept set C: the largest whose entries, those
+    agreeing with q_j on all of C, number at least ``threshold`` for every
+    query j.  Ties go to the highest sum of those counts, then to the
+    lexicographically smallest mask ~C.
+
+    Depth-first over frequent extensions only, as Eclat mines itemsets:
+    a node holds C's per-query entry sets and the tail of later positions
+    that keep C frequent, and each child intersects the sets with one
+    tail position.  A branch is cut when C plus its whole tail is smaller
+    than the best C so far; the cut is strict, so every tied maximum is
+    still visited and ranked.
+    """
+    best = [-1, -1, 0]  # |C|, sum of counts, C
+
+    def frequent(entries, p):
+        return all((e & a).bit_count() >= threshold for e, a in zip(entries, agree[p]))
+
+    def visit(kept, depth, entries, tail):
+        if depth >= best[0]:
+            total = sum(e.bit_count() for e in entries)
+            diff = kept ^ best[2]
+            # the masks' lexicographic order: the smaller mask holds the
+            # smallest position where they differ, so the best C lacks it
+            if (depth, total) > (best[0], best[1]) or (
+                total == best[1] and best[2] & diff & -diff
+            ):
+                best[:] = depth, total, kept
+        for i, p in enumerate(tail):
+            if depth + len(tail) - i < best[0]:
+                return
+            child = [e & a for e, a in zip(entries, agree[p])]
+            rest = [r for r in tail[i + 1:] if frequent(child, r)]
+            visit(kept | 1 << p, depth + 1, child, rest)
+
+    entries = [(1 << size) - 1] * len(agree[0])
+    visit(0, 0, entries, [p for p in range(len(agree)) if frequent(entries, p)])
+    return best[2]
 
 
-def _feasible_by_enumeration(
-    h: WeightedHypergraph, k: int, threshold: int
-) -> Optional[MaskSet]:
-    """Scan all k-subsets; rank by capped bottleneck, then raw total, then
-    lexicographic positions, so a single-query instance picks exactly the
-    set the scalar solver would."""
-    best_bits = best_key = None
-    for combo in combinations(h.nodes, k):
-        bits = _bits_of(combo)
-        w = _section_bits(h, bits)
-        rank = (min(min(c, threshold) for c in w), sum(w))
-        if best_bits is None or rank > best_key:
-            best_bits, best_key = bits, rank
-    if best_bits is None or best_key[0] < threshold:
-        return None
-    return MaskSet.from_bits(best_bits)
-
-
-def _feasible_by_branching(
-    h: WeightedHypergraph, k: int, threshold: int
-) -> Optional[MaskSet]:
-    """Branch like the scalar search, but close each branch by asking the
-    vector-domination program whether k - |X| remaining nodes can top up
-    every coordinate."""
-    edge_keys = sorted(h.edges)
-    zero = h.zero_weight
-    seen: set[int] = set()
-
-    def visit(x_bits: int) -> Optional[int]:
-        if x_bits in seen:
-            return None
-        seen.add(x_bits)
-        inside = _section_bits(h, x_bits)
-        target = tuple(max(0, threshold - c) for c in inside)
-        free = [v for v in h.nodes if not x_bits >> (v - 1) & 1]
-        vectors = []
-        for v in free:
-            vb = 1 << (v - 1)
-            w = zero
-            sub = x_bits
-            while True:
-                edge_w = h.edges.get(sub | vb)
-                if edge_w is not None:
-                    w = _add(w, edge_w)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & x_bits
-            vectors.append(w)
-        chosen = solve_khv(KhvInstance(vectors, target, k - x_bits.bit_count()))
-        if chosen is not None:
-            bits = x_bits
-            for idx in chosen:
-                bits |= 1 << (free[idx] - 1)
-            return bits
-        if x_bits.bit_count() <= k - 2:
-            for e in edge_keys:
-                if (e & ~x_bits).bit_count() >= 2 and (e | x_bits).bit_count() <= k:
-                    found = visit(e | x_bits)
-                    if found is not None:
-                        return found
-        return None
-
-    bits = visit(0)
-    return None if bits is None else MaskSet.from_bits(bits)
-
-
-def solve_mpmdm(
-    inst: MpmdmInstance, enum_budget: int = DEFAULT_ENUM_BUDGET
-) -> MaskSet:
+def solve_mpmdm(inst: MpmdmInstance) -> MaskSet:
     """Smallest mask under which every query matches at least ``threshold``.
 
-    Strings of at most ``TABLE_MAX_LENGTH`` positions are answered from the
-    element-wise minimum of the per-query subset-count tables; ties go to
-    the highest sum of per-query counts, then to the lexicographically
-    smallest position list, the ranking ``_feasible_by_enumeration`` uses.
-    Longer strings take the per-k hypergraph search, which enumerates while
-    C(l, k) * 2^k * m stays within ``enum_budget`` and branches beyond it.
+    Ties go to the highest sum of per-query counts, then to the
+    lexicographically smallest position list.  Strings of at most
+    ``TABLE_MAX_LENGTH`` positions are answered from the element-wise
+    minimum of the per-query subset-count tables, longer ones by the
+    search for the largest kept set.
     """
     _require_feasible(inst.threshold, inst.dictionary.size)
     length = inst.dictionary.length
@@ -436,16 +394,6 @@ def solve_mpmdm(
                 np.minimum(worst, counts, out=worst)
                 total += counts
         return _best_in_table(worst >= inst.threshold, total, length)
-    m = len(inst.queries)
-    h = _tuple_hypergraph(inst.dictionary, inst.queries)
-    if _dominates(h.base_weight, inst.threshold):
-        return MaskSet()
-    for k in range(1, length + 1):
-        hk = h.restricted(k)
-        if (comb(length, k) << k) * m <= enum_budget:
-            found = _feasible_by_enumeration(hk, k, inst.threshold)
-        else:
-            found = _feasible_by_branching(hk, k, inst.threshold)
-        if found is not None:
-            return found
-    raise AssertionError("full mask matches every entry; unreachable")
+    agree = _agree_sets(inst.dictionary, inst.queries)
+    kept = _largest_kept_set(agree, inst.dictionary.size, inst.threshold)
+    return MaskSet.from_bits((1 << length) - 1 & ~kept)

@@ -10,9 +10,7 @@ becomes "find the heaviest k-node section".
 
 Solvers: exhaustive enumeration for any k, linear-time k=2, an
 edge-times-node scan for k=3, and a branching search for k >= 4, with a
-dispatcher choosing by predicted cost.  Weights are non-negative ints,
-or equal-length int tuples added component-wise (then callers must supply
-a ``key`` ranking function, e.g. a feasibility bottleneck).
+dispatcher choosing by predicted cost.  Weights are non-negative ints.
 
 Ties everywhere: maximum weight first, then the lexicographically
 smallest sorted position list.
@@ -22,23 +20,14 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import Dictionary, MaskSet, MaskedString, mismatch_masks
 
-Weight = Union[int, tuple]
-RankKey = Optional[Callable[[Weight], object]]
-
 #: Dispatcher prefers exhaustive enumeration while C(n, k) * 2^k stays below this.
 DEFAULT_BRUTE_BUDGET = 1 << 20
-
-
-def _add(a: Weight, b: Weight) -> Weight:
-    if isinstance(a, tuple):
-        return tuple(x + y for x, y in zip(a, b))
-    return a + b
 
 
 class WeightedHypergraph:
@@ -49,47 +38,32 @@ class WeightedHypergraph:
     def __init__(
         self,
         node_count: int,
-        edges: dict[int, Weight],
-        base_weight: Weight = 0,
+        edges: dict[int, int],
+        base_weight: int = 0,
         nodes: tuple[int, ...] | None = None,
     ):
         if node_count < 1:
             raise ValueError("node_count must be positive")
         self.node_count = node_count
         self.nodes = tuple(nodes) if nodes is not None else tuple(range(1, node_count + 1))
-        clean: dict[int, Weight] = {}
+        clean: dict[int, int] = {}
         for bits, w in edges.items():
             if bits <= 0:
                 raise ValueError("edges must be non-empty position sets")
             if bits >> node_count:
                 raise ValueError("edge contains a position beyond node_count")
-            if isinstance(w, tuple):
-                if any(c < 0 for c in w):
-                    raise ValueError("edge weights must be non-negative")
-                if any(w):
-                    clean[bits] = w
-            else:
-                if w < 0:
-                    raise ValueError("edge weights must be non-negative")
-                if w:
-                    clean[bits] = w
+            if w < 0:
+                raise ValueError("edge weights must be non-negative")
+            if w:
+                clean[bits] = w
         self.edges = clean
         self.base_weight = base_weight
-
-    @property
-    def zero_weight(self) -> Weight:
-        if isinstance(self.base_weight, tuple):
-            return (0,) * len(self.base_weight)
-        return 0
 
     def rank(self) -> int:
         return max((bits.bit_count() for bits in self.edges), default=0)
 
-    def total_weight(self) -> Weight:
-        total = self.base_weight
-        for w in self.edges.values():
-            total = _add(total, w)
-        return total
+    def total_weight(self) -> int:
+        return self.base_weight + sum(self.edges.values())
 
     def restricted(self, max_edge_size: int) -> "WeightedHypergraph":
         """Copy keeping only edges of at most ``max_edge_size`` nodes."""
@@ -110,7 +84,7 @@ class WeightedHypergraph:
 
 class SectionResult(NamedTuple):
     nodes: MaskSet
-    weight: Weight
+    weight: int
 
 
 def edge_arrays(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -153,7 +127,7 @@ def build_hypergraph(
     return WeightedHypergraph(length, edges, base, nodes)
 
 
-def _section_bits(h: WeightedHypergraph, bits: int) -> Weight:
+def _section_bits(h: WeightedHypergraph, bits: int) -> int:
     """Sum of weights of edges inside ``bits``, plus the base weight."""
     total = h.base_weight
     edges = h.edges
@@ -161,18 +135,16 @@ def _section_bits(h: WeightedHypergraph, bits: int) -> Weight:
     if edges and (1 << k) - 1 > 2 * len(edges):
         for e, w in edges.items():
             if e & ~bits == 0:
-                total = _add(total, w)
+                total += w
         return total
     sub = bits
     while sub:
-        w = edges.get(sub)
-        if w is not None:
-            total = _add(total, w)
+        total += edges.get(sub, 0)
         sub = (sub - 1) & bits
     return total
 
 
-def section_weight(h: WeightedHypergraph, nodes: MaskSet) -> Weight:
+def section_weight(h: WeightedHypergraph, nodes: MaskSet) -> int:
     """Weight of the sub-hypergraph induced on ``nodes`` (base included)."""
     if nodes.max_position() > h.node_count:
         raise ValueError("section node out of range")
@@ -180,21 +152,18 @@ def section_weight(h: WeightedHypergraph, nodes: MaskSet) -> Weight:
 
 
 class _Best:
-    """Maximum tracker with (weight rank, lexicographic positions) ties."""
+    """Maximum tracker with (weight, lexicographic positions) ties."""
 
-    __slots__ = ("key", "bits", "weight", "score")
+    __slots__ = ("bits", "weight")
 
-    def __init__(self, key: RankKey):
-        self.key = key if key is not None else lambda w: w
+    def __init__(self):
         self.bits: int | None = None
-        self.weight: Weight = None
-        self.score = None
+        self.weight = -1
 
-    def offer(self, bits: int, weight: Weight) -> None:
-        score = self.key(weight)
-        if self.bits is None or score > self.score:
-            self.bits, self.weight, self.score = bits, weight, score
-        elif score == self.score and _positions(bits) < _positions(self.bits):
+    def offer(self, bits: int, weight: int) -> None:
+        if weight > self.weight or (
+            weight == self.weight and _positions(bits) < _positions(self.bits)
+        ):
             self.bits, self.weight = bits, weight
 
     def result(self) -> SectionResult:
@@ -213,17 +182,14 @@ def _bits_of(positions) -> int:
     return bits
 
 
-def heaviest_k_section_bruteforce(
-    h: WeightedHypergraph, k: int, key: RankKey = None
-) -> SectionResult:
+def heaviest_k_section_bruteforce(h: WeightedHypergraph, k: int) -> SectionResult:
     """Try every k-subset of the nodes, summing edge weights by table probes."""
     _check_k(h, k)
     if k == 0:
         return SectionResult(MaskSet(), h.base_weight)
-    rank = key if key is not None else lambda w: w
     edges = h.edges
     base = h.base_weight
-    best_bits = best_weight = best_score = None
+    best_bits = best_weight = None
     # combinations() yields position lists in lexicographic order, so keeping
     # only strict improvements realizes the tie-break for free.
     for combo in combinations(h.nodes, k):
@@ -231,47 +197,24 @@ def heaviest_k_section_bruteforce(
         total = base
         sub = bits
         while sub:
-            w = edges.get(sub)
-            if w is not None:
-                total = _add(total, w)
+            total += edges.get(sub, 0)
             sub = (sub - 1) & bits
-        score = rank(total)
-        if best_bits is None or score > best_score:
-            best_bits, best_weight, best_score = bits, total, score
+        if best_bits is None or total > best_weight:
+            best_bits, best_weight = bits, total
     return SectionResult(MaskSet.from_bits(best_bits), best_weight)
 
 
-def _node_weight(h: WeightedHypergraph, node: int) -> Weight:
-    return h.edges.get(1 << (node - 1), h.zero_weight)
-
-
-def _top_nodes(h: WeightedHypergraph, count: int, key: RankKey) -> list[int]:
-    rank = key if key is not None else lambda w: w
-    ordered = sorted(h.nodes, key=lambda v: (_NegKey(rank(_node_weight(h, v))), v))
+def _top_nodes(h: WeightedHypergraph, count: int) -> list[int]:
+    ordered = sorted(h.nodes, key=lambda v: (-h.edges.get(1 << (v - 1), 0), v))
     return ordered[:count]
 
 
-class _NegKey:
-    """Descending-order wrapper for arbitrary comparable scores."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return other.value == self.value
-
-
-def heaviest_2_section(h: WeightedHypergraph, key: RankKey = None) -> SectionResult:
+def heaviest_2_section(h: WeightedHypergraph) -> SectionResult:
     """Linear-time k=2: best 2-edge completion vs the two heaviest nodes."""
     if len(h.nodes) < 2:
         raise ValueError("heaviest_2_section needs at least two nodes")
-    best = _Best(key)
-    pair = _top_nodes(h, 2, key)
+    best = _Best()
+    pair = _top_nodes(h, 2)
     bits = _bits_of(pair)
     best.offer(bits, _section_bits(h, bits))
     for e in h.edges:
@@ -280,12 +223,12 @@ def heaviest_2_section(h: WeightedHypergraph, key: RankKey = None) -> SectionRes
     return best.result()
 
 
-def heaviest_3_section(h: WeightedHypergraph, key: RankKey = None) -> SectionResult:
+def heaviest_3_section(h: WeightedHypergraph) -> SectionResult:
     """k=3 in O(|V| * |E|): 3-edges, heaviest node triple, 2-edge + node pairs."""
     if len(h.nodes) < 3:
         raise ValueError("heaviest_3_section needs at least three nodes")
-    best = _Best(key)
-    triple = _top_nodes(h, 3, key)
+    best = _Best()
+    triple = _top_nodes(h, 3)
     bits = _bits_of(triple)
     best.offer(bits, _section_bits(h, bits))
     for e in h.edges:
@@ -302,9 +245,7 @@ def heaviest_3_section(h: WeightedHypergraph, key: RankKey = None) -> SectionRes
     return best.result()
 
 
-def heaviest_k_section_branching(
-    h: WeightedHypergraph, k: int, key: RankKey = None
-) -> SectionResult:
+def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult:
     """Branch on edges adding two or more new nodes; close branches greedily.
 
     Every processed partial set X is closed by scoring each remaining node
@@ -316,10 +257,8 @@ def heaviest_k_section_branching(
     _check_k(h, k)
     if k == 0:
         return SectionResult(MaskSet(), h.base_weight)
-    rank = key if key is not None else lambda w: w
-    best = _Best(key)
+    best = _Best()
     edge_keys = sorted(h.edges)
-    zero = h.zero_weight
     seen: set[int] = set()
 
     def close(x_bits: int) -> None:
@@ -329,19 +268,17 @@ def heaviest_k_section_branching(
             vb = 1 << (v - 1)
             if vb & x_bits:
                 continue
-            w = zero
+            w = 0
             sub = x_bits
             while True:
-                edge_w = h.edges.get(sub | vb)
-                if edge_w is not None:
-                    w = _add(w, edge_w)
+                w += h.edges.get(sub | vb, 0)
                 if sub == 0:
                     break
                 sub = (sub - 1) & x_bits
-            scored.append((v, w))
-        scored.sort(key=lambda vw: (_NegKey(rank(vw[1])), vw[0]))
+            scored.append((-w, v))
+        scored.sort()
         bits = x_bits
-        for v, _ in scored[:need]:
+        for _, v in scored[:need]:
             bits |= 1 << (v - 1)
         best.offer(bits, _section_bits(h, bits))
 
@@ -366,29 +303,26 @@ def _check_k(h: WeightedHypergraph, k: int) -> None:
 
 
 def heaviest_k_section(
-    h: WeightedHypergraph,
-    k: int,
-    key: RankKey = None,
-    brute_budget: int = DEFAULT_BRUTE_BUDGET,
+    h: WeightedHypergraph, k: int, brute_budget: int = DEFAULT_BRUTE_BUDGET
 ) -> SectionResult:
     """Dispatch to the cheapest exact solver for the requested section size."""
     _check_k(h, k)
     if k == 0:
         return SectionResult(MaskSet(), h.base_weight)
     if k == 1:
-        best = _Best(key)
+        best = _Best()
         for v in h.nodes:
             bits = 1 << (v - 1)
-            best.offer(bits, _add(h.base_weight, h.edges.get(bits, h.zero_weight)))
+            best.offer(bits, h.base_weight + h.edges.get(bits, 0))
         return best.result()
     if k == 2:
-        return heaviest_2_section(h, key)
+        return heaviest_2_section(h)
     if k == 3:
-        return heaviest_3_section(h, key)
+        return heaviest_3_section(h)
     n, m = len(h.nodes), len(h.edges)
     if comb(n, k) << k <= brute_budget or m > n * n:
-        return heaviest_k_section_bruteforce(h, k, key)
-    return heaviest_k_section_branching(h, k, key)
+        return heaviest_k_section_bruteforce(h, k)
+    return heaviest_k_section_branching(h, k)
 
 
 def dump_hypergraph(h: WeightedHypergraph) -> dict:

@@ -46,7 +46,8 @@ from .exact import _popcounts, subset_counts
 #: Largest string length for which 2^length tables may be built.
 DEFAULT_TABLE_LIMIT = 24
 
-#: Cap on C(length, k) * d workspace for the fixed-size tables.
+#: Cap on the workspace of a build: C(length, k) * d for the fixed-size
+#: tables, pair entries plus members for the half-split tables.
 DEFAULT_WORKSPACE_LIMIT = 1 << 26
 
 _MAGIC = b"PMDM2"
@@ -332,6 +333,14 @@ class SplitIndex:
         return len(self.entries)
 
 
+def _check_split_workspace(pairs: int, members: int) -> None:
+    if pairs + members > DEFAULT_WORKSPACE_LIMIT:
+        raise CapacityError(
+            f"{pairs} pair entries and {members} members exceed the limit "
+            f"{DEFAULT_WORKSPACE_LIMIT}"
+        )
+
+
 def split_build(
     dictionary: Dictionary,
     tau: int,
@@ -342,7 +351,10 @@ def split_build(
 
     For every full mask and every entry, the pair counter of the entry's
     two masked halves is incremented exactly when both halves occur at
-    least ``tau`` times on their own sides.
+    least ``tau`` times on their own sides.  Raises CapacityError when
+    the halves' members (checked before the halves are built) plus those
+    increments (checked before the pair loop) exceed
+    ``DEFAULT_WORKSPACE_LIMIT``.
     """
     length = dictionary.length
     d = dictionary.size
@@ -355,11 +367,16 @@ def split_build(
     if not 1 <= z0 <= d:
         raise ValueError(f"z0 must be in [1, {d}]")
     lam = (length + 1) // 2
+    members = ((1 << lam) + (1 << (length - lam))) * d
+    _check_split_workspace(0, members)
     left, inv_left = _build_half(dictionary.codes, 0, lam)
     right, inv_right = _build_half(dictionary.codes, lam, length - lam)
     # frequent_*[m, e]: entry e's half under half mask m occurs >= tau times
     frequent_left = left.counts[left.group_base[:-1, None] + inv_left] >= tau
     frequent_right = right.counts[right.group_base[:-1, None] + inv_right] >= tau
+    # the pair entries are the sum of frequent_left @ frequent_right.T,
+    # which is the product of the two column sums
+    _check_split_workspace(int(frequent_left.sum(axis=0) @ frequent_right.sum(axis=0)), members)
     n_right = np.diff(right.group_base)
     low = (1 << lam) - 1
     bits, sizes, keys, counts = [], [], [], []

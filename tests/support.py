@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil
+from math import ceil, comb
 
 import numpy as np
 
@@ -113,6 +113,55 @@ def oracle_mpmdm_size(dictionary: Dictionary, queries, z: int) -> int:
     raise AssertionError("full mask always qualifies for z <= d")
 
 
+def oracle_mpmdm(dictionary: Dictionary, queries, z: int) -> MaskSet:
+    """The documented shared mask, by enumeration: the fewest positions
+    under which every query matches at least ``z`` entries, then the
+    highest sum of the queries' counts, then the lexicographically smallest
+    position list.
+
+    Whether some mask of size k qualifies is monotone in k, so the optimum
+    is closed in from both ends, each step enumerating the cheaper end's
+    C(l, k) masks.  Raises AssertionError once that exceeds 2^20: an
+    optimum within four positions of 0 or l is found at every length.
+    """
+    length = dictionary.length
+    per_query = [mismatch_masks(dictionary, q) for q in queries]
+
+    def best_of_size(k):
+        inverted = k > length - k  # enumerate the kept positions instead
+        combos = np.array(list(combinations(range(length), length - k if inverted else k)), dtype=np.uint64)
+        bits = np.bitwise_or.reduce(np.uint64(1) << combos, axis=1)
+        if inverted:
+            bits ^= np.uint64((1 << length) - 1)
+        counts = np.zeros((len(per_query), len(bits)), dtype=np.int64)
+        for row, entries in zip(counts, per_query):
+            for e in entries:
+                row += (e & ~bits) == 0
+        ok = counts.min(axis=0) >= z
+        if not ok.any():
+            return None
+        total = counts.sum(axis=0)
+        tied = np.flatnonzero(ok & (total == total[ok].max()))
+        return min((MaskSet.from_bits(int(bits[i])) for i in tied), key=lambda m: m.positions)
+
+    # the optimum lies in [lo, hi]; size hi qualifies with ``best``
+    lo, hi, best = 0, length, best_of_size(length)
+    while lo < hi:
+        k = lo if comb(length, lo) <= comb(length, hi - 1) else hi - 1
+        if comb(length, k) > 1 << 20:
+            raise AssertionError(f"optimum between sizes {lo} and {hi}: too many masks")
+        found = best_of_size(k)
+        if k == lo:
+            if found is not None:
+                return found
+            lo += 1
+        elif found is None:
+            return best
+        else:
+            hi, best = k, found
+    return best
+
+
 def khv_feasible(vectors, target, count) -> bool:
     """Exhaustive check that some ``count``-subset dominates the target."""
     for combo in combinations(range(len(vectors)), count):
@@ -158,7 +207,7 @@ def random_instance(rng, max_length=10, max_size=40, max_sigma=4, max_z=None) ->
     return PmdmInstance(dictionary, query, rng.randint(1, high))
 
 
-def random_hypergraph(rng, max_nodes=15, max_edges=200, max_edge_size=5, weight_dim=None) -> WeightedHypergraph:
+def random_hypergraph(rng, max_nodes=15, max_edges=200, max_edge_size=5) -> WeightedHypergraph:
     n = rng.randint(max(2, max_edge_size), max_nodes)
     n_edges = rng.randint(0, max_edges)
     edges = {}
@@ -168,20 +217,8 @@ def random_hypergraph(rng, max_nodes=15, max_edges=200, max_edge_size=5, weight_
         bits = 0
         for p in nodes:
             bits |= 1 << p
-        if weight_dim is None:
-            w = rng.randint(1, 9)
-            edges[bits] = edges.get(bits, 0) + w
-        else:
-            w = tuple(rng.randint(0, 9) for _ in range(weight_dim))
-            if not any(w):
-                continue
-            prev = edges.get(bits, (0,) * weight_dim)
-            edges[bits] = tuple(a + b for a, b in zip(prev, w))
-    if weight_dim is None:
-        base = rng.randint(0, 3)
-    else:
-        base = tuple(rng.randint(0, 3) for _ in range(weight_dim))
-    return WeightedHypergraph(n, edges, base)
+        edges[bits] = edges.get(bits, 0) + rng.randint(1, 9)
+    return WeightedHypergraph(n, edges, rng.randint(0, 3))
 
 
 def random_graph(rng, max_nodes=12, p=0.5) -> Graph:

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+import pmdm.index
 from pmdm.cli import main
 
 from support import T1_ENTRIES
@@ -106,6 +107,46 @@ def test_solve_multi_query(capsys, tmp_path):
     assert data["k"] == 2 and data["positions"] == [1, 2]
     assert data["matches"] == [3, 3]
     assert data["masked"] == ["??", "??"]
+
+
+def test_query_file_with_several_queries_needs_multi(capsys, tmp_path):
+    d = tmp_path / "d.txt"
+    d.write_text("aa\nab\nba\n", encoding="utf-8")
+    queries = tmp_path / "q.txt"
+    queries.write_text("aa\nbb\n", encoding="utf-8")
+    code = main(["solve", "--dict", str(d), "--query-file", str(queries), "--z", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--multi" in captured.err
+    queries.write_text("aa\n", encoding="utf-8")
+    code, data = run_json(
+        capsys, "solve", "--dict", str(d), "--query-file", str(queries), "--z", "2"
+    )
+    assert code == 0 and data["k"] == 1 and data["matches"] == 2
+
+
+def test_crlf_dictionary_is_refused(capsys, tmp_path):
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(b"abab\r\nabbb\r\n")
+    out = tmp_path / "idx.bin"
+    for argv in (
+        ["solve", "--dict", str(crlf), "--query", "abab", "--z", "1"],
+        ["index", "build", "--dict", str(crlf), "--kind", "small", "--out", str(out)],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "line 1" in captured.err
+    assert not out.exists()
+
+
+def test_split_build_over_the_workspace_limit_exit_code(capsys, t1_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 100)
+    out = tmp_path / "split.bin"
+    code, _ = run_cli(
+        capsys, "index", "build", "--dict", t1_file, "--kind", "split", "--tau", "1",
+        "--out", str(out),
+    )
+    assert code == 3 and not out.exists()
 
 
 def test_dump_hypergraph(capsys, t1_file):

@@ -98,6 +98,14 @@ def test_dictionary_file_rejects_wildcard(tmp_path):
         Dictionary.from_file(path)
 
 
+@pytest.mark.parametrize("data,line", [(b"ab\r\nba\r\n", 1), (b"ab\nb\ra\n", 2), (b"ab\nba\r", 2)])
+def test_dictionary_file_rejects_carriage_returns(tmp_path, data, line):
+    path = tmp_path / "dict.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"line {line} contains a carriage return"):
+        Dictionary.from_file(path)
+
+
 def test_mask_set_basics():
     m = MaskSet([4, 1, 1])
     assert m.positions == (1, 4)

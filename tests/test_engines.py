@@ -2,8 +2,9 @@
 
 Strings of at most ``TABLE_MAX_LENGTH`` positions are answered from the
 subset-count table; patching that constant to 0 sends the same instances
-down the per-k hypergraph path, so both engines can be compared on one
-instance and each against the independent oracles in ``support``.
+down the long-string engines (the per-k hypergraph search for one query,
+the kept-set search for ``solve_mpmdm``), so both engines can be compared
+on one instance and each against the independent oracles in ``support``.
 """
 
 import random
@@ -26,6 +27,7 @@ from pmdm import exact
 
 from support import (
     oracle_count,
+    oracle_mpmdm,
     oracle_mpmdm_size,
     oracle_optimum_size,
     random_instance,
@@ -33,7 +35,7 @@ from support import (
 
 
 def both_engines(monkeypatch, solve, *args, **kwargs):
-    """``solve`` answered by the table engine, then by the hypergraph path."""
+    """``solve`` answered by the table engine, then by the long-string one."""
     table = solve(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(exact, "TABLE_MAX_LENGTH", 0)
@@ -92,15 +94,12 @@ def test_multi_query_engines_agree_with_oracle(monkeypatch):
         queries = other_queries(rng, d, inst.query, rng.randint(1, 3))
         multi = MpmdmInstance(d, queries, inst.threshold)
         size = oracle_mpmdm_size(d, queries, inst.threshold)
-        table, hyper = both_engines(monkeypatch, solve_mpmdm, multi)
-        # the table ranks ties as the enumeration does, so even masks agree
-        assert table == hyper
+        table, search = both_engines(monkeypatch, solve_mpmdm, multi)
+        # the table and the kept-set search rank ties alike, so even masks agree
+        assert table == search == oracle_mpmdm(d, queries, inst.threshold)
         assert len(table) == size
-        _, branched = both_engines(monkeypatch, solve_mpmdm, multi, enum_budget=0)
-        assert len(branched) == size
         for q in queries:
             assert oracle_count(d, q, table.bits) >= inst.threshold
-            assert oracle_count(d, q, branched.bits) >= inst.threshold
 
 
 def test_single_query_multi_equals_pmdm_on_both_engines(monkeypatch):

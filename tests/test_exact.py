@@ -17,12 +17,12 @@ from pmdm import (
     solve_mpmdm,
     solve_pmdm,
 )
-from pmdm import exact
 from pmdm.core import CapacityError
 
 from support import (
     khv_feasible,
     oracle_count,
+    oracle_mpmdm,
     oracle_mpmdm_size,
     oracle_optimum_size,
     random_instance,
@@ -165,21 +165,119 @@ def test_mpmdm_against_enumeration():
             assert len(mask) >= len(single)
 
 
-def test_mpmdm_branching_path_agrees_with_enumeration(monkeypatch):
-    # at these lengths the subset-count table would answer before
-    # enum_budget is read, so force the hypergraph path
-    monkeypatch.setattr(exact, "TABLE_MAX_LENGTH", 0)
-    rng = random.Random(41)
-    for _ in range(25):
-        base = random_instance(rng, max_length=7, max_size=15, max_sigma=3)
-        d = base.dictionary
-        queries = [d[rng.randrange(d.size)] for _ in range(2)]
-        inst = MpmdmInstance(d, queries, base.threshold)
-        via_enum = solve_mpmdm(inst)
-        via_branch = solve_mpmdm(inst, enum_budget=0)
-        assert len(via_enum) == len(via_branch)
-        for q in queries:
-            assert count_matches(d, mask_apply(q, via_branch)) >= inst.threshold
+def long_multi_instance(rng, length: int, near: bool) -> MpmdmInstance:
+    """m = 1..3 queries of ``length`` > 20 positions whose optimal shared
+    mask has at most three positions (``near``) or at least length - 3.
+
+    Both draw a base string and up to three spots.  Near: the queries and
+    ``reach`` entries differ from the base only on the spots, so masking
+    the spots matches every such entry, and strays differ from it at one
+    of three shared positions, so low thresholds make masks of one size
+    tie.  Far: every entry agrees with the queries on the spots and
+    elsewhere mostly holds a symbol no query has there.  Entries repeat,
+    so duplicates are common.
+    """
+    letters = rng.choice(["abcd", "αβ日😀", "xyzwv"])
+    m = rng.randint(1, 3)
+    base = [rng.choice(letters) for _ in range(length)]
+    spots = rng.sample(range(length), rng.randint(0, 3))
+    if length == 64 and spots and 63 not in spots and rng.random() < 0.5:
+        spots[0] = 63
+    if near:
+        def varied(share):
+            chars = list(base)
+            for p in spots:
+                if rng.random() < share:
+                    chars[p] = rng.choice(letters)
+            return "".join(chars)
+
+        # strays differ from the base at one of a few shared positions, so
+        # masks of one size often tie on their counts
+        shared = rng.sample(range(length), 3)
+
+        def stray():
+            chars = list(base)
+            p = rng.choice(shared)
+            chars[p] = rng.choice([c for c in letters if c != base[p]])
+            return "".join(chars)
+
+        queries = [varied(0.3) for _ in range(m)]
+        pool = [varied(0.8) for _ in range(rng.randint(1, 5))]
+        entries = [rng.choice(pool) for _ in range(rng.randint(2, 25))]
+        reach = len(entries)
+        strays = [stray() for _ in range(rng.randint(0, 8))]
+        entries += strays + [rng.choice(strays) for _ in strays]
+        z = reach if rng.random() < 0.4 else rng.randint(1, reach)
+        if rng.random() < 0.5:
+            z = min(z, len(strays) + 1)
+    else:
+        queries = []
+        for _ in range(m):
+            chars = [rng.choice(letters) for _ in range(length)]
+            for p in spots:
+                chars[p] = base[p]
+            queries.append("".join(chars))
+
+        def entry():
+            chars = []
+            for p in range(length):
+                used = {q[p] for q in queries}
+                if p in spots:
+                    chars.append(base[p])
+                elif rng.random() < 0.1:
+                    chars.append(rng.choice(sorted(used)))
+                else:
+                    chars.append(rng.choice(sorted(set(letters) - used)))
+            return "".join(chars)
+
+        pool = [entry() for _ in range(rng.randint(4, 8))]
+        entries = pool + [rng.choice(pool) for _ in range(rng.randint(0, 20))]
+        z = len(entries) - rng.randint(0, 1)
+    rng.shuffle(entries)
+    return MpmdmInstance(Dictionary(entries), queries, z)
+
+
+def test_mpmdm_long_strings_match_the_oracle():
+    rng = random.Random(2)
+    seen = {"z = d": 0, "non-ASCII": 0, "duplicates": 0, "64 masked": 0, "64 kept": 0}
+    sizes = set()
+    for i in range(96):
+        length = 64 if i % 4 == 0 else rng.randint(21, 63)
+        near = i % 2 == 0
+        inst = long_multi_instance(rng, length, near)
+        d = inst.dictionary
+        mask = solve_mpmdm(inst)
+        assert mask == oracle_mpmdm(d, inst.queries, inst.threshold), i
+        assert len(mask) <= 3 if near else len(mask) >= length - 3
+        sizes.add(len(inst.queries))
+        seen["z = d"] += inst.threshold == d.size
+        seen["non-ASCII"] += not "".join(d).isascii()
+        seen["duplicates"] += len(set(d)) < d.size
+        if length == 64:
+            seen["64 masked" if 64 in mask else "64 kept"] += 1
+    assert sizes == {1, 2, 3}
+    assert min(seen.values()) >= 3, seen
+
+
+def test_mpmdm_long_string_ties():
+    rng = random.Random(5)
+    base = "".join(rng.choice("ab") for _ in range(64))
+
+    def flipped(*positions):
+        chars = list(base)
+        for p in positions:
+            chars[p - 1] = "c"
+        return "".join(chars)
+
+    entries = [flipped(64)] * 2 + [flipped(10)] * 2 + [flipped(40)] + [flipped(1, 2)] * 3
+    queries = [base, flipped(5)]  # every entry differs from the second at 5
+    d = Dictionary(entries)
+    # {5, 10} and {5, 64} tie on size and on the sum of counts
+    assert solve_mpmdm(MpmdmInstance(d, queries, 2)) == MaskSet([5, 10])
+    # {5, 10, 64} matches 4 entries per query, {1, 2, 5} only 3
+    assert solve_mpmdm(MpmdmInstance(d, queries, 3)) == MaskSet([5, 10, 64])
+    for z in range(1, 6):  # optimum sizes 2..4
+        assert solve_mpmdm(MpmdmInstance(d, queries, z)) == oracle_mpmdm(d, queries, z)
 
 
 def test_mpmdm_validation():

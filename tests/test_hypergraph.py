@@ -162,23 +162,6 @@ def test_total_weight_accounts_for_every_entry():
         assert h.total_weight() == inst.dictionary.size
 
 
-def test_tuple_weights_match_scalar_behavior():
-    rng = random.Random(13)
-    for _ in range(25):
-        h = random_hypergraph(rng, max_nodes=8, max_edges=30, max_edge_size=4)
-        h_tuple = WeightedHypergraph(
-            h.node_count,
-            {b: (w,) for b, w in h.edges.items()},
-            (h.base_weight,),
-        )
-        key = lambda w: w[0]
-        for k in range(0, min(4, len(h.nodes)) + 1):
-            scalar = heaviest_k_section(h, k)
-            boxed = heaviest_k_section(h_tuple, k, key=key)
-            assert boxed.nodes == scalar.nodes
-            assert boxed.weight == (scalar.weight,)
-
-
 def test_rank_and_restriction():
     h = build_hypergraph(t1(), "abab")
     assert h.rank() == 2

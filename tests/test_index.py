@@ -408,3 +408,18 @@ def test_split_capacity_and_parameter_guards():
         split_build(t1(), 6)
     with pytest.raises(CapacityError):
         simple_build(t1(), 2, 1, workspace_limit=10)
+
+
+def test_split_workspace_guard_counts_pairs_and_members(monkeypatch):
+    # l=4, tau=1: every half is frequent, so 4 x 4 half-mask pairs of 5
+    # entries give 80 pair entries, beside (4 + 4) * 5 = 40 members
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 119)
+    with pytest.raises(CapacityError, match="80 pair entries and 40 members"):
+        split_build(t1(), 1)
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 120)
+    assert split_build(t1(), 1).pair_counts.sum() == 80
+    # the members alone are refused before any half table is built
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 39)
+    monkeypatch.setattr(pmdm.index, "_build_half", None)
+    with pytest.raises(CapacityError, match="0 pair entries and 40 members"):
+        split_build(t1(), 1)
