@@ -35,8 +35,9 @@ for positions in ([2, 4], [1, 3]):
     print(f"section weight of {positions} = {w}, scan count = {c}")
 print()
 
-# Growing k until the heaviest k-section reaches the threshold gives the
-# minimum mask; the exhaustive solver agrees.
+# The minimum mask size is the smallest k whose heaviest k-section reaches
+# the threshold.  The exhaustive solver grows k exactly so; solve_pmdm
+# agrees with it.
 for z in range(1, dictionary.size + 1):
     inst = PmdmInstance(dictionary, query, z)
     best = solve_pmdm(inst)

@@ -7,8 +7,8 @@ with wildcards so the masked query matches at least z dictionary entries.
 Modules:
     core        strings, masks, matching semantics, mismatch extraction
     hypergraph  mismatch hypergraph and exact heaviest k-section solvers
-    exact       minimum-mask solvers: subset-count table, per-k section
-                search, kept-set search for several queries; vector DP
+    exact       minimum-mask solvers: subset-count table up to l = 20,
+                kept-set search above; vector DP
     heuristic   greedy masking with preprocessing, plus a baseline
     index       query structures: full table, fixed-size, half-split
     reductions  clique and minimum-union instance translations

@@ -21,15 +21,16 @@ from .core import (
     MaskedString,
     count_matches,
     mask_apply,
+    _read_lines,
 )
-from .exact import MpmdmInstance, PmdmInstance, solve_mpmdm, solve_pmdm
+from .exact import MpmdmInstance, PmdmInstance, _best_in_table, solve_mpmdm, solve_pmdm
 from .heuristic import GreedyConfig, baseline_pmdm, greedy_pmdm
 from .hypergraph import build_hypergraph, dump_hypergraph
 from .index import (
     DEFAULT_TABLE_LIMIT,
     SimpleIndex,
     SplitIndex,
-    _select_mask,
+    _check_threshold,
     load_index,
     save_index,
     simple_build,
@@ -77,8 +78,7 @@ def _load_queries(args) -> list[str]:
         queries.append(args.query)
     for path in (args.query_file, args.multi):
         if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                queries.extend(line for line in fh.read().splitlines() if line)
+            queries.extend(line for line in _read_lines(path) if line)
     if not queries:
         raise ValueError("no query given; use --query or --query-file/--multi")
     if len(queries) > 1 and not args.multi:
@@ -203,7 +203,8 @@ def _cmd_index_query(args) -> int:
         mask, matches = found
     elif isinstance(obj, SplitIndex):
         counts = split_counts(obj, args.query)
-        mask = _select_mask(counts, args.z, obj.size, obj.min_threshold)
+        _check_threshold(args.z, obj.size, obj.min_threshold)
+        mask = _best_in_table(counts >= args.z, counts, obj.length)
         matches = int(counts[mask.bits])
     else:
         raise ValueError("unsupported index payload")

@@ -210,12 +210,7 @@ class Dictionary:
         return (as every line of a CRLF file does) is refused rather than
         read with the return as a symbol or as a line break.
         """
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-        if "\r" in text:
-            line = text.count("\n", 0, text.index("\r")) + 1
-            raise ValueError(f"line {line} contains a carriage return")
-        lines = text.split("\n")
+        lines = _read_lines(path)
         if lines and lines[-1] == "":
             lines.pop()
         for i, line in enumerate(lines):
@@ -229,6 +224,17 @@ class Dictionary:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(self.entries))
             fh.write("\n")
+
+
+def _read_lines(path) -> list[str]:
+    """The text of ``path`` split at line feeds only; a carriage return
+    anywhere is refused, naming its line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    if "\r" in text:
+        line = text.count("\n", 0, text.index("\r")) + 1
+        raise ValueError(f"line {line} contains a carriage return")
+    return text.split("\n")
 
 
 def mask_apply(q: str, mask: MaskSet) -> MaskedString:

@@ -1,8 +1,8 @@
 """Exact minimum-mask solvers, single query and multi query.
 
-One entry point per problem (``solve_pmdm``, ``solve_mpmdm``,
-``decide_k_pmdm``) picks its engine by a single cost rule on the string
-length l:
+The three entry points (``solve_pmdm``, ``solve_mpmdm``,
+``decide_k_pmdm``) share one private solver over a list of queries, which
+picks its engine by a single cost rule on the string length l:
 
 * l <= ``TABLE_MAX_LENGTH`` (20): a table of 2^l subset counts.  The
   per-entry mismatch bitmasks are histogrammed and completed by an
@@ -12,21 +12,21 @@ length l:
   the threshold; for several queries the count is the element-wise
   minimum of the per-query tables.  The same kernel fills
   ``index.small_ell_build``.
-* l > ``TABLE_MAX_LENGTH``, single query: the mismatch hypergraph.  k
-  grows from zero, asking for the heaviest k-section each time; the first
-  k whose best section reaches the threshold is optimal.
-* l > ``TABLE_MAX_LENGTH``, ``solve_mpmdm``: the unmasked positions form
-  a maximum frequent itemset.  Per query and position, the entries
-  agreeing with the query there form a set; a depth-first search over
-  frequent extensions (Eclat) grows the kept set, cutting a branch only
-  when it cannot reach the best size found.
+* l > ``TABLE_MAX_LENGTH``: the unmasked positions form a maximum
+  frequent itemset.  Per query and position, the entries agreeing with
+  the query there form a set; a depth-first search over frequent
+  extensions (Eclat) grows the kept set, cutting a branch only when it
+  cannot reach the best size found.  Entries with more mismatches than an
+  upper bound on the optimum are dropped first: no optimal mask matches
+  them.
 
-Every engine breaks ties the same way, so the engine never changes the
-answer: among qualifying masks of the optimal size, the highest count
-(for several queries, the highest sum of counts), then the
-lexicographically smallest position list.  ``bruteforce_pmdm`` stays as a
-reference oracle for the tests, and ``solve_khv`` solves the paper's
-vector-domination subproblem on its own.
+Both engines break ties the same way, and so do the index queries, so
+neither the engine nor the structure changes the answer: among
+qualifying masks of the optimal size, the highest count (for several
+queries, the highest sum of counts), then the lexicographically smallest
+position list.  ``bruteforce_pmdm`` stays as a reference oracle for the
+tests, and ``solve_khv`` solves the paper's vector-domination subproblem
+on its own.
 """
 
 from __future__ import annotations
@@ -45,18 +45,16 @@ from .core import (
     MaskSet,
     mismatch_masks,
 )
-from .hypergraph import (
-    build_hypergraph,
-    heaviest_k_section,
-    heaviest_k_section_bruteforce,
-)
+from .hypergraph import build_hypergraph, heaviest_k_section_bruteforce
+
+# Unused here, but the benchmark's tracer wraps this name on this module.
+from .hypergraph import heaviest_k_section  # noqa: F401
 
 #: Longest string answered from the full table of 2^l subset counts; longer
-#: strings go to the per-k hypergraph search (single query) or the
-#: kept-set search (``solve_mpmdm``).  At 20 the table is 4 MB of
-#: int32 and took about 25 ms to fill at d = 1e4 on one core of a Xeon
-#: host, whatever the optimal k, while a single pure-Python k >= 8 step of
-#: the hypergraph search can take seconds already at l = 15.
+#: strings go to the kept-set search.  At 20 the table is 4 MB of int32
+#: and took about 25 ms to fill at d = 1e4 on one core of a Xeon host,
+#: whatever the optimal k, while the search's cost grows with the number
+#: of near-optimal kept sets and is exponential in the middle band.
 TABLE_MAX_LENGTH = 20
 
 
@@ -85,30 +83,30 @@ def _popcounts(length: int) -> np.ndarray:
     return pop
 
 
-def _reversed_bits(masks: np.ndarray, length: int) -> np.ndarray:
-    """Bit order reversed, so position 1 becomes the most significant bit."""
-    out = np.zeros(len(masks), dtype=np.int64)
-    for b in range(length):
-        out |= ((masks >> b) & 1) << (length - 1 - b)
-    return out
+@lru_cache(maxsize=None)
+def _lex_ranks(length: int) -> np.ndarray:
+    """Every mask's bits in reverse order, so position 1 is the most
+    significant: among masks of one size, the lexicographically smaller
+    position list holds the smallest position where they differ, so it
+    has the larger rank."""
+    rank = np.zeros(1, dtype=np.uint32)
+    for _ in range(length):
+        rank = np.concatenate([rank << 1, rank << 1 | 1])
+    rank.flags.writeable = False
+    return rank
 
 
 def _best_in_table(
     qualifying: np.ndarray, weight: np.ndarray, length: int
 ) -> MaskSet:
     """Smallest qualifying mask; ties by highest ``weight``, then by the
-    lexicographically smallest position list.
-
-    Among sets of one size, the lexicographically smaller position list is
-    the one holding the smallest position of the symmetric difference, that
-    is the larger value once bit order is reversed.
-    """
+    lexicographically smallest position list."""
     pop = _popcounts(length)
     k = pop[qualifying].min()
     tied = np.flatnonzero(qualifying & (pop == k))
-    w = weight[tied]
-    tied = tied[w == w.max()]
-    return MaskSet.from_bits(int(tied[np.argmax(_reversed_bits(tied, length))]))
+    # every rank is below 2^length, so the weight decides first
+    key = weight[tied].astype(np.int64) << length | _lex_ranks(length)[tied]
+    return MaskSet.from_bits(int(tied[np.argmax(key)]))
 
 
 @dataclass(frozen=True)
@@ -195,45 +193,26 @@ def _require_feasible(threshold: int, size: int) -> None:
 def solve_pmdm(inst: PmdmInstance) -> MaskSet:
     """Smallest mask whose application matches at least ``threshold`` entries.
 
-    Strings of at most ``TABLE_MAX_LENGTH`` positions are answered from the
-    subset-count table, longer ones by the per-k hypergraph search.  Either
-    way, ties go to the mask matching the most entries, then to the
+    Ties go to the mask matching the most entries, then to the
     lexicographically smallest position list.
     """
-    _require_feasible(inst.threshold, inst.dictionary.size)
-    length = inst.dictionary.length
-    if length <= TABLE_MAX_LENGTH:
-        counts = subset_counts(mismatch_masks(inst.dictionary, inst.query), length)
-        return _best_in_table(counts >= inst.threshold, counts, length)
-    h = build_hypergraph(inst.dictionary, inst.query)
-    if h.base_weight >= inst.threshold:
-        return MaskSet()
-    for k in range(1, length + 1):
-        result = heaviest_k_section(h.restricted(k), k)
-        if result.weight >= inst.threshold:
-            return result.nodes
-    raise AssertionError("full mask matches every entry; unreachable")
+    return _smallest_mask(inst.dictionary, [inst.query], inst.threshold)
 
 
 def decide_k_pmdm(inst: PmdmInstance, k: int) -> bool:
     """Can masking exactly ``k`` positions reach the threshold?
 
-    Thresholds beyond the dictionary size and sizes beyond the string
-    length are decided False rather than rejected: no mask can satisfy
-    them, which is the answer the decision problem gives.
+    Masking more positions never loses a match, so this asks whether the
+    optimum has at most k positions.  Thresholds beyond the dictionary
+    size and sizes beyond the string length are decided False rather than
+    rejected: no mask can satisfy them, which is the answer the decision
+    problem gives.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if inst.threshold > inst.dictionary.size or k > inst.dictionary.length:
         return False
-    length = inst.dictionary.length
-    if length <= TABLE_MAX_LENGTH:
-        counts = subset_counts(mismatch_masks(inst.dictionary, inst.query), length)
-        return bool(counts[_popcounts(length) == k].max() >= inst.threshold)
-    h = build_hypergraph(inst.dictionary, inst.query, k_cutoff=k if k >= 1 else None)
-    if k == 0:
-        return h.base_weight >= inst.threshold
-    return heaviest_k_section(h, k).weight >= inst.threshold
+    return _smallest_mask(inst.dictionary, [inst.query], inst.threshold, k) is not None
 
 
 def bruteforce_pmdm(inst: PmdmInstance, budget: int | None = None) -> MaskSet:
@@ -320,56 +299,92 @@ def solve_khv(inst: KhvInstance) -> Optional[list[int]]:
     return chosen
 
 
-def _agree_sets(dictionary: Dictionary, queries: Sequence[str]) -> list[tuple[int, ...]]:
-    """agree[p][j] as an int: bit e is set when entry e agrees with
-    ``queries[j]`` at position p + 1."""
-    per_query = []
-    for q in queries:
-        masks = mismatch_masks(dictionary, q)
-        per_query.append([
-            int.from_bytes(np.packbits((masks >> p & 1) == 0, bitorder="little").tobytes(), "little")
-            for p in range(dictionary.length)
-        ])
-    return list(zip(*per_query))
+def _smallest_mask(
+    dictionary: Dictionary, queries: Sequence[str], threshold: int, limit: int | None = None
+) -> Optional[MaskSet]:
+    """The smallest mask under which every query matches at least
+    ``threshold`` entries, ties broken as the module docstring says.  With
+    ``limit``, any such mask of at most ``limit`` positions instead, or
+    None when there is none."""
+    _require_feasible(threshold, dictionary.size)
+    length = dictionary.length
+    masks = [mismatch_masks(dictionary, q) for q in queries]
+    if length <= TABLE_MAX_LENGTH:
+        tables = np.stack([subset_counts(m, length) for m in masks])
+        best = _best_in_table(tables.min(axis=0) >= threshold, tables.sum(axis=0), length)
+        return best if limit is None or len(best) <= limit else None
+    # every query matches its ``threshold`` fewest-mismatch entries once
+    # all their mismatches are masked, so this union qualifies
+    union = 0
+    for m in masks:
+        fewest = np.argpartition(np.bitwise_count(m), threshold - 1)[:threshold]
+        union |= int(np.bitwise_or.reduce(m[fewest]))
+    first = limit is not None
+    if not first:
+        limit = union.bit_count()
+    elif union.bit_count() <= limit:
+        return MaskSet.from_bits(union)
+    # an entry with more than ``limit`` mismatches matches under no mask
+    # of at most ``limit`` positions, so dropping it changes no count there
+    masks = [m[np.bitwise_count(m) <= limit] for m in masks]
+    # agree[p][j] as an int: bit e is set when the e-th kept entry of
+    # query j has no mismatch at position p + 1
+    agree = list(zip(*(
+        [int.from_bytes(np.packbits((m >> p & 1) == 0, bitorder="little").tobytes(), "little")
+         for p in range(length)]
+        for m in masks
+    )))
+    everyone = [(1 << len(m)) - 1 for m in masks]
+    kept = _largest_kept_set(agree, everyone, threshold, length - limit, first)
+    return None if kept is None else MaskSet.from_bits((1 << length) - 1 & ~kept)
 
 
-def _largest_kept_set(agree: list[tuple[int, ...]], size: int, threshold: int) -> int:
-    """Bits of the best kept set C: the largest whose entries, those
-    agreeing with q_j on all of C, number at least ``threshold`` for every
-    query j.  Ties go to the highest sum of those counts, then to the
-    lexicographically smallest mask ~C.
+def _largest_kept_set(
+    agree: list[tuple[int, ...]], everyone: list[int], threshold: int, floor: int, first: bool
+) -> Optional[int]:
+    """Bits of the best kept set C of at least ``floor`` positions: the
+    largest whose entries, those agreeing with q_j on all of C, number at
+    least ``threshold`` for every query j.  Ties go to the highest sum of
+    those counts, then to the lexicographically smallest mask ~C.  None
+    when no such set reaches ``floor`` positions.
 
     Depth-first over frequent extensions only, as Eclat mines itemsets:
-    a node holds C's per-query entry sets and the tail of later positions
-    that keep C frequent, and each child intersects the sets with one
-    tail position.  A branch is cut when C plus its whole tail is smaller
-    than the best C so far; the cut is strict, so every tied maximum is
-    still visited and ranked.
+    a node holds C's per-query entry sets (``everyone`` at the root) and
+    the tail of later positions that keep C frequent, and each child
+    intersects the sets with one tail position.  Positions go least
+    supported first, which keeps the early subtrees small.  A branch is
+    cut when C plus its whole tail is smaller than the best C so far, or
+    than ``floor``; the cut is strict, so every tied maximum is still
+    visited and ranked.  With ``first``, the search stops at the first
+    set reaching ``floor``.
     """
-    best = [-1, -1, 0]  # |C|, sum of counts, C
+    best = [floor, -1, None]  # |C|, sum of counts, C
 
-    def frequent(entries, p):
-        return all((e & a).bit_count() >= threshold for e, a in zip(entries, agree[p]))
+    def support(entries, p):
+        return min((e & a).bit_count() for e, a in zip(entries, agree[p]))
 
     def visit(kept, depth, entries, tail):
         if depth >= best[0]:
             total = sum(e.bit_count() for e in entries)
-            diff = kept ^ best[2]
-            # the masks' lexicographic order: the smaller mask holds the
-            # smallest position where they differ, so the best C lacks it
-            if (depth, total) > (best[0], best[1]) or (
-                total == best[1] and best[2] & diff & -diff
-            ):
-                best[:] = depth, total, kept
+            if (depth, total) > (best[0], best[1]):
+                # with ``first``, no set is large enough after this one
+                best[:] = (len(agree) + 1 if first else depth), total, kept
+            elif total == best[1]:
+                # the masks' lexicographic order: the smaller mask holds
+                # the smallest position where they differ, so the best C
+                # lacks it
+                diff = kept ^ best[2]
+                if best[2] & diff & -diff:
+                    best[2] = kept
         for i, p in enumerate(tail):
             if depth + len(tail) - i < best[0]:
                 return
             child = [e & a for e, a in zip(entries, agree[p])]
-            rest = [r for r in tail[i + 1:] if frequent(child, r)]
+            rest = [r for r in tail[i + 1:] if support(child, r) >= threshold]
             visit(kept | 1 << p, depth + 1, child, rest)
 
-    entries = [(1 << size) - 1] * len(agree[0])
-    visit(0, 0, entries, [p for p in range(len(agree)) if frequent(entries, p)])
+    order = sorted((support(everyone, p), p) for p in range(len(agree)))
+    visit(0, 0, everyone, [p for s, p in order if s >= threshold])
     return best[2]
 
 
@@ -377,23 +392,6 @@ def solve_mpmdm(inst: MpmdmInstance) -> MaskSet:
     """Smallest mask under which every query matches at least ``threshold``.
 
     Ties go to the highest sum of per-query counts, then to the
-    lexicographically smallest position list.  Strings of at most
-    ``TABLE_MAX_LENGTH`` positions are answered from the element-wise
-    minimum of the per-query subset-count tables, longer ones by the
-    search for the largest kept set.
+    lexicographically smallest position list.
     """
-    _require_feasible(inst.threshold, inst.dictionary.size)
-    length = inst.dictionary.length
-    if length <= TABLE_MAX_LENGTH:
-        worst = total = None
-        for q in inst.queries:
-            counts = subset_counts(mismatch_masks(inst.dictionary, q), length)
-            if worst is None:
-                worst, total = counts, counts.astype(np.int64)
-            else:
-                np.minimum(worst, counts, out=worst)
-                total += counts
-        return _best_in_table(worst >= inst.threshold, total, length)
-    agree = _agree_sets(inst.dictionary, inst.queries)
-    kept = _largest_kept_set(agree, inst.dictionary.size, inst.threshold)
-    return MaskSet.from_bits((1 << length) - 1 & ~kept)
+    return _smallest_mask(inst.dictionary, inst.queries, inst.threshold)

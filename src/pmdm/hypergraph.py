@@ -100,25 +100,14 @@ def edge_arrays(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return values, weights, 0
 
 
-def build_hypergraph(
-    dictionary: Dictionary,
-    q: str | MaskedString,
-    k_cutoff: int | None = None,
-) -> WeightedHypergraph:
+def build_hypergraph(dictionary: Dictionary, q: str | MaskedString) -> WeightedHypergraph:
     """Mismatch hypergraph of ``q`` against every dictionary entry.
 
-    Entries matching ``q`` exactly add to the base weight; entries with
-    more than ``k_cutoff`` mismatches (when given) are dropped since their
-    edge cannot fit in any k-section.  Positions already masked in ``q``
-    are excluded from the node set.
+    Entries matching ``q`` exactly add to the base weight.  Positions
+    already masked in ``q`` are excluded from the node set.
     """
     length = dictionary.length
-    if k_cutoff is not None and not 1 <= k_cutoff <= length:
-        raise ValueError(f"k_cutoff must be in [1, {length}]")
     values, weights, base = edge_arrays(mismatch_masks(dictionary, q))
-    if k_cutoff is not None:
-        keep = np.bitwise_count(values) <= k_cutoff
-        values, weights = values[keep], weights[keep]
     edges = dict(zip(values.tolist(), weights.tolist()))
     if isinstance(q, MaskedString) and q.mask:
         nodes = tuple(p for p in range(1, length + 1) if p not in q.mask)

@@ -41,7 +41,7 @@ from .core import (
     _codes,
     mismatch_masks,
 )
-from .exact import _popcounts, subset_counts
+from .exact import _best_in_table, subset_counts
 
 #: Largest string length for which 2^length tables may be built.
 DEFAULT_TABLE_LIMIT = 24
@@ -80,22 +80,18 @@ def small_ell_build(
 
 
 def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
-    """Fewest-position mask reaching ``z`` matches; ties by bitmask value."""
-    return _select_mask(table.counts, z, table.size)
+    """Fewest-position mask reaching ``z`` matches; ties go to the most
+    matches, then to the lexicographically smallest position list, as in
+    ``solve_pmdm``."""
+    _check_threshold(z, table.size)
+    return _best_in_table(table.counts >= z, table.counts, table.length)
 
 
-def _select_mask(counts: np.ndarray, z: int, size: int, min_threshold: int = 1) -> MaskSet:
-    """Among the masks whose count reaches ``z``, the one with the fewest
-    positions, then the smallest bitmask value.  ``counts`` holds one count
-    per mask, indexed by its bits."""
+def _check_threshold(z: int, size: int, min_threshold: int = 1) -> None:
     if z < min_threshold:
         raise ValueError(f"z={z} below the minimum supported threshold {min_threshold}")
     if z > size:
         raise InfeasibleThresholdError(f"threshold {z} exceeds dictionary size {size}")
-    qualifying = counts >= z
-    pop = _popcounts(len(counts).bit_length() - 1)
-    k = pop[qualifying].min()
-    return MaskSet.from_bits(int(np.argmax(qualifying & (pop == k))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,8 +500,12 @@ def count_for_mask(idx: SplitIndex, q: str, mask: MaskSet | int) -> int:
 
 
 def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
-    """Fewest-position mask with exact count >= ``z``; ties by bitmask value."""
-    return _select_mask(split_counts(idx, q), z, idx.size, idx.min_threshold)
+    """Fewest-position mask with exact count >= ``z``; ties go to the most
+    matches, then to the lexicographically smallest position list, as in
+    ``solve_pmdm``."""
+    counts = split_counts(idx, q)
+    _check_threshold(z, idx.size, idx.min_threshold)
+    return _best_in_table(counts >= z, counts, idx.length)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,36 @@ def test_crlf_dictionary_is_refused(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_query_file_splits_at_line_feeds_only(capsys, tmp_path):
+    # \x0b is a line break to str.splitlines, but a symbol in a dictionary
+    d = tmp_path / "d.txt"
+    d.write_text("a\x0bbc\nabcd\n", encoding="utf-8", newline="")
+    queries = tmp_path / "q.txt"
+    queries.write_text("a\x0bbc\n", encoding="utf-8", newline="")
+    for source in (["--query", "a\x0bbc"], ["--query-file", str(queries)]):
+        code, data = run_json(capsys, "solve", "--dict", str(d), *source, "--z", "1")
+        assert code == 0 and data["k"] == 0 and data["matches"] == 1
+    queries.write_bytes(b"abcd\nabcd\r\n")
+    assert main(["solve", "--dict", str(d), "--query-file", str(queries), "--z", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 2" in captured.err
+
+
+def test_small_index_query_ties_like_solve(capsys, tmp_path):
+    # {1, 4} and {2, 3} each match one entry; the smaller bitmask is {2, 3},
+    # the lexicographically smaller position list {1, 4}
+    d = tmp_path / "d.txt"
+    d.write_text("baab\nabba\n", encoding="utf-8")
+    out = tmp_path / "small.bin"
+    code, _ = run_json(capsys, "index", "build", "--dict", str(d), "--kind", "small", "--out", str(out))
+    assert code == 0
+    code, indexed = run_json(capsys, "index", "query", "--index", str(out), "--query", "aaaa", "--z", "1")
+    assert code == 0
+    code, solved = run_json(capsys, "solve", "--dict", str(d), "--query", "aaaa", "--z", "1")
+    assert code == 0
+    assert indexed["positions"] == solved["positions"] == [1, 4]
+
+
 def test_split_build_over_the_workspace_limit_exit_code(capsys, t1_file, tmp_path, monkeypatch):
     monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 100)
     out = tmp_path / "split.bin"

@@ -2,9 +2,9 @@
 
 Strings of at most ``TABLE_MAX_LENGTH`` positions are answered from the
 subset-count table; patching that constant to 0 sends the same instances
-down the long-string engines (the per-k hypergraph search for one query,
-the kept-set search for ``solve_mpmdm``), so both engines can be compared
-on one instance and each against the independent oracles in ``support``.
+down the kept-set search, the long-string engine of every entry point, so
+both engines can be compared on one instance and each against the
+independent oracles in ``support``.
 """
 
 import random
@@ -39,8 +39,8 @@ def both_engines(monkeypatch, solve, *args, **kwargs):
     table = solve(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(exact, "TABLE_MAX_LENGTH", 0)
-        hyper = solve(*args, **kwargs)
-    return table, hyper
+        search = solve(*args, **kwargs)
+    return table, search
 
 
 def non_ascii_instance(rng) -> PmdmInstance:
@@ -79,13 +79,13 @@ def other_queries(rng, d: Dictionary, query: str, m: int) -> list[str]:
 
 def test_single_query_engines_agree_with_bruteforce(monkeypatch):
     for _, inst in instances(seed=2024, count=150):
-        table, hyper = both_engines(monkeypatch, solve_pmdm, inst)
-        assert table == hyper == bruteforce_pmdm(inst)
+        table, search = both_engines(monkeypatch, solve_pmdm, inst)
+        assert table == search == bruteforce_pmdm(inst)
         assert len(table) == oracle_optimum_size(inst.dictionary, inst.query, inst.threshold)
         assert oracle_count(inst.dictionary, inst.query, table.bits) >= inst.threshold
         for k in {0, len(table) - 1, len(table)} - {-1}:
-            table_says, hyper_says = both_engines(monkeypatch, decide_k_pmdm, inst, k)
-            assert table_says == hyper_says == (k == len(table))
+            table_says, search_says = both_engines(monkeypatch, decide_k_pmdm, inst, k)
+            assert table_says == search_says == (k == len(table))
 
 
 def test_multi_query_engines_agree_with_oracle(monkeypatch):
@@ -105,10 +105,10 @@ def test_multi_query_engines_agree_with_oracle(monkeypatch):
 def test_single_query_multi_equals_pmdm_on_both_engines(monkeypatch):
     for _, inst in instances(seed=11, count=90):
         multi = MpmdmInstance(inst.dictionary, [inst.query], inst.threshold)
-        table_multi, hyper_multi = both_engines(monkeypatch, solve_mpmdm, multi)
-        table_single, hyper_single = both_engines(monkeypatch, solve_pmdm, inst)
+        table_multi, search_multi = both_engines(monkeypatch, solve_mpmdm, multi)
+        table_single, search_single = both_engines(monkeypatch, solve_pmdm, inst)
         assert table_multi == table_single
-        assert hyper_multi == hyper_single
+        assert search_multi == search_single
 
 
 def near_instance(seed: int, length: int, size: int = 40):
@@ -132,8 +132,8 @@ def test_engines_at_the_length_boundary(monkeypatch, length):
     assert (length <= exact.TABLE_MAX_LENGTH) == (length == 20)
     d, query, z = near_instance(seed=length, length=length)
     inst = PmdmInstance(d, query, z)
-    table, hyper = both_engines(monkeypatch, solve_pmdm, inst)
-    assert table == hyper == bruteforce_pmdm(inst)
+    table, search = both_engines(monkeypatch, solve_pmdm, inst)
+    assert table == search == bruteforce_pmdm(inst)
     assert len(table) == oracle_optimum_size(d, query, z)
     queries = [query, d[0]]
     multi = MpmdmInstance(d, queries, 2)

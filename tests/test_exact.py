@@ -238,8 +238,11 @@ def long_multi_instance(rng, length: int, near: bool) -> MpmdmInstance:
 
 
 def test_mpmdm_long_strings_match_the_oracle():
+    """Above l = 20: ``solve_mpmdm``, then ``solve_pmdm`` and
+    ``decide_k_pmdm`` on the first query alone, against the oracle."""
     rng = random.Random(2)
-    seen = {"z = d": 0, "non-ASCII": 0, "duplicates": 0, "64 masked": 0, "64 kept": 0}
+    seen = {"z = d": 0, "non-ASCII": 0, "duplicates": 0, "64 masked": 0, "64 kept": 0,
+            "absent query": 0, "bound 0": 0, "bound l": 0}
     sizes = set()
     for i in range(96):
         length = 64 if i % 4 == 0 else rng.randint(21, 63)
@@ -255,6 +258,19 @@ def test_mpmdm_long_strings_match_the_oracle():
         seen["duplicates"] += len(set(d)) < d.size
         if length == 64:
             seen["64 masked" if 64 in mask else "64 kept"] += 1
+        q, z = inst.queries[0], inst.threshold
+        if i % 6 == 2:
+            # z exact copies of the query: the upper bound on the optimum,
+            # the union of the z nearest entries' mismatches, is empty
+            d = Dictionary(list(d) + [q] * z)
+        single = solve_pmdm(PmdmInstance(d, q, z))
+        assert single == oracle_mpmdm(d, [q], z), i
+        for k in {0, len(single) - 1, len(single), length} - {-1}:
+            assert decide_k_pmdm(PmdmInstance(d, q, z), k) == (k >= len(single)), (i, k)
+        seen["absent query"] += q not in d
+        seen["bound 0"] += list(d).count(q) >= z
+        # all entries are the z nearest, and their mismatches cover every position
+        seen["bound l"] += z == d.size and all(any(e[p] != q[p] for e in d) for p in range(length))
     assert sizes == {1, 2, 3}
     assert min(seen.values()) >= 3, seen
 

@@ -31,12 +31,6 @@ def test_build_from_t1():
     assert edge_map(h) == {(3,): 1, (2, 4): 1, (1,): 1, (4,): 1}
 
 
-def test_build_with_cutoff_drops_large_edges():
-    h = build_hypergraph(t1(), "abab", k_cutoff=1)
-    assert h.base_weight == 1
-    assert edge_map(h) == {(3,): 1, (1,): 1, (4,): 1}
-
-
 def test_build_duplicates_only_feed_base():
     d = Dictionary(["abab", "abab"])
     h = build_hypergraph(d, "abab")

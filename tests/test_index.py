@@ -11,6 +11,7 @@ from pmdm import (
     Dictionary,
     InfeasibleThresholdError,
     MaskSet,
+    PmdmInstance,
     count_for_mask,
     load_index,
     save_index,
@@ -19,6 +20,7 @@ from pmdm import (
     simple_query,
     small_ell_build,
     small_ell_query,
+    solve_pmdm,
     split_build,
     split_counts,
     split_query,
@@ -278,11 +280,18 @@ def test_split_counts_match_the_oracle_randomized(tmp_path):
             for q in queries:
                 expected = oracle_counts_all_masks(d, q)
                 table = small_ell_build(d, q)
+                # every structure breaks ties as the exact solver does
+                exact = {
+                    z: small_ell_query(table, z)
+                    for z in range(idx.min_threshold, d.size + 1)
+                }
+                for z, mask in exact.items():
+                    assert mask == solve_pmdm(PmdmInstance(d, q, z))
                 for built in (idx, loaded):
                     assert (split_counts(built, q) == expected).all()
-                    for z in range(built.min_threshold, d.size + 1):
+                    for z in exact:
                         mask = split_query(built, q, z)
-                        assert mask == small_ell_query(table, z)
+                        assert mask == exact[z]
                 assert count_for_mask(loaded, q, mask) == expected[mask.bits]
 
 
