@@ -279,12 +279,43 @@ def count_matches(dictionary: Dictionary, x: MaskedString) -> int:
     return int(ok.all(axis=1).sum())
 
 
+#: Bits packed per float32 product.  A sum of distinct powers of two below
+#: 2^24 fits float32's 24-bit significand, so every partial sum is exact
+#: whatever order the BLAS kernel adds in.
+PACK_WIDTH = 24
+
+_POWERS = (1 << np.arange(PACK_WIDTH)).astype(np.float32)
+
+
+def pack_bits(flags: np.ndarray) -> np.ndarray:
+    """Row i of an (n, w) boolean array, w <= 64, as a uint64 whose bit j
+    is flags[i, j].
+
+    Each run of at most ``PACK_WIDTH`` columns is one float32
+    matrix-vector product with the run's powers of two, an exact BLAS
+    call; the product is shifted into place and OR-ed into the result.
+    One to three products cover w = 1..64.  Cost: one float32 copy of
+    ``flags`` and n * w multiply-adds in BLAS.  numpy has no BLAS kernel
+    for integer products, and an int64 product with the powers took
+    about twice as long at w = 15.
+    """
+    out = np.zeros(len(flags), dtype=np.uint64)
+    for start in range(0, flags.shape[1], PACK_WIDTH):
+        block = flags[:, start:start + PACK_WIDTH]
+        part = (block.astype(np.float32) @ _POWERS[:block.shape[1]]).astype(np.uint64)
+        out |= part << np.uint64(start)
+    return out
+
+
 def mismatch_masks(dictionary: Dictionary, x: str | MaskedString) -> np.ndarray:
     """Per-entry mismatch bitmasks against ``x``, as a uint64 vector.
 
     Positions already masked in ``x`` never count as mismatches.  Entry i
     matches ``x`` under an extra mask K exactly when result[i] is a subset
     of K's bits, which is what every counting structure exploits.
+
+    One comparison of the (d, l) code matrix with the query gives the
+    mismatch flags, which ``pack_bits`` turns into bits: O(d * l).
     """
     if isinstance(x, MaskedString):
         base, mask = x.base, x.mask
@@ -294,10 +325,7 @@ def mismatch_masks(dictionary: Dictionary, x: str | MaskedString) -> np.ndarray:
         raise ValueError(
             f"length mismatch: query {len(base)} vs dictionary {dictionary.length}"
         )
-    diff = dictionary.codes != _codes(base)
+    out = pack_bits(dictionary.codes != _codes(base))
     if mask:
-        diff &= ~_mask_row(mask, dictionary.length)
-    # Signed weights keep the integer matmul fast; bit 63 weighs -2^63, and a
-    # sum of distinct powers stays in range, so the uint64 view is exact.
-    powers = np.left_shift(np.int64(1), np.arange(dictionary.length, dtype=np.int64))
-    return (diff.astype(np.int64) @ powers).view(np.uint64)
+        out &= ~np.uint64(mask.bits)
+    return out

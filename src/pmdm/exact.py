@@ -52,27 +52,67 @@ from .hypergraph import heaviest_k_section  # noqa: F401
 
 #: Longest string answered from the full table of 2^l subset counts; longer
 #: strings go to the kept-set search.  At 20 the table is 4 MB of int32
-#: and took about 25 ms to fill at d = 1e4 on one core of a Xeon host,
-#: whatever the optimal k, while the search's cost grows with the number
-#: of near-optimal kept sets and is exponential in the middle band.
+#: and takes 9-11 ms to fill at d = 1e4 on one core of a 2-core x86_64
+#: host, whatever the optimal k, while the search's cost grows with the
+#: number of near-optimal kept sets and is exponential in the middle band.
 TABLE_MAX_LENGTH = 20
+
+#: Most nodes the kept-set search (l > ``TABLE_MAX_LENGTH``) may visit
+#: before it gives up with CapacityError.  At l=40, d=2e4, rho=0.1, 20
+#: centres and m=3 the search visited about 25 000 nodes a second on one
+#: core of a 2-core x86_64 host: the z=50 answer (k=9) needs about 0.4
+#: million visits (16 s), and at z=500 the budget ends the search after
+#: 39 s.
+KEPT_SET_VISIT_BUDGET = 1_000_000
+
+#: Cells per chunk of the in-place subset-sum pass: 2^16 int32 counters
+#: (256 KB) stay in a core's L2 cache while all their low bits are folded.
+CHUNK_BITS = 16
+
+
+def _fold(view: np.ndarray) -> None:
+    """One sum-over-subsets step on a (-1, 2, run) view: the half with the
+    bit set adds the half without it."""
+    view[:, 1] += view[:, 0]
 
 
 def subset_counts(masks: np.ndarray, length: int, rows: int = 1) -> np.ndarray:
     """counts[K] = how many ``masks`` are subsets of K, for every K < 2^length.
 
-    A histogram of the masks completed by an in-place sum-over-subsets pass:
-    after folding bit b, counts[K] covers every mask that equals K above bit
-    b and is a subset of K on bits 0..b.  Bits at and above ``length`` are
-    never folded, so ``rows`` independent tables can share one call: a mask
-    ``r << length | m`` counts in row r only, and the result holds
-    ``rows << length`` counters, row after row.
+    A histogram of the masks completed by an in-place sum-over-subsets pass
+    (Yates's zeta transform): after folding bit b, counts[K] covers every
+    mask that equals K above bit b and is a subset of K on bits 0..b.
+    Bits at and above ``length`` are never folded, so ``rows`` independent
+    tables can share one call: a mask ``r << length | m`` counts in row r
+    only, and the result holds ``rows << length`` int32 counters, row after
+    row.
+
+    Layout: folding bit b adds runs of 2^b counters, and numpy runs short
+    inner loops slowly (bits 1..3 alone took half of a 2^15 pass).  So the
+    table is cut into chunks of 2^``CHUNK_BITS`` counters (the last may be
+    shorter; for shorter strings a chunk holds whole rows).  With c =
+    min(length, ``CHUNK_BITS``) and h = c // 2, a chunk is copied out
+    transposed, as a (2^h, chunk / 2^h) array, so folding its low h bits
+    adds runs of at least chunk / 2^h counters; it is copied back and bits
+    h..c-1 are folded in place, in runs of at least 2^h.  Bits c and up
+    are folded over the whole table, in runs of at least 2^16.  The work
+    stays O(2^length * length) additions plus two copies of each chunk,
+    and the memory beyond the histogram and the result is one chunk.
     """
     counts = np.bincount(masks.astype(np.int64), minlength=rows << length)
     counts = counts.astype(np.int32)
-    for b in range(length):
-        view = counts.reshape(-1, 2, 1 << b)
-        view[:, 1] += view[:, 0]
+    inner = min(length, CHUNK_BITS)
+    low = inner // 2
+    for start in range(0, len(counts), 1 << CHUNK_BITS):
+        cells = counts[start:start + (1 << CHUNK_BITS)]
+        moved = cells.reshape(-1, 1 << low).T.copy()
+        for b in range(low):
+            _fold(moved.reshape(-1, 2, moved.shape[1] << b))
+        cells.reshape(-1, 1 << low)[...] = moved.T
+        for b in range(low, inner):
+            _fold(cells.reshape(-1, 2, 1 << b))
+    for b in range(inner, length):
+        _fold(counts.reshape(-1, 2, 1 << b))
     return counts
 
 
@@ -310,7 +350,9 @@ def _smallest_mask(
     length = dictionary.length
     masks = [mismatch_masks(dictionary, q) for q in queries]
     if length <= TABLE_MAX_LENGTH:
-        tables = np.stack([subset_counts(m, length) for m in masks])
+        # one table row per query, all filled by one pass
+        tagged = np.concatenate([m | np.uint64(j << length) for j, m in enumerate(masks)])
+        tables = subset_counts(tagged, length, len(masks)).reshape(len(masks), -1)
         best = _best_in_table(tables.min(axis=0) >= threshold, tables.sum(axis=0), length)
         return best if limit is None or len(best) <= limit else None
     # every query matches its ``threshold`` fewest-mismatch entries once
@@ -356,14 +398,23 @@ def _largest_kept_set(
     cut when C plus its whole tail is smaller than the best C so far, or
     than ``floor``; the cut is strict, so every tied maximum is still
     visited and ranked.  With ``first``, the search stops at the first
-    set reaching ``floor``.
+    set reaching ``floor``.  Raises CapacityError once the search visits
+    more than ``KEPT_SET_VISIT_BUDGET`` nodes.
     """
     best = [floor, -1, None]  # |C|, sum of counts, C
+    visits = 0
 
     def support(entries, p):
         return min((e & a).bit_count() for e, a in zip(entries, agree[p]))
 
     def visit(kept, depth, entries, tail):
+        nonlocal visits
+        visits += 1
+        if visits > KEPT_SET_VISIT_BUDGET:
+            raise CapacityError(
+                f"kept-set search exceeded its budget of {KEPT_SET_VISIT_BUDGET} "
+                "visited nodes (exact.KEPT_SET_VISIT_BUDGET)"
+            )
         if depth >= best[0]:
             total = sum(e.bit_count() for e in entries)
             if (depth, total) > (best[0], best[1]):

@@ -40,6 +40,7 @@ from .core import (
     MaskSet,
     _codes,
     mismatch_masks,
+    pack_bits,
 )
 from .exact import _best_in_table, subset_counts
 
@@ -418,14 +419,13 @@ def _scan_groups(
     completed by a subset-sum pass."""
     sizes = side.counts[groups]
     ends = np.cumsum(sizes)
-    row = np.repeat(np.arange(len(groups)), sizes)
+    row = np.repeat(np.arange(len(groups), dtype=np.uint64), sizes)
     # the groups' members concatenated: member i of group j sits at
     # starts[groups[j]] + i in members.ravel()
     at = np.arange(ends[-1]) + np.repeat(side.starts[groups] - (ends - sizes), sizes)
     cols = slice(other.offset, other.offset + other.width)
-    diff = codes[side.members.ravel()[at], cols] != q_codes[cols]
-    mismatch = diff @ (1 << np.arange(other.width, dtype=np.int64))
-    table = subset_counts(row << other.width | mismatch, other.width, len(groups))
+    mismatch = pack_bits(codes[side.members.ravel()[at], cols] != q_codes[cols])
+    table = subset_counts(row << np.uint64(other.width) | mismatch, other.width, len(groups))
     return table.reshape(len(groups), 1 << other.width)
 
 

@@ -24,6 +24,7 @@ from pmdm import (
     GreedyConfig,
     HeuristicResult,
     MaskSet,
+    MaskedString,
     PmdmInstance,
     count_matches,
     mask_apply,
@@ -57,6 +58,28 @@ def oracle_counts_all_masks(dictionary: Dictionary, q: str) -> np.ndarray:
     all_masks = np.arange(1 << dictionary.length, dtype=np.uint64)
     hits = (bits[None, :] & ~all_masks[:, None]) == 0
     return hits.sum(axis=1)
+
+
+def oracle_mismatch_bits(dictionary: Dictionary, x: str | MaskedString) -> list[int]:
+    """Per-entry mismatch bitmasks by a per-character scan: bit i is set
+    where the entry and ``x`` differ at position i + 1 and ``x`` does not
+    mask it."""
+    base, masked = (x.base, x.mask.bits) if isinstance(x, MaskedString) else (x, 0)
+    return [
+        sum(1 << i for i, (a, b) in enumerate(zip(base, entry)) if a != b and not masked >> i & 1)
+        for entry in dictionary
+    ]
+
+
+def reference_subset_counts(masks: np.ndarray, length: int, rows: int = 1) -> np.ndarray:
+    """``exact.subset_counts`` as a plain per-bit sum-over-subsets fold of
+    the whole table: after folding bit b, counts[K] covers every mask that
+    equals K above bit b and is a subset of K on bits 0..b."""
+    counts = np.bincount(masks.astype(np.int64), minlength=rows << length).astype(np.int32)
+    for b in range(length):
+        view = counts.reshape(-1, 2, 1 << b)
+        view[:, 1] += view[:, 0]
+    return counts
 
 
 def combination_bits(length: int, k: int) -> np.ndarray:

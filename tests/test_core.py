@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +16,7 @@ from pmdm import (
     mismatch_set,
 )
 
-from support import t1
+from support import oracle_mismatch_bits, t1
 
 
 def test_mask_apply_examples():
@@ -186,3 +189,28 @@ def test_mismatch_masks_excludes_masked_positions():
     d = t1()
     bits = mismatch_masks(d, mask_apply("abab", MaskSet([4])))
     assert [int(b) for b in bits] == [0, 0b0100, 0b0010, 0b0001, 0]
+
+
+@pytest.mark.parametrize("length", [1, 8, 23, 24, 25, 47, 48, 49, 63, 64])
+def test_mismatch_masks_match_a_per_character_scan(length):
+    """Every length at and around the 24-position product boundaries, over
+    a non-ASCII alphabet, with duplicates, an entry equal to the query, an
+    entry differing everywhere (bit length - 1 set, bit 63 at l = 64), and
+    masked queries."""
+    rng = random.Random(length)
+    letters = "aβ日😀"
+    query = "".join(rng.choice(letters) for _ in range(length))
+    entries = ["".join(rng.choice(letters) for _ in range(length)) for _ in range(40)]
+    entries += [query, "".join(letters[(letters.index(c) + 1) % 4] for c in query)]
+    entries += [query[:-1] + ("a" if query[-1] != "a" else "β")]  # the last position only
+    entries += entries[:5]
+    rng.shuffle(entries)
+    d = Dictionary(entries)
+    some = MaskSet(rng.sample(range(1, length + 1), rng.randint(1, length)))
+    masked = [MaskSet(), MaskSet([1]), MaskSet([length]), some]
+    for mask in masked:
+        x = MaskedString(query, mask) if mask else query
+        bits = mismatch_masks(d, x)
+        assert bits.dtype == np.uint64 and bits.shape == (len(entries),)
+        assert [int(b) for b in bits] == oracle_mismatch_bits(d, x)
+    assert int(mismatch_masks(d, query).max()) == (1 << length) - 1

@@ -1,6 +1,9 @@
 import random
 
+import numpy as np
 import pytest
+
+import pmdm.exact
 
 from pmdm import (
     Dictionary,
@@ -17,7 +20,9 @@ from pmdm import (
     solve_mpmdm,
     solve_pmdm,
 )
+from pmdm.cli import main
 from pmdm.core import CapacityError
+from pmdm.exact import subset_counts
 
 from support import (
     khv_feasible,
@@ -26,6 +31,7 @@ from support import (
     oracle_mpmdm_size,
     oracle_optimum_size,
     random_instance,
+    reference_subset_counts,
     t1,
 )
 
@@ -304,3 +310,63 @@ def test_mpmdm_validation():
         MpmdmInstance(d, ["aaa"], 1)
     with pytest.raises(InfeasibleThresholdError):
         solve_mpmdm(MpmdmInstance(d, ["aa"], 3))
+
+
+def kernel_masks(rng, length: int, rows: int, size: int) -> np.ndarray:
+    """About 1.5 * ``size`` + 3 masks per row below 2^length, row r's
+    tagged ``r << length``: random ones, repeats of them, the zero mask
+    and the full mask twice."""
+    full = (1 << length) - 1
+    out = []
+    for r in range(rows):
+        drawn = [rng.getrandbits(length) for _ in range(size)]
+        drawn += [0, full, full] + rng.choices(drawn, k=size // 2)
+        out += [r << length | m for m in drawn]
+    return np.array(out, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("length", range(1, 15))
+def test_subset_counts_match_a_brute_force_count(length):
+    rng = random.Random(length)
+    for rows in (1, 2, 3):
+        masks = kernel_masks(rng, length, rows, 3 * length)
+        counts = subset_counts(masks, length, rows)
+        assert counts.dtype == np.int32 and counts.shape == (rows << length,)
+        cells = np.arange(1 << length, dtype=np.uint64)
+        for r, row in enumerate(counts.reshape(rows, -1)):
+            mine = masks[masks >> np.uint64(length) == r] & np.uint64((1 << length) - 1)
+            # cell K counts the row's masks whose bits all lie in K
+            assert np.array_equal(row, ((mine[None, :] & ~cells[:, None]) == 0).sum(axis=1))
+
+
+@pytest.mark.parametrize("length", range(15, 21))
+def test_subset_counts_match_the_per_bit_fold(length):
+    """Above 2^16 cells a chunk no longer holds a whole table, and with
+    three rows at l = 15 a chunk holds two rows and the last one half."""
+    rng = random.Random(length)
+    for rows in (1, 3):
+        masks = kernel_masks(rng, length, rows, 3000)
+        counts = subset_counts(masks, length, rows)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, reference_subset_counts(masks, length, rows))
+
+
+def test_kept_set_search_stops_at_its_visit_budget(monkeypatch, tmp_path, capsys):
+    rng = random.Random(3)
+    d = Dictionary("".join(rng.choice("ab") for _ in range(24)) for _ in range(60))
+    query, z = d[0], 10
+    assert len(solve_pmdm(PmdmInstance(d, query, z))) > 0  # within the default budget
+    # the searches below visit about 460 and 330 nodes: above this budget
+    # and below ten times it
+    monkeypatch.setattr(pmdm.exact, "KEPT_SET_VISIT_BUDGET", 100)
+    for call in (
+        lambda: solve_pmdm(PmdmInstance(d, query, z)),
+        lambda: solve_mpmdm(MpmdmInstance(d, [query, d[1]], z)),
+    ):
+        with pytest.raises(CapacityError, match="budget of 100 .*KEPT_SET_VISIT_BUDGET"):
+            call()
+    path = tmp_path / "d.txt"
+    d.save(path)
+    capsys.readouterr()
+    assert main(["solve", "--dict", str(path), "--query", query, "--z", str(z)]) == 3
+    assert "KEPT_SET_VISIT_BUDGET" in capsys.readouterr().err
