@@ -1,7 +1,8 @@
-"""Greedy masking vs the baseline and the exhaustive reference on
-clustered synthetic data.
+"""Greedy masking vs the baseline and the exact optimum on clustered
+synthetic data.  ``bf`` is ``solve_pmdm``; the relative errors are
+measured against it.
 
-Run: python demos/06_greedy_benchmark.py   (takes a few seconds)
+Run: python demos/06_greedy_benchmark.py   (takes about a second)
 """
 
 from pmdm import GenConfig, generate, run_experiment
@@ -27,6 +28,7 @@ for z in (10, 40):
               f"  ({stats.completed} completed)")
     print()
 
-print("the greedy solver stays near the exhaustive optimum while the")
-print("one-node-at-a-time baseline drifts, and is orders of magnitude")
-print("faster than exhaustive search as the solution size grows")
+print("bf is the exact optimum: at l=15 one table of 2^15 subset counts")
+print("answers it in about the time of a greedy answer.  The greedy solver")
+print("stays at or near that optimum, while the one-node-at-a-time baseline")
+print("drifts as the threshold grows")

@@ -4,8 +4,8 @@ Generates uniform or clustered string collections (clustered: random
 centers copied with per-position mutation, so nearby records exist and
 small masks suffice), runs a set of algorithms over sampled dictionary
 records as queries, oracle-verifies every returned mask, and aggregates
-average solution size, average relative error against the exhaustive
-solver, and timing.
+average solution size, average relative error against the exact optimum
+(``solve_pmdm``), and timing.
 """
 
 from __future__ import annotations
@@ -18,13 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import CapacityError, Dictionary, count_matches, mask_apply
-from .exact import PmdmInstance, bruteforce_pmdm
+from .exact import PmdmInstance, solve_pmdm
 from .heuristic import GreedyConfig, baseline_pmdm, greedy_pmdm
 
 REPORT_SCHEMA = "pmdm-report/1"
-
-#: Probe-count cap for the exhaustive solver inside experiment runs.
-DEFAULT_BF_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -144,13 +141,15 @@ def run_experiment(
     z: int,
     query_count: int,
     seed: int = 0,
-    bf_budget: int = DEFAULT_BF_BUDGET,
 ) -> ExperimentReport:
     """Sample dictionary records as queries and measure each algorithm.
 
-    Every returned mask is re-verified against the linear-scan matcher; a
-    verification failure aborts the run.  The exhaustive solver is marked
-    skipped on queries where its probe budget would be exceeded.
+    ``bf`` is the exact optimum (``solve_pmdm``), ``ba`` the baseline and
+    ``grN`` the greedy with tau=N.  Every returned mask is re-verified
+    against the linear-scan matcher; a verification failure aborts the
+    run.  ``bf`` is marked skipped only where the exact engine gives up
+    with CapacityError, which only the kept-set search above
+    ``exact.TABLE_MAX_LENGTH`` does.
     """
     if query_count < 1:
         raise ValueError("query_count must be positive")
@@ -171,7 +170,7 @@ def run_experiment(
             mask = None
             if name == "bf":
                 try:
-                    mask = bruteforce_pmdm(inst, budget=bf_budget)
+                    mask = solve_pmdm(inst)
                 except CapacityError:
                     skipped = True
             elif name == "ba":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bench import GenConfig, generate, run_experiment
@@ -27,7 +26,6 @@ from .exact import MpmdmInstance, PmdmInstance, _best_in_table, solve_mpmdm, sol
 from .heuristic import GreedyConfig, baseline_pmdm, greedy_pmdm
 from .hypergraph import build_hypergraph, dump_hypergraph
 from .index import (
-    DEFAULT_TABLE_LIMIT,
     SimpleIndex,
     SplitIndex,
     _check_threshold,
@@ -35,17 +33,10 @@ from .index import (
     save_index,
     simple_build,
     simple_query,
-    small_ell_build,
-    small_ell_query,
     split_build,
     split_counts,
 )
 from .reductions import Graph, MuInstance, clique_to_pmdm, mu_to_pmdm, pmdm_to_mu
-
-
-def _table_limit() -> int:
-    raw = os.environ.get("PMDM_TABLE_LIMIT")
-    return int(raw) if raw else DEFAULT_TABLE_LIMIT
 
 
 def _note(args, message: str) -> None:
@@ -89,6 +80,18 @@ def _load_queries(args) -> list[str]:
     return queries
 
 
+def _exact_answer(dictionary: Dictionary, query: str, args) -> dict:
+    """``solve_pmdm``'s mask for one query, as ``pmdm solve`` prints it."""
+    mask = solve_pmdm(PmdmInstance(dictionary, query, args.z))
+    masked = mask_apply(query, mask)
+    return {
+        "k": len(mask),
+        "positions": list(mask.positions),
+        "matches": count_matches(dictionary, masked),
+        "masked": masked.render(args.wildcard),
+    }
+
+
 def _cmd_solve(args) -> int:
     dictionary = Dictionary.from_file(args.dict, wildcard=args.wildcard)
     queries = _load_queries(args)
@@ -99,18 +102,7 @@ def _cmd_solve(args) -> int:
         print(json.dumps(dump_hypergraph(h)))
         return 0
     if len(queries) == 1:
-        inst = PmdmInstance(dictionary, queries[0], args.z)
-        mask = solve_pmdm(inst)
-        masked = mask_apply(queries[0], mask)
-        _emit(
-            {
-                "k": len(mask),
-                "positions": list(mask.positions),
-                "matches": count_matches(dictionary, masked),
-                "masked": masked.render(args.wildcard),
-            },
-            args.format,
-        )
+        _emit(_exact_answer(dictionary, queries[0], args), args.format)
         return 0
     inst = MpmdmInstance(dictionary, queries, args.z)
     mask = solve_mpmdm(inst)
@@ -169,10 +161,6 @@ def _cmd_count(args) -> int:
 def _cmd_index_build(args) -> int:
     dictionary = Dictionary.from_file(args.dict, wildcard=args.wildcard)
     if args.kind == "small":
-        if dictionary.length > _table_limit():
-            raise CapacityError(
-                f"length {dictionary.length} exceeds table limit {_table_limit()}"
-            )
         save_index(args.out, dictionary)
     elif args.kind == "simple":
         if args.k is None:
@@ -181,10 +169,7 @@ def _cmd_index_build(args) -> int:
     else:
         if args.tau is None:
             raise ValueError("--tau is required for kind=split")
-        save_index(
-            args.out,
-            split_build(dictionary, args.tau, args.z0, table_limit=_table_limit()),
-        )
+        save_index(args.out, split_build(dictionary, args.tau, args.z0))
     _emit({"kind": args.kind, "out": str(args.out)}, args.format)
     return 0
 
@@ -192,10 +177,9 @@ def _cmd_index_build(args) -> int:
 def _cmd_index_query(args) -> int:
     obj = load_index(args.index)
     if isinstance(obj, Dictionary):
-        table = small_ell_build(obj, args.query, table_limit=_table_limit())
-        mask = small_ell_query(table, args.z)
-        matches = int(table.counts[mask.bits])
-    elif isinstance(obj, SimpleIndex):
+        _emit({"found": True, **_exact_answer(obj, args.query, args)}, args.format)
+        return 0
+    if isinstance(obj, SimpleIndex):
         found = simple_query(obj, args.query, args.z)
         if found is None:
             _emit({"found": False}, args.format)
@@ -427,7 +411,11 @@ def _parser() -> argparse.ArgumentParser:
     p = bench_sub.add_parser("run")
     p.add_argument("--dict", required=True)
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--algos", default="bf,ba,gr3")
+    p.add_argument(
+        "--algos", default="bf,ba,gr3",
+        help="comma-separated: bf the exact optimum, ba the baseline, "
+             "grN the greedy with tau=N (default bf,ba,gr3)",
+    )
     p.add_argument("--queries", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -262,21 +262,10 @@ def mismatch_set(q: str, s: str) -> MaskSet:
     return MaskSet.from_bits(bits)
 
 
-def _mask_row(mask: MaskSet, length: int) -> np.ndarray:
-    bits = mask.bits
-    return np.array([bits >> i & 1 == 1 for i in range(length)], dtype=bool)
-
-
 def count_matches(dictionary: Dictionary, x: MaskedString) -> int:
-    """Number of dictionary entries matched by ``x`` (duplicates counted)."""
-    if len(x) != dictionary.length:
-        raise ValueError(
-            f"length mismatch: query {len(x)} vs dictionary {dictionary.length}"
-        )
-    ok = dictionary.codes == _codes(x.base)
-    if x.mask:
-        ok |= _mask_row(x.mask, dictionary.length)
-    return int(ok.all(axis=1).sum())
+    """Number of dictionary entries matched by ``x`` (duplicates counted):
+    those whose mismatch bitmask is empty."""
+    return int(np.count_nonzero(mismatch_masks(dictionary, x) == 0))
 
 
 #: Bits packed per float32 product.  A sum of distinct powers of two below

@@ -24,16 +24,20 @@ Both engines break ties the same way, and so do the index queries, so
 neither the engine nor the structure changes the answer: among
 qualifying masks of the optimal size, the highest count (for several
 queries, the highest sum of counts), then the lexicographically smallest
-position list.  ``bruteforce_pmdm`` stays as a reference oracle for the
-tests, and ``solve_khv`` solves the paper's vector-domination subproblem
-on its own.
+position list.
+
+``solve_pmdm`` is the only exact answer path of the package: ``pmdm
+solve``, ``pmdm index query`` on a small (dictionary) index and the
+harness's ``bf`` in ``bench.run_experiment`` all call it.
+``bruteforce_pmdm`` stays as the reference the tests and demos compare
+against, and ``solve_khv`` solves the paper's vector-domination
+subproblem on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -255,23 +259,18 @@ def decide_k_pmdm(inst: PmdmInstance, k: int) -> bool:
     return _smallest_mask(inst.dictionary, [inst.query], inst.threshold, k) is not None
 
 
-def bruteforce_pmdm(inst: PmdmInstance, budget: int | None = None) -> MaskSet:
+def bruteforce_pmdm(inst: PmdmInstance) -> MaskSet:
     """Reference solver: exhaustive k-subset enumeration by growing size.
 
-    With ``budget`` set, raises CapacityError once the running estimate of
-    sum over sizes of C(length, k) * 2^k table probes would exceed it.
+    Its cost grows as sum over sizes of C(length, k) * 2^k, so it is a
+    test and demo oracle for short strings only; ``solve_pmdm`` answers
+    everywhere else.
     """
     _require_feasible(inst.threshold, inst.dictionary.size)
     h = build_hypergraph(inst.dictionary, inst.query)
     if h.base_weight >= inst.threshold:
         return MaskSet()
-    spent = 0
     for k in range(1, inst.dictionary.length + 1):
-        spent += comb(inst.dictionary.length, k) << k
-        if budget is not None and spent > budget:
-            raise CapacityError(
-                f"bruteforce probe estimate {spent} exceeds budget {budget}"
-            )
         result = heaviest_k_section_bruteforce(h.restricted(k), k)
         if result.weight >= inst.threshold:
             return result.nodes

@@ -291,9 +291,7 @@ def _check_k(h: WeightedHypergraph, k: int) -> None:
         raise ValueError(f"k must be in [0, {len(h.nodes)}], got {k}")
 
 
-def heaviest_k_section(
-    h: WeightedHypergraph, k: int, brute_budget: int = DEFAULT_BRUTE_BUDGET
-) -> SectionResult:
+def heaviest_k_section(h: WeightedHypergraph, k: int) -> SectionResult:
     """Dispatch to the cheapest exact solver for the requested section size."""
     _check_k(h, k)
     if k == 0:
@@ -309,7 +307,7 @@ def heaviest_k_section(
     if k == 3:
         return heaviest_3_section(h)
     n, m = len(h.nodes), len(h.edges)
-    if comb(n, k) << k <= brute_budget or m > n * n:
+    if comb(n, k) << k <= DEFAULT_BRUTE_BUDGET or m > n * n:
         return heaviest_k_section_bruteforce(h, k)
     return heaviest_k_section_branching(h, k)
 

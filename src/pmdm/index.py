@@ -66,14 +66,12 @@ class SmallEllTable:
     size: int
 
 
-def small_ell_build(
-    dictionary: Dictionary, q: str, table_limit: int = DEFAULT_TABLE_LIMIT
-) -> SmallEllTable:
+def small_ell_build(dictionary: Dictionary, q: str) -> SmallEllTable:
     """Histogram the mismatch bitmasks, then run the subset-sum pass."""
     length = dictionary.length
-    if length > table_limit:
+    if length > DEFAULT_TABLE_LIMIT:
         raise CapacityError(
-            f"length {length} exceeds the table limit {table_limit} "
+            f"length {length} exceeds the table limit {DEFAULT_TABLE_LIMIT} "
             f"(2^{length} counters)"
         )
     counts = subset_counts(mismatch_masks(dictionary, q), length)
@@ -148,12 +146,7 @@ def _decode_rows(void_rows: np.ndarray, width: int) -> list[str]:
     return [text[i * width : (i + 1) * width] for i in range(len(void_rows))]
 
 
-def simple_build(
-    dictionary: Dictionary,
-    k: int,
-    z0: int = 1,
-    workspace_limit: int = DEFAULT_WORKSPACE_LIMIT,
-) -> SimpleIndex:
+def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
     """Group masked strings per mask of size ``k``; keep counts >= ``z0``."""
     length = dictionary.length
     d = dictionary.size
@@ -161,9 +154,9 @@ def simple_build(
         raise ValueError(f"k must be in [1, {length}]")
     if not 1 <= z0 <= d:
         raise ValueError(f"z0 must be in [1, {d}]")
-    if comb(length, k) * d > workspace_limit:
+    if comb(length, k) * d > DEFAULT_WORKSPACE_LIMIT:
         raise CapacityError(
-            f"workspace C({length},{k})*{d} exceeds limit {workspace_limit}"
+            f"workspace C({length},{k})*{d} exceeds limit {DEFAULT_WORKSPACE_LIMIT}"
         )
     _, kept = _combinations(length, k)
     keys, counts = [], []
@@ -338,12 +331,7 @@ def _check_split_workspace(pairs: int, members: int) -> None:
         )
 
 
-def split_build(
-    dictionary: Dictionary,
-    tau: int,
-    z0: int = 1,
-    table_limit: int = DEFAULT_TABLE_LIMIT,
-) -> SplitIndex:
+def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     """Build half tables and the frequent-pair counters over all masks.
 
     For every full mask and every entry, the pair counter of the entry's
@@ -355,9 +343,9 @@ def split_build(
     """
     length = dictionary.length
     d = dictionary.size
-    if length > table_limit:
+    if length > DEFAULT_TABLE_LIMIT:
         raise CapacityError(
-            f"length {length} exceeds the table limit {table_limit}"
+            f"length {length} exceeds the table limit {DEFAULT_TABLE_LIMIT}"
         )
     if not 1 <= tau <= d:
         raise ValueError(f"tau must be in [1, {d}]")
@@ -690,6 +678,8 @@ def _load_half(rd: _Reader, offset: int, width: int, size: int) -> _HalfMaps:
         raise ValueError("corrupt index file: member id out of range")
     keys = rd.keys(n_groups, width - np.bitwise_count(np.arange(n_masks)))
     key_to_gid = [dict(zip(mask_keys, range(len(mask_keys)))) for mask_keys in keys]
+    if any(len(table) != len(mask_keys) for table, mask_keys in zip(key_to_gid, keys)):
+        raise ValueError("corrupt index file: a half key repeated within one mask")
     return _HalfMaps(
         offset, width, key_to_gid, n_groups, sizes.astype(np.int64), members.reshape(n_masks, size)
     )
@@ -717,6 +707,12 @@ def _load_split(rd: _Reader) -> SplitIndex:
     n_total = int(n_pairs.sum())
     keys = rd.array("<u8", n_total).view(np.int64)
     counts = rd.array("<u8", n_total).view(np.int64)
+    # the queries bisect each table's keys, so they must ascend strictly
+    # within a table; a table's first key may be below its predecessor's last
+    ascending = keys[1:] > keys[:-1]
+    ascending[np.cumsum(n_pairs)[:-1] - 1] = True
+    if not ascending.all():
+        raise ValueError("corrupt index file: pair keys out of order or repeated within a table")
     codes = _codes("".join(entries)).reshape(size, length)
     return SplitIndex(
         length, lam, tau, z0, entries, codes, left, right,

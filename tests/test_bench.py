@@ -2,15 +2,19 @@ import json
 import random
 
 import jsonschema
+import numpy as np
 import pytest
 
+import pmdm.exact
 from pmdm import (
     Dictionary,
     GenConfig,
     InfeasibleThresholdError,
+    PmdmInstance,
     generate,
     mismatch_set,
     run_experiment,
+    solve_pmdm,
 )
 
 from support import t1
@@ -89,6 +93,11 @@ def test_run_experiment_basic_invariants():
     d = _small_clustered()
     report = run_experiment(d, ["bf", "ba", "gr3"], z=6, query_count=12, seed=4)
     assert report.schema == "pmdm-report/1"
+    # bf is solve_pmdm on the records the run samples as queries
+    picks = np.random.default_rng(4).integers(0, d.size, size=12)
+    assert [r.mask_size for r in report.records if r.algorithm == "bf"] == [
+        len(solve_pmdm(PmdmInstance(d, d[int(p)], 6))) for p in picks
+    ]
     bf = report.aggregates["bf"]
     assert bf.avg_relative_error in (0.0, None)
     for name in ("ba", "gr3"):
@@ -108,9 +117,18 @@ def test_run_experiment_deterministic_modulo_timing():
     ]
 
 
-def test_run_experiment_bf_budget_marks_skipped():
-    d = _small_clustered()
-    report = run_experiment(d, ["bf", "gr3"], z=290, query_count=3, seed=2, bf_budget=50)
+def test_run_experiment_bf_budget_marks_skipped(monkeypatch):
+    # above l = 20 the exact engine is the kept-set search, whose visit
+    # budget is the only reason bf skips a query
+    d = generate(
+        GenConfig(
+            size=300, length=24, alphabet_size=6, seed=21, mode="clustered",
+            centers=8, mutation_rate=0.12,
+        )
+    )
+    assert run_experiment(d, ["bf"], z=30, query_count=3, seed=2).aggregates["bf"].completed == 3
+    monkeypatch.setattr(pmdm.exact, "KEPT_SET_VISIT_BUDGET", 5)
+    report = run_experiment(d, ["bf", "gr3"], z=30, query_count=3, seed=2)
     bf_rows = [r for r in report.records if r.algorithm == "bf"]
     assert all(r.skipped and r.mask_size is None for r in bf_rows)
     assert report.aggregates["bf"].completed == 0

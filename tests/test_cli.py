@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 import pmdm.index
+from pmdm import GenConfig, generate
 from pmdm.cli import main
 
 from support import T1_ENTRIES
@@ -54,12 +55,35 @@ def test_solve_mixed_length_dictionary_exit_code(capsys, tmp_path):
 
 
 def test_capacity_guard_exit_code(capsys, t1_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("PMDM_TABLE_LIMIT", "2")
+    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 3)
     out = tmp_path / "idx.bin"
     code, _ = run_cli(
-        capsys, "index", "build", "--dict", t1_file, "--kind", "small", "--out", str(out)
+        capsys, "index", "build", "--dict", t1_file, "--kind", "split", "--tau", "1",
+        "--out", str(out),
     )
-    assert code == 3
+    assert code == 3 and not out.exists()
+
+
+@pytest.mark.parametrize("length", [4, 30])
+def test_small_index_query_prints_the_solve_answer(capsys, tmp_path, length):
+    # a small index is the dictionary itself, answered by solve_pmdm at
+    # every length: the table at l = 4, the kept-set search at l = 30
+    d = generate(
+        GenConfig(size=60, length=length, alphabet_size=3, seed=4, mode="clustered",
+                  centers=4, mutation_rate=0.2)
+    )
+    path = tmp_path / "d.txt"
+    d.save(path)
+    out = tmp_path / "small.bin"
+    code, _ = run_cli(capsys, "index", "build", "--dict", str(path), "--kind", "small", "--out", str(out))
+    assert code == 0
+    for query in (d[0], d[7]):
+        for z in (1, 12, 60):
+            code, indexed = run_json(capsys, "index", "query", "--index", str(out), "--query", query, "--z", str(z))
+            assert code == 0
+            code, solved = run_json(capsys, "solve", "--dict", str(path), "--query", query, "--z", str(z))
+            assert code == 0
+            assert indexed == {"found": True, **solved}
 
 
 def test_usage_error_exit_code(capsys, t1_file):

@@ -1,9 +1,4 @@
-"""Each demo script runs to completion against the checkout's sources.
-
-``06_greedy_benchmark.py`` is left out: it takes about 7 s, several times
-the rest of this file, and the greedy heuristics it times are covered by
-``test_heuristic.py`` and the acceptance suite.
-"""
+"""Each demo script runs to completion against the checkout's sources."""
 
 import os
 import subprocess
@@ -19,6 +14,7 @@ DEMOS = [
     "03_multi_query.py",
     "04_query_indexes.py",
     "05_reductions.py",
+    "06_greedy_benchmark.py",
 ]
 
 

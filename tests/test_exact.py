@@ -71,12 +71,6 @@ def test_bruteforce_trivial_cases():
     assert bruteforce_pmdm(PmdmInstance(d, "abab", 2)) == MaskSet()
 
 
-def test_bruteforce_budget_guard():
-    inst = PmdmInstance(Dictionary(["bbbbbbbbbb"]), "aaaaaaaaaa", 1)
-    with pytest.raises(CapacityError):
-        bruteforce_pmdm(inst, budget=100)
-
-
 def test_solver_agreement_randomized():
     rng = random.Random(52)
     for _ in range(120):

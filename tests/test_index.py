@@ -62,9 +62,12 @@ def test_small_ell_query_examples():
         small_ell_query(table, 6)
 
 
-def test_small_ell_capacity_guard():
-    with pytest.raises(CapacityError):
-        small_ell_build(t1(), "abab", table_limit=3)
+def test_small_ell_capacity_guard(monkeypatch):
+    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 3)
+    with pytest.raises(CapacityError, match="table limit 3"):
+        small_ell_build(t1(), "abab")
+    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 4)
+    assert small_ell_query(small_ell_build(t1(), "abab"), 4) == MaskSet([1, 2, 4])
 
 
 def test_simple_build_t1_contents():
@@ -408,15 +411,20 @@ def test_serialization_rejects_garbage(tmp_path):
         load_index(path)
 
 
-def test_split_capacity_and_parameter_guards():
-    with pytest.raises(CapacityError):
-        split_build(t1(), 1, table_limit=3)
+def test_split_capacity_and_parameter_guards(monkeypatch):
     with pytest.raises(ValueError):
         split_build(t1(), 0)
     with pytest.raises(ValueError):
         split_build(t1(), 6)
-    with pytest.raises(CapacityError):
-        simple_build(t1(), 2, 1, workspace_limit=10)
+    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 3)
+    with pytest.raises(CapacityError, match="table limit 3"):
+        split_build(t1(), 1)
+    # C(4, 2) masks of 5 entries: a workspace of 30
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 29)
+    with pytest.raises(CapacityError, match="exceeds limit 29"):
+        simple_build(t1(), 2, 1)
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 30)
+    assert simple_build(t1(), 2, 1).mask_size == 2
 
 
 def test_split_workspace_guard_counts_pairs_and_members(monkeypatch):

@@ -6,6 +6,8 @@ would index with must be refused when it is out of range.
 """
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,38 @@ def dictionary_file(declared: int | None = None, magic: bytes = b"PMDM2") -> byt
     return magic + struct.pack("<BII", 1, 1, 2) + _str("a\nb", declared)
 
 
+def built_split_file(entries: list[str]) -> bytes:
+    """The file ``save_index`` writes for the tau=1 split index of ``entries``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.bin"
+        save_index(path, split_build(Dictionary(entries), 1))
+        return path.read_bytes()
+
+
+def split_file_pairs_swapped() -> bytes:
+    """A 7-entry split file whose first pair table of two or more pairs
+    has its first two pairs, key and count alike, swapped: the same
+    counters, out of key order."""
+    entries = ["abc", "abd", "acc", "bbc", "abc", "cbd", "aca"]
+    idx = split_build(Dictionary(entries), 1)
+    raw = bytearray(built_split_file(entries))
+    n = len(idx.pair_keys)
+    first = int(idx.pair_starts[np.flatnonzero(np.diff(idx.pair_starts) >= 2)[0]])
+    # the file ends with all pair keys, then all pair counts, 8 bytes each
+    for array_start in (len(raw) - 16 * n, len(raw) - 8 * n):
+        at = array_start + 8 * first
+        raw[at:at + 16] = raw[at + 8:at + 16] + raw[at:at + 8]
+    return bytes(raw)
+
+
+def split_file_half_key_repeated() -> bytes:
+    """The split file of ["ab", "bb", "bb"] with the left half's key blob
+    "ab" (mask 0 keeps "a" and "b"; mask 1 keeps "") overwritten with "bb"."""
+    raw = built_split_file(["ab", "bb", "bb"])
+    assert raw.count(_str("ab")) == 1
+    return raw.replace(_str("ab"), _str("bb"))
+
+
 def test_crafted_split_file_matches_the_real_one(tmp_path):
     path = tmp_path / "real.bin"
     save_index(path, split_build(Dictionary(["a"]), 1))
@@ -124,6 +158,8 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
         pytest.param(split_file(pair_bits=(1, 0)), id="pair-masks-out-of-order"),
         pytest.param(split_file(pair_bits=(1, 1)), id="pair-masks-repeated"),
         pytest.param(split_file(n_pairs=0)[:-32], id="pair-table-empty"),
+        pytest.param(split_file_pairs_swapped(), id="pair-keys-out-of-order"),
+        pytest.param(split_file_half_key_repeated(), id="half-key-repeated"),
         pytest.param(simple_file(n=3), id="simple-count"),
         pytest.param(simple_file(n=1 << 61), id="simple-count-huge"),
         pytest.param(simple_file(mask_size=0), id="simple-mask-size"),
