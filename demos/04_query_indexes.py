@@ -50,5 +50,5 @@ for z in (2, 20, 120):
 mask = split_query(split, query, 20)
 print(f"half-split agrees with the full table; z=20 -> {list(mask.positions)}"
       f" (count {count_for_mask(split, query, mask)})")
-print("pair tables kept for", len(split.pair_bits), "of",
+print("pair counters kept:", len(split.pair_keys), "for",
       2 ** dictionary.length, "masks")

@@ -144,11 +144,16 @@ def _cmd_heuristic(args) -> int:
 
 def _cmd_mask(args) -> int:
     positions = json.loads(args.positions)
-    if not isinstance(positions, list):
-        raise ValueError("--positions expects a JSON array of 1-based positions")
+    if not isinstance(positions, list) or not all(_is_int(p) for p in positions):
+        raise ValueError("--positions expects a JSON array of 1-based integer positions")
     masked = mask_apply(args.query, MaskSet(positions))
     _emit({"masked": masked.render(args.wildcard)}, args.format)
     return 0
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, but not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _cmd_count(args) -> int:
@@ -186,8 +191,8 @@ def _cmd_index_query(args) -> int:
             return 0
         mask, matches = found
     elif isinstance(obj, SplitIndex):
-        counts = split_counts(obj, args.query)
         _check_threshold(args.z, obj.size, obj.min_threshold)
+        counts = split_counts(obj, args.query)
         mask = _best_in_table(counts >= args.z, counts, obj.length)
         matches = int(counts[mask.bits])
     else:
@@ -239,9 +244,26 @@ def _cmd_reduce_to_mu(args) -> int:
     return 0
 
 
+def _check_mu_payload(payload) -> None:
+    """Refuse JSON outside ``schemas/mu-instance.schema.json``; integral
+    floats such as 1.0, which draft-07 counts as integers, are refused too."""
+    if not isinstance(payload, dict) or not {"universe", "sets", "z"} <= payload.keys():
+        raise ValueError("MU instance must be an object with universe, sets and z")
+    if not _is_int(payload["universe"]) or payload["universe"] < 0:
+        raise ValueError("MU instance: universe must be an integer >= 0")
+    sets = payload["sets"]
+    if not isinstance(sets, list) or not all(
+        isinstance(s, list) and all(_is_int(e) and e >= 1 for e in s) for s in sets
+    ):
+        raise ValueError("MU instance: sets must be a list of lists of integers >= 1")
+    if not _is_int(payload["z"]) or payload["z"] < 1:
+        raise ValueError("MU instance: z must be an integer >= 1")
+
+
 def _cmd_reduce_from_mu(args) -> int:
     with open(args.mu, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    _check_mu_payload(payload)
     mu = MuInstance(payload["universe"], payload["sets"], payload["z"])
     inst = mu_to_pmdm(mu)
     inst.dictionary.save(args.out_dict)

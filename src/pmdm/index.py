@@ -11,15 +11,18 @@ Three structures, trading construction cost and space for query speed:
   points) keys beside one array of counts.  A query searches its C(length,
   k) keys in one pass and picks the highest count, ties going to the
   lexicographically smallest position list;
-* half-split tables: counts and member lists per masked half, plus exact
-  pair counters for the half patterns frequent on both sides; rare halves
-  fall back to scanning their short member lists.  A query computes the
-  count of all 2^l masks at once: 2 * 2^(l/2) dictionary lookups of the
-  query's half contents, one scan over the at most 2^(l/2) * max(tau, z0)
-  members of its rare halves, and one vectorized search of the pair
-  counters for the remaining masks; no step reads the whole dictionary.
+* half-split tables: per side, one sorted array of (half mask, masked
+  half) keys with their counts and member lists, plus one sorted array of
+  exact pair counters, keyed by the two halves' group ids, for the half
+  patterns frequent on both sides; rare halves fall back to scanning
+  their short member lists.  A query computes the count of all 2^l masks
+  at once: one search of each side's 2^(l/2) query keys, one scan over
+  the at most 2^(l/2) * max(tau, z0) members of its rare halves, and one
+  search of the pair counters with at most 2^l ascending keys; no step
+  reads the whole dictionary.
 
-All three agree with a plain linear scan on every mask they cover.
+All three agree with a plain linear scan on every mask they cover, and
+all sorted key arrays are read through the one helper ``_lookup``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ DEFAULT_WORKSPACE_LIMIT = 1 << 26
 _MAGIC = b"PMDM2"
 _KIND_DICTIONARY = 1
 _KIND_SIMPLE = 2
-_KIND_SPLIT = 3
+_KIND_SPLIT_RETIRED = 3
+_KIND_SPLIT = 4
 
 
 @dataclass(frozen=True)
@@ -126,24 +130,37 @@ def _combinations(length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _key_rows(ranks, codes: np.ndarray) -> np.ndarray:
-    """``SimpleIndex`` keys: each mask rank as a big-endian uint32, then a
-    row of kept code points."""
+    """``SimpleIndex`` and half keys: each mask rank as a big-endian uint32,
+    then a row of code points, so byte order sorts by mask first."""
     rows = np.empty((codes.shape[0], 1 + codes.shape[1]), dtype=np.uint32)
     rows[:, 0] = np.asarray(ranks, dtype=">u4").view(np.uint32)
     rows[:, 1:] = codes
-    return _void_view(rows)
+    return rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
 
 
-def _void_view(block: np.ndarray) -> np.ndarray:
-    block = np.ascontiguousarray(block)
-    return block.view(np.dtype((np.void, block.dtype.itemsize * block.shape[1]))).ravel()
+def _key_table(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's mask rank and its row of code points."""
+    rows = keys.view(np.uint32).reshape(len(keys), keys.dtype.itemsize // 4)
+    # a key's first uint32 holds its mask rank, big-endian
+    return rows[:, 0].astype(np.uint32).view(">u4").astype(np.int64), rows[:, 1:]
 
 
-def _decode_rows(void_rows: np.ndarray, width: int) -> list[str]:
-    if width == 0:
-        return [""] * len(void_rows)
-    text = void_rows.tobytes().decode("utf-32-le")
-    return [text[i * width : (i + 1) * width] for i in range(len(void_rows))]
+def _lookup(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Each wanted key's position in the sorted, repeat-free ``keys``, or -1
+    where it is absent: one search, fastest when ``wanted`` ascends."""
+    at = np.searchsorted(keys, wanted)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == wanted[hit]
+    return np.where(hit, at, -1)
+
+
+def _strictly_ascending(keys: np.ndarray) -> bool:
+    """Whether the void ``keys`` ascend in byte order without repeats."""
+    rows = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+    later, earlier = rows[1:], rows[:-1]
+    first = (later != earlier).argmax(axis=1)  # first differing byte
+    at = np.arange(len(first))
+    return bool((later[at, first] > earlier[at, first]).all())
 
 
 def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
@@ -174,12 +191,9 @@ def simple_counts(idx: SimpleIndex, q: str) -> np.ndarray:
     if len(q) != idx.length:
         raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
     _, kept = _combinations(idx.length, idx.mask_size)
-    wanted = _key_rows(np.arange(len(kept)), _codes(q)[kept])
-    at = np.searchsorted(idx.keys, wanted)
-    hit = at < len(idx.keys)
-    hit[hit] = idx.keys[at[hit]] == wanted[hit]
+    at = _lookup(idx.keys, _key_rows(np.arange(len(kept)), _codes(q)[kept]))
     out = np.zeros(len(kept), dtype=np.int64)
-    out[hit] = idx.counts[at[hit]]
+    out[at >= 0] = idx.counts[at[at >= 0]]
     return out
 
 
@@ -201,122 +215,93 @@ def simple_query(idx: SimpleIndex, q: str, z: int) -> tuple[MaskSet, int] | None
     return MaskSet.from_bits(int(bits[best])), int(counts[best])
 
 
-def _unmasked_columns(offset: int, width: int) -> list[list[int]]:
-    """For each half mask m, the string positions of the half that m keeps."""
-    return [[offset + j for j in range(width) if not m >> j & 1] for m in range(1 << width)]
+@lru_cache(maxsize=8)
+def _half_masks(width: int) -> np.ndarray:
+    """masked[m, j]: half mask m masks the half's position j."""
+    masked = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(bool)
+    masked.flags.writeable = False
+    return masked
 
 
 class _HalfMaps:
     """One side's grouping of the entries by their masked half.
 
     Under each half mask m (bit j masks position ``offset + j``), entries
-    with equal symbols on the kept ``columns[m]`` form a group.  Groups are
-    numbered mask by mask: mask m owns the ids ``group_base[m]`` up to
-    ``group_base[m + 1]``, and ``key_to_gid[m]`` maps a kept content to its
-    id within the mask.  ``counts[g]`` is group g's size.  ``members`` is a
+    with equal symbols on the positions m keeps form a group.  ``keys``
+    holds one key per group, sorted: m as a big-endian uint32, then the
+    half's code points with the masked ones set to 0, which is unambiguous
+    because m says which ones are masked.  A key's position in ``keys`` is
+    its group's id, so each mask's groups have consecutive ids, ascending
+    with the mask.  ``counts[g]`` is group g's size.  ``members`` is a
     (2^width, size) uint32 array whose row m lists every entry once, mask
     m's groups back to back, so group g's members are
-    ``members.ravel()[starts[g] : starts[g] + counts[g]]``.  Apart from the
-    derived ``group_base``, ``starts`` and ``columns``, this is one side of
-    the PMDM2 file.
+    ``members.ravel()[starts[g] : starts[g] + counts[g]]``.
     """
 
-    __slots__ = ("offset", "width", "key_to_gid", "counts", "members", "group_base", "starts", "columns")
+    __slots__ = ("offset", "width", "keys", "counts", "members", "starts")
 
-    def __init__(self, offset, width, key_to_gid, n_groups, counts, members):
+    def __init__(self, offset, width, keys, counts, members):
         self.offset = offset
         self.width = width
-        self.key_to_gid: list[dict[str, int]] = key_to_gid
+        self.keys: np.ndarray = keys
         self.counts: np.ndarray = counts
         self.members: np.ndarray = members
-        self.group_base = np.concatenate(([0], np.cumsum(n_groups, dtype=np.int64)))
         # every mask's groups partition the entries, so the running total of
         # the sizes reaches row m of ``members`` exactly at m * size
         self.starts = np.cumsum(counts) - counts
-        self.columns = _unmasked_columns(offset, width)
 
 
 def _build_half(codes: np.ndarray, offset: int, width: int) -> tuple[_HalfMaps, np.ndarray]:
-    """One side's maps, and each entry's group id within every half mask as a
+    """One side's maps, and each entry's group id under every half mask as a
     (2^width, size) array."""
     d = codes.shape[0]
-    key_to_gid, counts, members, inverses = [], [], [], []
-    for cols in _unmasked_columns(offset, width):
-        if cols:
-            void = _void_view(codes[:, cols])
-            uniq, inv, group_sizes = np.unique(void, return_inverse=True, return_counts=True)
-            keys = _decode_rows(uniq, len(cols))
-        else:
-            inv = np.zeros(d, dtype=np.int64)
-            group_sizes = np.array([d])
-            keys = [""]
-        key_to_gid.append(dict(zip(keys, range(len(keys)))))
-        counts.append(group_sizes)
+    half = codes[:, offset : offset + width]
+    keys, counts, members, inverses = [], [], [], []
+    for m, masked in enumerate(_half_masks(width)):
+        uniq, inv, sizes = np.unique(
+            _key_rows(np.full(d, m), np.where(masked, 0, half)), return_inverse=True, return_counts=True
+        )
+        keys.append(uniq)
+        counts.append(sizes)
         members.append(np.argsort(inv, kind="stable"))
         inverses.append(inv)
-    half = _HalfMaps(
-        offset,
-        width,
-        key_to_gid,
-        [len(group_sizes) for group_sizes in counts],
-        np.concatenate(counts).astype(np.int64),
+    gids = np.array(inverses, dtype=np.int64)
+    gids[1:] += np.cumsum([len(uniq) for uniq in keys[:-1]], dtype=np.int64)[:, None]
+    side = _HalfMaps(
+        offset, width, np.concatenate(keys), np.concatenate(counts).astype(np.int64),
         np.array(members, dtype=np.uint32),
     )
-    return half, np.array(inverses, dtype=np.int64)
+    return side, gids
 
 
+@dataclass(frozen=True, eq=False)
 class SplitIndex:
     """Half-split structure: per-half tables plus frequent-pair counters.
 
     The string is cut after ``half_split`` positions; a full mask ``bits``
     is the left half mask ``bits & (2^half_split - 1)`` and the right half
-    mask ``bits >> half_split``.  The pair counters of all full masks are
-    flat arrays: full mask ``pair_bits[i]`` owns the segment
-    ``pair_starts[i]`` to ``pair_starts[i + 1]`` of ``pair_keys`` (sorted
-    keys ``left gid * right groups of the mask + right gid``) and
-    ``pair_counts``, and ``pair_segment[bits]`` is that i, or -1 for a mask
-    without counters.  ``codes`` is the entries' (size, length) uint32
-    code-point matrix, which the rare-half scans read.
+    mask ``bits >> half_split``.  ``pair_keys`` holds, sorted, the key
+    ``left group id * len(right.keys) + right group id`` of every pair of
+    halves, both frequent, that some entry has under some full mask, and
+    ``pair_counts`` the number of such entries; a group id names its half
+    mask, so a key names its full mask too.  ``codes`` is the entries'
+    (size, length) uint32 code-point matrix, which the rare-half scans read.
 
-    A query (``split_counts``) costs 2 * 2^(l/2) dictionary lookups, one
-    scan over at most 2^(l/2) * max(tau, z0) members of rare halves, and
-    one vectorized search of the pair counters of at most 2^l masks.
+    A query (``split_counts``) costs one search of each side's 2^(l/2)
+    query keys, one scan over at most 2^(l/2) * max(tau, z0) members of
+    rare halves, and one search of at most 2^l ascending pair keys.
     """
 
-    __slots__ = (
-        "length",
-        "half_split",
-        "tau",
-        "min_threshold",
-        "entries",
-        "codes",
-        "left",
-        "right",
-        "pair_bits",
-        "pair_starts",
-        "pair_keys",
-        "pair_counts",
-        "pair_segment",
-    )
-
-    def __init__(
-        self, length, half_split, tau, min_threshold, entries, codes, left, right,
-        pair_bits, pair_sizes, pair_keys, pair_counts,
-    ):
-        self.length = length
-        self.half_split = half_split
-        self.tau = tau
-        self.min_threshold = min_threshold
-        self.entries = entries
-        self.codes: np.ndarray = codes
-        self.left: _HalfMaps = left
-        self.right: _HalfMaps = right
-        self.pair_bits: np.ndarray = pair_bits
-        self.pair_starts = np.concatenate(([0], np.cumsum(pair_sizes, dtype=np.int64)))
-        self.pair_keys: np.ndarray = pair_keys
-        self.pair_counts: np.ndarray = pair_counts
-        self.pair_segment = np.full(1 << length, -1, dtype=np.int32)
-        self.pair_segment[pair_bits] = np.arange(len(pair_bits))
+    length: int
+    half_split: int
+    tau: int
+    min_threshold: int
+    entries: tuple[str, ...]
+    codes: np.ndarray
+    left: _HalfMaps
+    right: _HalfMaps
+    pair_keys: np.ndarray
+    pair_counts: np.ndarray
 
     @property
     def size(self) -> int:
@@ -354,48 +339,42 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     lam = (length + 1) // 2
     members = ((1 << lam) + (1 << (length - lam))) * d
     _check_split_workspace(0, members)
-    left, inv_left = _build_half(dictionary.codes, 0, lam)
-    right, inv_right = _build_half(dictionary.codes, lam, length - lam)
+    left, gid_left = _build_half(dictionary.codes, 0, lam)
+    right, gid_right = _build_half(dictionary.codes, lam, length - lam)
     # frequent_*[m, e]: entry e's half under half mask m occurs >= tau times
-    frequent_left = left.counts[left.group_base[:-1, None] + inv_left] >= tau
-    frequent_right = right.counts[right.group_base[:-1, None] + inv_right] >= tau
+    frequent_left = left.counts[gid_left] >= tau
+    frequent_right = right.counts[gid_right] >= tau
     # the pair entries are the sum of frequent_left @ frequent_right.T,
     # which is the product of the two column sums
     _check_split_workspace(int(frequent_left.sum(axis=0) @ frequent_right.sum(axis=0)), members)
-    n_right = np.diff(right.group_base)
-    low = (1 << lam) - 1
-    bits, sizes, keys, counts = [], [], [], []
-    for full in range(1 << length):
-        m_l = full & low
-        m_r = full >> lam
-        frequent = frequent_left[m_l] & frequent_right[m_r]
-        if not frequent.any():
-            continue
-        combined = inv_left[m_l][frequent] * n_right[m_r] + inv_right[m_r][frequent]
-        pair_keys, pair_counts = np.unique(combined, return_counts=True)
-        bits.append(full)
-        sizes.append(len(pair_keys))
+    # a side of width w has at most 2^w * d groups, so the members guard
+    # keeps len(left.keys) + len(right.keys) <= 2^26 and every key < 2^50
+    n_right = len(right.keys)
+    keys, counts = [], []
+    for m_l in range(1 << lam):
+        # all right half masks at once; m_l's group ids lie above those of
+        # every earlier left mask, so the keys come out sorted
+        frequent = frequent_left[m_l] & frequent_right
+        pairs = np.broadcast_to(gid_left[m_l] * n_right, frequent.shape)[frequent] + gid_right[frequent]
+        pair_keys, pair_counts = np.unique(pairs, return_counts=True)
         keys.append(pair_keys)
         counts.append(pair_counts)
     return SplitIndex(
         length, lam, tau, z0, dictionary.entries, dictionary.codes, left, right,
-        np.array(bits, dtype=np.int64), np.array(sizes, dtype=np.int64),
-        _cat(keys), _cat(counts),
+        np.concatenate(keys), np.concatenate(counts),
     )
 
 
-def _half_lookup(side: _HalfMaps, q: str, rare_below: int) -> tuple[np.ndarray, ...]:
-    """Per half mask: the query's group id within the mask (-1 when no entry
-    has that content), its global group id, and whether it is rare (present
-    with fewer than ``rare_below`` members) or frequent."""
-    gid = np.array(
-        [table.get("".join([q[c] for c in cols]), -1) for table, cols in zip(side.key_to_gid, side.columns)],
-        dtype=np.int64,
-    )
+def _half_lookup(side: _HalfMaps, q_codes: np.ndarray, rare_below: int) -> tuple[np.ndarray, ...]:
+    """Per half mask: the group id of the query's masked half (-1 when no
+    entry has it), and whether that group is rare (fewer than
+    ``rare_below`` members) or frequent."""
+    masked = _half_masks(side.width)
+    half = q_codes[side.offset : side.offset + side.width]
+    gid = _lookup(side.keys, _key_rows(np.arange(len(masked)), np.where(masked, 0, half)))
     present = gid >= 0
-    group = side.group_base[:-1] + np.maximum(gid, 0)
-    rare = present & (side.counts[group] < rare_below)
-    return gid, group, rare, present & ~rare
+    rare = present & (side.counts[gid] < rare_below)
+    return gid, rare, present & ~rare
 
 
 def _scan_groups(
@@ -417,30 +396,6 @@ def _scan_groups(
     return table.reshape(len(groups), 1 << other.width)
 
 
-def _stored_pair_counts(idx: SplitIndex, bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """The pair counter of each (full mask, pair key), 0 where none is
-    stored: a lower-bound bisection run inside every mask's key segment at
-    once, so no composite key can overflow."""
-    out = np.zeros(len(bits), dtype=np.int64)
-    seg = idx.pair_segment[bits]
-    hit = np.flatnonzero(seg >= 0)
-    seg, keys = seg[hit], keys[hit]
-    lo = idx.pair_starts[seg]
-    end = idx.pair_starts[seg + 1]
-    n = end - lo
-    last = len(idx.pair_keys) - 1
-    while n.any():
-        half = n >> 1
-        mid = lo + half
-        below = (n > 0) & (idx.pair_keys[np.minimum(mid, last)] < keys)
-        lo = np.where(below, mid + 1, lo)
-        n = np.where(below, n - half - 1, half)
-    at = np.minimum(lo, last)
-    found = (lo < end) & (idx.pair_keys[at] == keys)
-    out[hit[found]] = idx.pair_counts[at[found]]
-    return out
-
-
 def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
     """counts[bits] = entries matched by ``q`` masked at ``bits``, for every
     mask below 2^length, exactly.
@@ -457,25 +412,26 @@ def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
         raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
     left, right = idx.left, idx.right
     rare_below = max(idx.tau, idx.min_threshold)
-    gid_l, group_l, rare_l, frequent_l = _half_lookup(left, q, rare_below)
-    gid_r, group_r, rare_r, frequent_r = _half_lookup(right, q, rare_below)
     q_codes = _codes(q)
+    gid_l, rare_l, frequent_l = _half_lookup(left, q_codes, rare_below)
+    gid_r, rare_r, frequent_r = _half_lookup(right, q_codes, rare_below)
     out = np.zeros(1 << idx.length, dtype=np.int64)
     grid = out.reshape(1 << right.width, 1 << left.width)  # grid[m_r, m_l] is out[bits]
     cols_l = np.flatnonzero(rare_l)
     if cols_l.size:
-        grid[:, cols_l] = _scan_groups(left, group_l[cols_l], right, idx.codes, q_codes).T
+        grid[:, cols_l] = _scan_groups(left, gid_l[cols_l], right, idx.codes, q_codes).T
     rows_r = np.flatnonzero(rare_r)
     cols_f = np.flatnonzero(frequent_l)
     if rows_r.size and cols_f.size:
-        scanned = _scan_groups(right, group_r[rows_r], left, idx.codes, q_codes)
+        scanned = _scan_groups(right, gid_r[rows_r], left, idx.codes, q_codes)
         grid[np.ix_(rows_r, cols_f)] = scanned[:, cols_f]
     rows_f = np.flatnonzero(frequent_r)
     if rows_f.size and cols_f.size:
-        n_right = np.diff(right.group_base)[rows_f, None]
-        bits = (rows_f[:, None] << left.width | cols_f).ravel()
-        keys = (gid_l[cols_f] * n_right + gid_r[rows_f, None]).ravel()
-        out[bits] = _stored_pair_counts(idx, bits, keys)
+        # left mask outer, right mask inner: group ids ascend with their
+        # half masks, so the keys ascend and the search reads pair_keys in order
+        at = _lookup(idx.pair_keys, (gid_l[cols_f, None] * len(right.keys) + gid_r[rows_f]).ravel())
+        c, r = np.divmod(np.flatnonzero(at >= 0), len(rows_f))
+        grid[rows_f[r], cols_f[c]] = idx.pair_counts[at[at >= 0]]
     return out
 
 
@@ -491,8 +447,8 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
     """Fewest-position mask with exact count >= ``z``; ties go to the most
     matches, then to the lexicographically smallest position list, as in
     ``solve_pmdm``."""
-    counts = split_counts(idx, q)
     _check_threshold(z, idx.size, idx.min_threshold)
+    counts = split_counts(idx, q)
     return _best_in_table(counts >= z, counts, idx.length)
 
 
@@ -502,19 +458,21 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
 # keys as one UTF-8 blob (u8 byte count, then the keys back to back, each
 # exactly as long as its mask leaves unmasked):
 #
-# * dictionary: length u4, size u4, then the entries joined by "\n" as a blob;
-# * simple: length u4, mask_size u4, z0 u4, n u8, then bits u8[n],
+# * dictionary (kind 1): length u4, size u4, then the entries joined by
+#   "\n" as a blob;
+# * simple (kind 2): length u4, mask_size u4, z0 u4, n u8, then bits u8[n],
 #   counts u8[n] and the keys, length - mask_size characters each; items in
 #   the byte order of the in-memory keys (mask rank, then code points);
-# * split: length u4, half_split u1, tau u4, z0 u4, size u4 and the entries
-#   as for a dictionary; then per side of width w: groups per mask u4[2^w],
-#   group sizes u8[total groups], members u4[size * 2^w] (each mask's groups
-#   back to back) and the keys, where mask m contributes
-#   groups[m] * (w - popcount m) characters; then the pair tables: n u4,
-#   bits u8[n], pairs per table u8[n], all pair keys u8[], all counts u8[].
+# * split (kind 4): length u4, half_split u1, tau u4, z0 u4, size u4 and
+#   the entries as for a dictionary; then per side of width w: groups per
+#   mask u4[2^w], group sizes u8[total groups], members u4[size * 2^w]
+#   (each mask's groups back to back) and the keys in group id order, where
+#   a group of mask m contributes the w - popcount(m) characters m keeps;
+#   then the pair counters: n u8, keys u8[n], counts u8[n], as in memory.
 #
-# Files of the older one-field-per-item layout (magic "PMDM1") are refused
-# and must be rebuilt.
+# Files of the older one-field-per-item layout (magic "PMDM1") and split
+# files of kind 3, which stored the pair counters per full mask, are
+# refused and must be rebuilt.
 
 
 def _w(fh, fmt: str, *values) -> None:
@@ -529,10 +487,6 @@ def _w_str(fh, s: str) -> None:
     raw = s.encode("utf-8")
     _w(fh, "Q", len(raw))
     fh.write(raw)
-
-
-def _cat(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
 
 
 class _Reader:
@@ -569,22 +523,6 @@ class _Reader:
         (n,) = self.fields("Q")
         return self.read(n).decode("utf-8")
 
-    def keys(self, n_keys: np.ndarray, widths: np.ndarray) -> list[list[str]]:
-        """A key blob cut into ``n_keys[i]`` keys of ``widths[i]`` characters."""
-        text = self.string()
-        if len(text) != int(np.dot(n_keys.astype(np.int64), widths)):
-            raise ValueError("corrupt index file: key blob length disagrees with its key counts")
-        out: list[list[str]] = []
-        pos = 0
-        for n, width in zip(n_keys.tolist(), widths.tolist()):
-            end = pos + n * width
-            if width:
-                out.append([text[i : i + width] for i in range(pos, end, width)])
-            else:
-                out.append([""] * n)
-            pos = end
-        return out
-
 
 _STRUCTS = {fmt: struct.Struct("<" + fmt) for fmt in ("B", "I", "II", "Q", "IIIQ", "IBII")}
 
@@ -598,26 +536,25 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
             _w_str(fh, "\n".join(obj.entries))
         elif isinstance(obj, SimpleIndex):
             bits, _ = _combinations(obj.length, obj.mask_size)
-            rows = obj.keys.view(np.uint32).reshape(len(obj.keys), 1 + obj.length - obj.mask_size)
+            ranks, codes = _key_table(obj.keys)
             _w(fh, "B", _KIND_SIMPLE)
-            _w(fh, "IIIQ", obj.length, obj.mask_size, obj.min_threshold, len(rows))
-            # a key's first uint32 holds its mask rank, big-endian
-            _w_array(fh, bits[rows[:, 0].astype(np.uint32).view(">u4")], "<u8")
+            _w(fh, "IIIQ", obj.length, obj.mask_size, obj.min_threshold, len(ranks))
+            _w_array(fh, bits[ranks], "<u8")
             _w_array(fh, obj.counts, "<u8")
-            _w_str(fh, rows[:, 1:].astype("<u4").tobytes().decode("utf-32-le"))
+            _w_str(fh, codes.astype("<u4").tobytes().decode("utf-32-le"))
         elif isinstance(obj, SplitIndex):
             _w(fh, "B", _KIND_SPLIT)
             _w(fh, "IBII", obj.length, obj.half_split, obj.tau, obj.min_threshold)
             _w(fh, "I", len(obj.entries))
             _w_str(fh, "\n".join(obj.entries))
             for side in (obj.left, obj.right):
-                _w_array(fh, np.diff(side.group_base), "<u4")
+                ranks, codes = _key_table(side.keys)
+                _w_array(fh, np.bincount(ranks, minlength=1 << side.width), "<u4")
                 _w_array(fh, side.counts, "<u8")
                 _w_array(fh, side.members, "<u4")
-                _w_str(fh, "".join(key for keys in side.key_to_gid for key in keys))
-            _w(fh, "I", len(obj.pair_bits))
-            _w_array(fh, obj.pair_bits, "<u8")
-            _w_array(fh, np.diff(obj.pair_starts), "<u8")
+                kept = ~_half_masks(side.width)[ranks]
+                _w_str(fh, codes[kept].astype("<u4").tobytes().decode("utf-32-le"))
+            _w(fh, "Q", len(obj.pair_keys))
             _w_array(fh, obj.pair_keys, "<u8")
             _w_array(fh, obj.pair_counts, "<u8")
         else:
@@ -653,36 +590,37 @@ def _load_simple(rd: _Reader) -> SimpleIndex:
             f"corrupt index file: an item's mask is not {mask_size} of the {length} positions"
         )
     keys = _key_rows(rank, _codes(text).reshape(n, width))
-    rows = keys.view(np.uint8).reshape(n, keys.dtype.itemsize)
-    later, earlier = rows[1:], rows[:-1]
-    first = (later != earlier).argmax(axis=1)  # first differing byte
-    at = np.arange(len(first))
-    if not (later[at, first] > earlier[at, first]).all():
+    if not _strictly_ascending(keys):
         raise ValueError("corrupt index file: simple index items out of order or repeated")
     return SimpleIndex(length, mask_size, z0, keys, counts.astype(np.int64))
 
 
 def _load_half(rd: _Reader, offset: int, width: int, size: int) -> _HalfMaps:
-    n_masks = 1 << width
-    n_groups = rd.array("<u4", n_masks)
+    masked = _half_masks(width)
+    n_groups = rd.array("<u4", len(masked))
     sizes = rd.array("<u8", int(n_groups.sum()))
-    members = rd.array("<u4", size * n_masks)
+    members = rd.array("<u4", size * len(masked))
     ends = np.cumsum(n_groups, dtype=np.int64)
     if (
         not n_groups.all()
+        or not sizes.all()
         or (sizes > size).any()
         or (np.add.reduceat(sizes, ends - n_groups) != size).any()
     ):
         raise ValueError("corrupt index file: group sizes do not add up to the dictionary size")
     if (members >= size).any():
         raise ValueError("corrupt index file: member id out of range")
-    keys = rd.keys(n_groups, width - np.bitwise_count(np.arange(n_masks)))
-    key_to_gid = [dict(zip(mask_keys, range(len(mask_keys)))) for mask_keys in keys]
-    if any(len(table) != len(mask_keys) for table, mask_keys in zip(key_to_gid, keys)):
-        raise ValueError("corrupt index file: a half key repeated within one mask")
-    return _HalfMaps(
-        offset, width, key_to_gid, n_groups, sizes.astype(np.int64), members.reshape(n_masks, size)
-    )
+    ranks = np.repeat(np.arange(len(masked)), n_groups)
+    kept = ~masked[ranks]
+    text = rd.string()
+    if len(text) != np.count_nonzero(kept):
+        raise ValueError("corrupt index file: key blob length disagrees with its key counts")
+    codes = np.zeros(kept.shape, dtype=np.uint32)
+    codes[kept] = _codes(text)
+    keys = _key_rows(ranks, codes)
+    if not _strictly_ascending(keys):
+        raise ValueError("corrupt index file: half keys of one mask out of order or repeated")
+    return _HalfMaps(offset, width, keys, sizes.astype(np.int64), members.reshape(len(masked), size))
 
 
 def _load_split(rd: _Reader) -> SplitIndex:
@@ -692,31 +630,23 @@ def _load_split(rd: _Reader) -> SplitIndex:
         raise ValueError("corrupt index file: header field out of range")
     if length > DEFAULT_TABLE_LIMIT:
         raise CapacityError(f"length {length} exceeds the table limit {DEFAULT_TABLE_LIMIT}")
+    # the build's guard, which also keeps every pair key below 2^50
+    _check_split_workspace(0, ((1 << lam) + (1 << (length - lam))) * size)
     entries = tuple(rd.string().split("\n"))
     if len(entries) != size or any(len(entry) != length for entry in entries):
         raise ValueError("index header disagrees with payload")
     left = _load_half(rd, 0, lam, size)
     right = _load_half(rd, lam, length - lam, size)
-    (n_tables,) = rd.fields("I")
-    bits = rd.array("<u8", n_tables)
-    n_pairs = rd.array("<u8", n_tables)
-    if (bits >= 1 << length).any() or (bits[1:] <= bits[:-1]).any():
-        raise ValueError("corrupt index file: pair table masks out of range or out of order")
-    if (n_pairs > size).any() or not n_pairs.all():
-        raise ValueError("corrupt index file: pair table empty or with more pairs than entries")
-    n_total = int(n_pairs.sum())
-    keys = rd.array("<u8", n_total).view(np.int64)
-    counts = rd.array("<u8", n_total).view(np.int64)
-    # the queries bisect each table's keys, so they must ascend strictly
-    # within a table; a table's first key may be below its predecessor's last
-    ascending = keys[1:] > keys[:-1]
-    ascending[np.cumsum(n_pairs)[:-1] - 1] = True
-    if not ascending.all():
-        raise ValueError("corrupt index file: pair keys out of order or repeated within a table")
+    (n,) = rd.fields("Q")
+    keys = rd.array("<u8", n)
+    counts = rd.array("<u8", n)
+    if (keys >= len(left.keys) * len(right.keys)).any():
+        raise ValueError("corrupt index file: pair key out of range")
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError("corrupt index file: pair keys out of order or repeated")
     codes = _codes("".join(entries)).reshape(size, length)
     return SplitIndex(
-        length, lam, tau, z0, entries, codes, left, right,
-        bits.astype(np.int64), n_pairs.astype(np.int64), keys, counts,
+        length, lam, tau, z0, entries, codes, left, right, keys.view(np.int64), counts.view(np.int64)
     )
 
 
@@ -738,6 +668,10 @@ def load_index(path) -> Dictionary | SimpleIndex | SplitIndex:
     if magic != _MAGIC:
         raise ValueError("not an index file (bad magic)")
     (kind,) = rd.fields("B")
+    if kind == _KIND_SPLIT_RETIRED:
+        raise ValueError(
+            "split index file has the retired per-mask pair layout; rebuild it with `pmdm index build`"
+        )
     if kind not in _LOADERS:
         raise ValueError(f"unknown index kind {kind}")
     obj = _LOADERS[kind](rd)

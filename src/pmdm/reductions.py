@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import CapacityError, Dictionary, MaskSet
+from .core import MAX_LENGTH, CapacityError, Dictionary, MaskSet
 from .exact import PmdmInstance
 
 
@@ -96,6 +96,9 @@ def clique_to_pmdm(graph: Graph, k: int) -> PmdmInstance:
     if not graph.edges:
         raise ValueError("graph has no edges; the derived dictionary would be empty")
     n = graph.node_count
+    if n > MAX_LENGTH:
+        # refused before any of the per-edge strings of n characters exists
+        raise CapacityError(f"{n} nodes exceed the supported string length {MAX_LENGTH}")
     entries = []
     for u, v in sorted(graph.edges):
         entries.append("a" * (u - 1) + "b" + "a" * (v - u - 1) + "b" + "a" * (n - v))

@@ -105,6 +105,12 @@ def test_mask_count_round_trip(capsys, t1_file):
     assert code == 0 and counted["matches"] == solved["matches"]
 
 
+@pytest.mark.parametrize("positions", ["[1.5]", "[true]", '["1"]'])
+def test_mask_refuses_positions_that_are_not_json_integers(capsys, positions):
+    code, out = run_cli(capsys, "mask", "--query", "abab", "--positions", positions)
+    assert code == 2 and out == ""
+
+
 def test_greedy_and_baseline_outputs(capsys, t1_file):
     schema = load_schema("solve-result.schema.json")
     code, data = run_json(
@@ -305,6 +311,32 @@ def test_reduce_mu_round_trip(capsys, t1_file, tmp_path):
         capsys, "solve", "--dict", t1_file, "--query", "abab", "--z", "2"
     )
     assert code == 0 and code2 == 0 and solved["k"] == original["k"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"universe": 3, "sets": 5, "z": 1},
+        {"universe": "3", "sets": [[1]], "z": 1},
+        {"universe": True, "sets": [[1]], "z": 1},
+        {"universe": 3, "sets": [1], "z": 1},
+        {"universe": 3, "sets": [[1.5]], "z": 1},
+        {"universe": 3, "sets": [[True]], "z": 1},
+        {"universe": 3, "sets": [[1]], "z": True},
+    ],
+    ids=["array", "sets-int", "universe-str", "universe-bool", "set-int", "element-float",
+         "element-bool", "z-bool"],
+)
+def test_reduce_from_mu_refuses_payloads_outside_the_schema(capsys, tmp_path, payload):
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(payload, load_schema("mu-instance.schema.json"))
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code = main(["reduce", "from-mu", "--mu", str(mu_path), "--out-dict", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 def test_bench_gen_and_run(capsys, tmp_path):

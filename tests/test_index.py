@@ -25,6 +25,8 @@ from pmdm import (
     split_counts,
     split_query,
 )
+from pmdm.core import _codes
+from pmdm.index import _key_rows, _lookup
 
 from support import (
     combination_bits,
@@ -34,6 +36,12 @@ from support import (
     reference_simple_query,
     t1,
 )
+
+
+def half_group(side, m: int, half: str) -> int:
+    """The id of ``side``'s group of half mask m whose half reads ``half``,
+    masked symbols written as NUL, or -1."""
+    return int(_lookup(side.keys, _key_rows([m], _codes(half)[None, :]))[0])
 
 
 def test_small_ell_table_values():
@@ -174,7 +182,7 @@ def test_split_tau_d_and_intermediate_agree_with_oracle():
 def test_split_example_mask_1_3():
     idx = split_build(t1(), 2)
     # left halves masked at {1}: ?b occurs 4 times (frequent at tau = 2)
-    gid = idx.left.group_base[0b01] + idx.left.key_to_gid[0b01]["b"]
+    gid = half_group(idx.left, 0b01, "\0b")
     assert int(idx.left.counts[gid]) == 4
     count = count_for_mask(idx, "abab", MaskSet([1, 3]))
     assert count == oracle_count(t1(), "abab", 0b0101) == 3
@@ -303,7 +311,7 @@ def test_split_counts_scan_halves_below_z0():
     # fewer than 4 times is answered by scanning its members
     d = t1()
     idx = split_build(d, 1, z0=4)
-    gid = idx.left.group_base[0] + idx.left.key_to_gid[0]["ab"]
+    gid = half_group(idx.left, 0, "ab")
     assert 1 <= idx.left.counts[gid] < 4
     for q in ("abab", "bbbb", "abzz", "zzzz"):
         expected = oracle_counts_all_masks(d, q)
@@ -312,8 +320,9 @@ def test_split_counts_scan_halves_below_z0():
 
 
 def test_split_pair_key_past_its_segment_is_not_found():
-    # here some query pair key is larger than every key stored for its
-    # mask and equal to the first key stored for the next mask
+    # with pair keys numbered per full mask, some query pair key here is
+    # larger than every key stored for its mask and equal to the first key
+    # stored for the next mask; a lookup must not take one for the other
     d = Dictionary(["aaaba", "baabb", "bbbba", "baabb", "bbbaa", "bbaab", "bbbba"])
     idx = split_build(d, 2)
     assert (split_counts(idx, "bbbab") == oracle_counts_all_masks(d, "bbbab")).all()
@@ -321,6 +330,7 @@ def test_split_pair_key_past_its_segment_is_not_found():
 
 def test_split_wrong_length_query_fails_before_any_work(monkeypatch):
     idx = split_build(t1(), 2)
+    pruned = split_build(t1(), 2, z0=3)
 
     def no_work(*args):
         raise AssertionError("looked up a query of the wrong length")
@@ -333,6 +343,12 @@ def test_split_wrong_length_query_fails_before_any_work(monkeypatch):
             split_query(idx, q, 2)
         with pytest.raises(ValueError, match="query length"):
             count_for_mask(idx, q, 0)
+    # so does a threshold the index cannot answer
+    for z in (0, 2):
+        with pytest.raises(ValueError, match="minimum supported threshold 3"):
+            split_query(pruned, "abab", z)
+    with pytest.raises(InfeasibleThresholdError):
+        split_query(idx, "abab", 6)
 
 
 def test_serialization_round_trips(tmp_path):
@@ -390,11 +406,9 @@ def test_serialization_round_trips_randomized(tmp_path):
             sidx.half_split, sidx.tau, sidx.min_threshold
         )
         for side, stored in ((sidx.left, loaded.left), (sidx.right, loaded.right)):
-            assert [list(keys) for keys in stored.key_to_gid] == [list(keys) for keys in side.key_to_gid]
-            assert stored.key_to_gid == side.key_to_gid
-            for name in ("group_base", "counts", "members", "starts"):
+            for name in ("keys", "counts", "members", "starts"):
                 assert np.array_equal(getattr(stored, name), getattr(side, name)), name
-        for name in ("pair_bits", "pair_starts", "pair_keys", "pair_counts", "pair_segment", "codes"):
+        for name in ("pair_keys", "pair_counts", "codes"):
             assert np.array_equal(getattr(loaded, name), getattr(sidx, name)), name
         q = d[rng.randrange(d.size)]
         assert (split_counts(loaded, q) == split_counts(sidx, q)).all()

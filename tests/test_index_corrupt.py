@@ -48,22 +48,23 @@ def split_file(
     group_size: int = 1,
     member: int = 0,
     key: str = "a",
-    n_pairs: int = 1,
-    pair_bits: tuple[int, int] = (0, 1),
+    n_pairs: int = 2,
+    pair_keys: tuple[int, int] = (0, 1),
     length: int = 1,
+    kind: int = 4,
 ) -> bytes:
     """The split index of the one-entry dictionary ["a"] with tau=1, written
-    array by array, with the header's length, tau and half split, the left
-    side's first group count, first group size, first member id and key
-    blob, every pair count and the pair tables' masks replaceable."""
-    out = b"PMDM2" + struct.pack("<BIBII", 3, length, half_split, tau, 1)
+    array by array, with the kind byte, the header's length, tau and half
+    split, the left side's first group count, first group size, first
+    member id and key blob, the pair count and the pair keys replaceable."""
+    out = b"PMDM2" + struct.pack("<BIBII", kind, length, half_split, tau, 1)
     out += struct.pack("<I", 1) + _str("a")
-    # left half, width 1: mask 0 keeps "a", mask 1 keeps ""
+    # left half, width 1: mask 0 keeps "a" (group 0), mask 1 keeps "" (group 1)
     out += _u4(n_groups, 1) + _u8(group_size, 1) + _u4(member, 0) + _str(key)
-    # right half, width 0: one mask, one empty key
+    # right half, width 0: one mask, one empty key (group 0)
     out += _u4(1) + _u8(1) + _u4(0) + _str("")
-    # pair tables for the full masks 0 and 1
-    out += struct.pack("<I", 2) + _u8(*pair_bits) + _u8(n_pairs, n_pairs) + _u8(0, 0) + _u8(1, 1)
+    # pair counters: key left group * 1 right group + right group, count 1
+    out += _u8(n_pairs, *pair_keys) + _u8(1, 1)
     return out
 
 
@@ -94,17 +95,13 @@ def built_split_file(entries: list[str]) -> bytes:
 
 
 def split_file_pairs_swapped() -> bytes:
-    """A 7-entry split file whose first pair table of two or more pairs
-    has its first two pairs, key and count alike, swapped: the same
-    counters, out of key order."""
+    """A 7-entry split file whose first two pair counters, key and count
+    alike, are swapped: the same counters, out of key order."""
     entries = ["abc", "abd", "acc", "bbc", "abc", "cbd", "aca"]
-    idx = split_build(Dictionary(entries), 1)
+    n = len(split_build(Dictionary(entries), 1).pair_keys)
     raw = bytearray(built_split_file(entries))
-    n = len(idx.pair_keys)
-    first = int(idx.pair_starts[np.flatnonzero(np.diff(idx.pair_starts) >= 2)[0]])
     # the file ends with all pair keys, then all pair counts, 8 bytes each
-    for array_start in (len(raw) - 16 * n, len(raw) - 8 * n):
-        at = array_start + 8 * first
+    for at in (len(raw) - 16 * n, len(raw) - 8 * n):
         raw[at:at + 16] = raw[at + 8:at + 16] + raw[at:at + 8]
     return bytes(raw)
 
@@ -154,10 +151,8 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
         pytest.param(split_file(tau=2), id="tau-out-of-range"),
         pytest.param(split_file(half_split=0), id="half-split"),
         pytest.param(split_file() + b"\0", id="trailing-bytes"),
-        pytest.param(split_file(pair_bits=(0, 2)), id="pair-mask-out-of-range"),
-        pytest.param(split_file(pair_bits=(1, 0)), id="pair-masks-out-of-order"),
-        pytest.param(split_file(pair_bits=(1, 1)), id="pair-masks-repeated"),
-        pytest.param(split_file(n_pairs=0)[:-32], id="pair-table-empty"),
+        pytest.param(split_file(pair_keys=(0, 2)), id="pair-key-out-of-range"),
+        pytest.param(split_file(pair_keys=(1, 1)), id="pair-keys-repeated"),
         pytest.param(split_file_pairs_swapped(), id="pair-keys-out-of-order"),
         pytest.param(split_file_half_key_repeated(), id="half-key-repeated"),
         pytest.param(simple_file(n=3), id="simple-count"),
@@ -214,6 +209,18 @@ def test_old_format_asks_for_a_rebuild(tmp_path):
     path.write_bytes(dictionary_file(magic=b"PMDM1"))
     with pytest.raises(ValueError, match="rebuild"):
         load_index(path)
+
+
+def test_split_file_of_the_per_mask_pair_layout_asks_for_a_rebuild(tmp_path, capsys):
+    # kind 3 held the pair counters per full mask; the kind byte alone decides
+    path = tmp_path / "old-split.bin"
+    path.write_bytes(split_file(kind=3))
+    with pytest.raises(ValueError, match="rebuild it with `pmdm index build`"):
+        load_index(path)
+    code = main(["index", "query", "--index", str(path), "--query", "a", "--z", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rebuild" in captured.err
 
 
 def test_intact_crafted_dictionary_file_loads(tmp_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pmdm.reductions
 from pmdm import (
     CapacityError,
     Dictionary,
@@ -17,6 +18,7 @@ from pmdm import (
     mu_to_pmdm,
     pmdm_to_mu,
 )
+from pmdm.cli import main
 
 from support import has_clique, random_graph, random_instance, t1
 
@@ -57,6 +59,20 @@ def test_clique_guards():
         Graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph(2, [(1, 3)])
+
+
+def test_clique_graph_wider_than_the_length_limit_is_refused_before_any_entry(monkeypatch, capsys, tmp_path):
+    def no_dictionary(*args):
+        raise AssertionError("entries built for a graph wider than the length limit")
+
+    monkeypatch.setattr(pmdm.reductions, "Dictionary", no_dictionary)
+    with pytest.raises(CapacityError, match="65 nodes"):
+        clique_to_pmdm(Graph(65, [(1, 2), (64, 65)]), 2)
+    graph = tmp_path / "wide.txt"
+    graph.write_text("20000000\n1 2\n3 4\n", encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["reduce", "clique", "--graph", str(graph), "--k", "2", "--out-dict", str(out)]) == 3
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 def test_clique_equivalence_randomized():
