@@ -36,7 +36,7 @@ from .index import (
     split_build,
     split_counts,
 )
-from .reductions import Graph, MuInstance, clique_to_pmdm, mu_to_pmdm, pmdm_to_mu
+from .reductions import Graph, MuInstance, _is_integer, clique_to_pmdm, mu_to_pmdm, pmdm_to_mu
 
 
 def _note(args, message: str) -> None:
@@ -144,16 +144,11 @@ def _cmd_heuristic(args) -> int:
 
 def _cmd_mask(args) -> int:
     positions = json.loads(args.positions)
-    if not isinstance(positions, list) or not all(_is_int(p) for p in positions):
+    if not isinstance(positions, list) or not all(_is_integer(p) for p in positions):
         raise ValueError("--positions expects a JSON array of 1-based integer positions")
     masked = mask_apply(args.query, MaskSet(positions))
     _emit({"masked": masked.render(args.wildcard)}, args.format)
     return 0
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` subclass, but not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _cmd_count(args) -> int:
@@ -249,14 +244,14 @@ def _check_mu_payload(payload) -> None:
     floats such as 1.0, which draft-07 counts as integers, are refused too."""
     if not isinstance(payload, dict) or not {"universe", "sets", "z"} <= payload.keys():
         raise ValueError("MU instance must be an object with universe, sets and z")
-    if not _is_int(payload["universe"]) or payload["universe"] < 0:
+    if not _is_integer(payload["universe"]) or payload["universe"] < 0:
         raise ValueError("MU instance: universe must be an integer >= 0")
     sets = payload["sets"]
     if not isinstance(sets, list) or not all(
-        isinstance(s, list) and all(_is_int(e) and e >= 1 for e in s) for s in sets
+        isinstance(s, list) and all(_is_integer(e) and e >= 1 for e in s) for s in sets
     ):
         raise ValueError("MU instance: sets must be a list of lists of integers >= 1")
-    if not _is_int(payload["z"]) or payload["z"] < 1:
+    if not _is_integer(payload["z"]) or payload["z"] < 1:
         raise ValueError("MU instance: z must be an integer >= 1")
 
 

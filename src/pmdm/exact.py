@@ -55,10 +55,11 @@ from .hypergraph import build_hypergraph, heaviest_k_section_bruteforce
 from .hypergraph import heaviest_k_section  # noqa: F401
 
 #: Longest string answered from the full table of 2^l subset counts; longer
-#: strings go to the kept-set search.  At 20 the table is 4 MB of int32
-#: and takes 9-11 ms to fill at d = 1e4 on one core of a 2-core x86_64
-#: host, whatever the optimal k, while the search's cost grows with the
-#: number of near-optimal kept sets and is exponential in the middle band.
+#: strings go to the kept-set search.  At 20 the table is 4 MB of int32;
+#: at d = 1e4 it takes about 11 ms to fill and a whole answer about 15 ms
+#: on one core of a 2-core x86_64 host, whatever the optimal k, while the
+#: search's cost grows with the number of near-optimal kept sets and is
+#: exponential in the middle band.
 TABLE_MAX_LENGTH = 20
 
 #: Most nodes the kept-set search (l > ``TABLE_MAX_LENGTH``) may visit
@@ -349,10 +350,15 @@ def _smallest_mask(
     length = dictionary.length
     masks = [mismatch_masks(dictionary, q) for q in queries]
     if length <= TABLE_MAX_LENGTH:
-        # one table row per query, all filled by one pass
-        tagged = np.concatenate([m | np.uint64(j << length) for j, m in enumerate(masks)])
-        tables = subset_counts(tagged, length, len(masks)).reshape(len(masks), -1)
-        best = _best_in_table(tables.min(axis=0) >= threshold, tables.sum(axis=0), length)
+        if len(masks) == 1:
+            # one query's table is its own minimum and sum
+            table = subset_counts(masks[0], length)
+            best = _best_in_table(table >= threshold, table, length)
+        else:
+            # one table row per query, all filled by one pass
+            tagged = np.concatenate([m | np.uint64(j << length) for j, m in enumerate(masks)])
+            tables = subset_counts(tagged, length, len(masks)).reshape(len(masks), -1)
+            best = _best_in_table(tables.min(axis=0) >= threshold, tables.sum(axis=0), length)
         return best if limit is None or len(best) <= limit else None
     # every query matches its ``threshold`` fewest-mismatch entries once
     # all their mismatches are masked, so this union qualifies

@@ -285,7 +285,8 @@ class SplitIndex:
     halves, both frequent, that some entry has under some full mask, and
     ``pair_counts`` the number of such entries; a group id names its half
     mask, so a key names its full mask too.  ``codes`` is the entries'
-    (size, length) uint32 code-point matrix, which the rare-half scans read.
+    row-major (size, length) uint32 code-point matrix, whose rows the
+    rare-half scans gather.
 
     A query (``split_counts``) costs one search of each side's 2^(l/2)
     query keys, one scan over at most 2^(l/2) * max(tau, z0) members of
@@ -339,8 +340,10 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     lam = (length + 1) // 2
     members = ((1 << lam) + (1 << (length - lam))) * d
     _check_split_workspace(0, members)
-    left, gid_left = _build_half(dictionary.codes, 0, lam)
-    right, gid_right = _build_half(dictionary.codes, lam, length - lam)
+    # row-major, as a loaded index holds them: the rare-half scans gather rows
+    codes = np.ascontiguousarray(dictionary.codes)
+    left, gid_left = _build_half(codes, 0, lam)
+    right, gid_right = _build_half(codes, lam, length - lam)
     # frequent_*[m, e]: entry e's half under half mask m occurs >= tau times
     frequent_left = left.counts[gid_left] >= tau
     frequent_right = right.counts[gid_right] >= tau
@@ -360,7 +363,7 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
         keys.append(pair_keys)
         counts.append(pair_counts)
     return SplitIndex(
-        length, lam, tau, z0, dictionary.entries, dictionary.codes, left, right,
+        length, lam, tau, z0, dictionary.entries, codes, left, right,
         np.concatenate(keys), np.concatenate(counts),
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
 from .core import MAX_LENGTH, CapacityError, Dictionary, MaskSet
@@ -56,6 +57,12 @@ class Graph:
         return cls(n, edges)
 
 
+def _is_integer(value) -> bool:
+    """An integer of any integral type except ``bool``, which is one in
+    Python but stands for no set element, size or count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MuInstance:
     """Choose ``threshold`` of the sets so their union is smallest."""
@@ -69,12 +76,16 @@ class MuInstance:
         object.__setattr__(self, "universe_size", universe_size)
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "threshold", threshold)
-        if universe_size < 0:
-            raise ValueError("universe size must be non-negative")
+        if not _is_integer(universe_size) or universe_size < 0:
+            raise ValueError(f"universe size must be a non-negative integer, got {universe_size!r}")
         for i, s in enumerate(sets):
             for e in s:
+                if not _is_integer(e):
+                    raise ValueError(f"set {i} contains {e!r}, which is not an integer")
                 if not 1 <= e <= universe_size:
                     raise ValueError(f"set {i} contains {e}, outside the universe")
+        if not _is_integer(threshold):
+            raise ValueError(f"threshold must be an integer, got {threshold!r}")
         if not 1 <= threshold <= len(sets):
             raise ValueError(f"threshold must be in [1, {len(sets)}]")
 

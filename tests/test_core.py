@@ -16,6 +16,8 @@ from pmdm import (
     mismatch_set,
 )
 
+from pmdm.core import COPY_BLOCK
+
 from support import oracle_mismatch_bits, t1
 
 
@@ -176,6 +178,22 @@ def test_count_monotone_under_mask_growth(data):
     a = MaskSet(small)
     b = a | MaskSet(other)
     assert count_matches(d, mask_apply(q, a)) <= count_matches(d, mask_apply(q, b))
+
+
+@pytest.mark.parametrize("length", [1, 15, 64])
+def test_dictionary_codes_are_a_read_only_column_major_matrix(length):
+    """The rows span two whole blocks of the column-major copy and three
+    rows of a third."""
+    rng = random.Random(length)
+    rows = 2 * (COPY_BLOCK // length) + 3
+    entries = ["".join(rng.choice("aβ日😀") for _ in range(length)) for _ in range(rows)]
+    d = Dictionary(entries)
+    assert d.codes.flags.f_contiguous and not d.codes.flags.writeable
+    assert np.array_equal(d.codes, np.array([[ord(c) for c in e] for e in entries], dtype=np.uint32))
+    with pytest.raises(ValueError):
+        d.codes[0, 0] = 0
+    bits = mismatch_masks(d, entries[0])
+    assert bits.dtype == np.uint64 and [int(b) for b in bits] == oracle_mismatch_bits(d, entries[0])
 
 
 def test_mismatch_masks_matches_per_entry_sets():

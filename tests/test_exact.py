@@ -27,6 +27,7 @@ from pmdm.exact import subset_counts
 from support import (
     khv_feasible,
     oracle_count,
+    oracle_mismatch_bits,
     oracle_mpmdm,
     oracle_mpmdm_size,
     oracle_optimum_size,
@@ -343,6 +344,57 @@ def test_subset_counts_match_the_per_bit_fold(length):
         counts = subset_counts(masks, length, rows)
         assert counts.dtype == np.int32
         assert np.array_equal(counts, reference_subset_counts(masks, length, rows))
+
+
+def table_instance(length: int) -> tuple[Dictionary, str]:
+    """30 entries over a non-ASCII alphabet, each within four symbols of
+    the query, six of them repeated, plus two entries differing from the
+    query at the first and at the last position only, which tie for a
+    one-position mask when length > 1."""
+    rng = random.Random(1000 + length)
+    letters = "aβ日"
+    query = "".join(rng.choice(letters) for _ in range(length))
+    entries = []
+    for _ in range(22):
+        chars = list(query)
+        for p in rng.sample(range(length), rng.randint(0, min(length, 4))):
+            chars[p] = rng.choice(letters.replace(chars[p], ""))
+        entries.append("".join(chars))
+    entries += entries[:6]
+    flip = {"a": "β", "β": "日", "日": "a"}
+    entries += [flip[query[0]] + query[1:], query[:-1] + flip[query[-1]]]
+    rng.shuffle(entries)
+    return Dictionary(entries), query
+
+
+def table_oracle(d: Dictionary, query: str, z: int) -> MaskSet:
+    """The documented answer from a per-entry count of every mask: the
+    fewest positions, then the most matches, then the lexicographically
+    smallest position list."""
+    every = np.arange(1 << d.length, dtype=np.uint64)
+    counts = np.zeros(len(every), dtype=np.int64)
+    for bits in oracle_mismatch_bits(d, query):
+        counts += (every & np.uint64(bits)) == np.uint64(bits)
+    qualifying = every[counts >= z]
+    sizes = np.bitwise_count(qualifying)
+    tied = [MaskSet.from_bits(int(m)) for m in qualifying[sizes == sizes.min()]]
+    return min(tied, key=lambda mask: (-counts[mask.bits], mask.positions))
+
+
+@pytest.mark.parametrize("length", range(1, 21))
+def test_single_query_table_agrees_with_the_multi_query_rows(length):
+    """A single query reads its one table row directly; two copies of the
+    query fill two rows whose minimum and sum rank masks as one row does."""
+    d, query = table_instance(length)
+    exact_copies = d.entries.count(query)
+    for z in sorted({1, 2, exact_copies + 1, d.size // 2, d.size - 1, d.size}):
+        inst = PmdmInstance(d, query, z)
+        best = solve_pmdm(inst)
+        assert best == table_oracle(d, query, z)
+        assert best == solve_mpmdm(MpmdmInstance(d, [query], z))
+        assert best == solve_mpmdm(MpmdmInstance(d, [query, query], z))
+        assert decide_k_pmdm(inst, len(best))
+        assert len(best) == 0 or not decide_k_pmdm(inst, len(best) - 1)
 
 
 def test_kept_set_search_stops_at_its_visit_budget(monkeypatch, tmp_path, capsys):

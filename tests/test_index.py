@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -454,3 +455,29 @@ def test_split_workspace_guard_counts_pairs_and_members(monkeypatch):
     monkeypatch.setattr(pmdm.index, "_build_half", None)
     with pytest.raises(CapacityError, match="0 pair entries and 40 members"):
         split_build(t1(), 1)
+
+
+def _golden_dictionary() -> Dictionary:
+    """40 seeded entries of length 9 over a four-symbol alphabet with one
+    non-ASCII symbol, so every key blob holds multi-byte UTF-8."""
+    rng = random.Random(2024)
+    return Dictionary("".join(rng.choice("acgé") for _ in range(9)) for _ in range(40))
+
+
+# sha256 of each file as the row-major code matrix wrote it; the layout of
+# Dictionary.codes must not change a byte of any index file
+GOLDEN_SHA256 = {
+    "small": "b9909ec3eb2c0a70fe7628840dcac9b6cb7dd62caf93f7ff1b1991ad1fbbde7b",
+    "simple": "1db95e3318d7f7ea16781b417e229eb6913d63f34f528eef83191c3ea9b5008f",
+    "split": "783828aa8f0ff07cf013b3ab7b58cc674bba5ddc8f9cf84c4a51bad1bababd9d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
+def test_index_files_are_byte_identical_to_the_recorded_layout(tmp_path, kind):
+    d = _golden_dictionary()
+    build = {"small": lambda: d, "simple": lambda: simple_build(d, 2), "split": lambda: split_build(d, 3, 2)}
+    obj = build[kind]()
+    path = tmp_path / f"{kind}.bin"
+    save_index(path, obj)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[kind]

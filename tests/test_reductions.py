@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import pmdm.reductions
@@ -106,6 +107,31 @@ def test_mu_worked_instance():
     assert len(bruteforce_pmdm(inst)) == 3
     # the documented optimal pick is recoverable from its union
     assert extract_mu_solution(mu, MaskSet([3, 4, 5])) == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "universe, sets, threshold",
+    [
+        (3, [[True], [1]], 1),
+        (3, [[1.5], [1]], 1),
+        (3, [[2.0], [1]], 1),
+        (3, [["1"], [1]], 1),
+        (True, [[1]], 1),
+        (3.0, [[1]], 1),
+        (3, [[1]], True),
+        (3, [[1]], 1.0),
+    ],
+    ids=["element-bool", "element-fraction", "element-float", "element-str", "universe-bool",
+         "universe-float", "threshold-bool", "threshold-float"],
+)
+def test_mu_instance_refuses_values_that_are_not_integers(universe, sets, threshold):
+    with pytest.raises(ValueError):
+        MuInstance(universe, sets, threshold)
+
+
+def test_mu_instance_accepts_numpy_integers():
+    mu = MuInstance(np.int64(3), [[np.int32(1), 3], [2]], np.int64(1))
+    assert mu_to_pmdm(mu).dictionary.entries == ("bab", "aba")
 
 
 def test_mu_to_pmdm_single_empty_set():
