@@ -6,9 +6,10 @@ the score
     s(u) = |E_u| * (sum of w(e) for e in E_u) / (sum of |e| for e in E_u)
 
 favours nodes sitting in many short, heavy edges; removing the best node
-shrinks edges until one fits.  The greedy driver alternates exact
-small-section solves with such preprocessing, fixing a few positions per
-iteration.  The baseline simply adds one best-scored node at a time.
+shrinks edges until one fits.  Each greedy iteration runs one such
+reduction pass for section sizes tau down to 1 and solves an exact small
+section at each size, fixing a few positions.  The baseline simply
+adds one best-scored node at a time.
 
 Both run on edge arrays derived from the per-entry mismatch bitmask
 vector M, which is computed once per answer: the distinct non-zero masks
@@ -16,24 +17,22 @@ vector M, which is computed once per answer: the distinct non-zero masks
 already matched.  A greedy iteration's partial hypergraph is the grouping
 of ``M & ~solved``; deleting a node clears its bit in every edge and
 merges the edges that collide; a match count is the base weight.  The
-per-node aggregates a score needs (edge count, weight sum, size sum, or
-for the alternative score the weight sums per edge size) come from numpy,
-through one integer product with an (edges x positions) bit matrix.  The
-winning node is then picked over at most 64 nodes in exact Python ints
-(cross-multiplication, or a common denominator for the alternative
-score), so no floating point and no int64 overflow is involved.
+per-node aggregates a score needs (edge count, weight sum, size sum) come
+from numpy, through one integer product with an (edges x positions) bit
+matrix.  The winning node is then picked over at most 64 nodes by
+cross-multiplying exact Python ints, so no floating point and no int64
+overflow is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import CapacityError, MaskSet, mismatch_masks
+from .core import MaskSet, mismatch_masks
 from .exact import PmdmInstance, _require_feasible
 from .hypergraph import WeightedHypergraph, edge_arrays, heaviest_k_section
 
@@ -46,17 +45,15 @@ Weightings = dict[int, int]
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    """Per-iteration section budget and an optional iteration cap."""
+    """Section budget of ``greedy_pmdm``: iterations try section sizes up
+    to ``tau``, and an answer takes at most ceil(l / tau) of them.  The
+    section search grows steeply with ``tau`` (README, "Notes on scale")."""
 
     tau: int = 3
-    max_iterations: int | None = None
-    use_alternative_score: bool = False
 
     def __post_init__(self):
         if self.tau < 1:
             raise ValueError("tau must be at least 1")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 class ScoredNode(NamedTuple):
@@ -75,51 +72,32 @@ def _as_arrays(edges: Weightings) -> tuple[np.ndarray, np.ndarray]:
     return values, weights
 
 
-def _scores(
-    values: np.ndarray, weights: np.ndarray, length: int, use_alternative_score: bool
-) -> list[tuple[int, int, int]]:
+def _scores(values: np.ndarray, weights: np.ndarray, length: int) -> list[tuple[int, int, int]]:
     """(position, numerator, denominator) of the score of every node in some edge."""
     bits = (values[:, None] >> np.arange(length, dtype=np.uint64)) & np.uint64(1)
     bits = bits.astype(np.int64)
     sizes = np.bitwise_count(values).astype(np.int64)
     count = bits.sum(axis=0).tolist()
-    if use_alternative_score:
-        # sum of w(e) / |e| over E_u, over the common denominator of the sizes
-        present, column = np.unique(sizes, return_inverse=True)
-        by_size = np.zeros((sizes.size, present.size), dtype=np.int64)
-        by_size[np.arange(sizes.size), column] = weights
-        sums = (bits.T @ by_size).tolist()
-        den = lcm(*present.tolist())
-        factors = [den // s for s in present.tolist()]
-        return [
-            (u + 1, sum(w * f for w, f in zip(sums[u], factors)), den)
-            for u in range(length)
-            if count[u]
-        ]
     weight_sum, size_sum = (np.stack([weights, sizes]) @ bits).tolist()
     return [
         (u + 1, count[u] * weight_sum[u], size_sum[u]) for u in range(length) if count[u]
     ]
 
 
-def node_scores(
-    edges: Weightings, use_alternative_score: bool = False
-) -> list[ScoredNode]:
+def node_scores(edges: Weightings) -> list[ScoredNode]:
     """Exact scores for every node appearing in at least one edge."""
     values, weights = _as_arrays(edges)
     length = max(edges, default=0).bit_length()
     return [
         ScoredNode(u, Fraction(num, den))
-        for u, num, den in _scores(values, weights, length, use_alternative_score)
+        for u, num, den in _scores(values, weights, length)
     ]
 
 
-def _best_node(
-    values: np.ndarray, weights: np.ndarray, length: int, use_alternative_score: bool
-) -> int:
+def _best_node(values: np.ndarray, weights: np.ndarray, length: int) -> int:
     """Best-scored node, smallest position on ties."""
     best = None
-    for scored in _scores(values, weights, length, use_alternative_score):
+    for scored in _scores(values, weights, length):
         # num/den > best_num/best_den, with both denominators positive
         if best is None or scored[1] * best[2] > best[1] * scored[2]:
             best = scored
@@ -141,26 +119,25 @@ def _delete_node(
 
 
 def _reduce(
-    values: np.ndarray,
-    weights: np.ndarray,
-    base: int,
-    k: int,
-    length: int,
-    use_alternative_score: bool,
+    values: np.ndarray, weights: np.ndarray, base: int, k: int, length: int
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Delete best-scored nodes until an edge of at most ``k`` nodes exists
-    (or no edge is left); also returns the deleted nodes' bits."""
+    (or no edge is left); also returns the deleted nodes' bits.
+
+    Each pick depends only on the current edges, and the loop for ``k - 1``
+    runs while the one for ``k`` does, so the deletions for ``k`` are a
+    prefix of those for ``k - 1``: reducing the result again to ``k - 1``
+    equals reducing the input to ``k - 1``.
+    """
     removed = 0
     while values.size and np.bitwise_count(values).min() > k:
-        u = _best_node(values, weights, length, use_alternative_score)
+        u = _best_node(values, weights, length)
         values, weights, base = _delete_node(values, weights, base, u)
         removed |= 1 << (u - 1)
     return values, weights, base, removed
 
 
-def preprocess(
-    h: WeightedHypergraph, k: int, use_alternative_score: bool = False
-) -> tuple[WeightedHypergraph, MaskSet]:
+def preprocess(h: WeightedHypergraph, k: int) -> tuple[WeightedHypergraph, MaskSet]:
     """Remove best-scored nodes until an edge of size at most ``k`` exists.
 
     Returns the reduced hypergraph and the removed positions.  A
@@ -170,9 +147,7 @@ def preprocess(
     if k < 1:
         raise ValueError("k must be at least 1")
     values, weights = _as_arrays(h.edges)
-    values, weights, base, removed = _reduce(
-        values, weights, h.base_weight, k, h.node_count, use_alternative_score
-    )
+    values, weights, base, removed = _reduce(values, weights, h.base_weight, k, h.node_count)
     if removed == 0:
         return h, MaskSet()
     nodes = tuple(v for v in h.nodes if not removed >> (v - 1) & 1)
@@ -184,52 +159,47 @@ def greedy_pmdm(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> Heuri
     """Fix up to ``tau`` positions per iteration via exact small sections.
 
     Each iteration groups the mismatch bitmasks of the partially masked
-    query into a hypergraph, tries section sizes 1..tau (preprocessing
-    whenever no edge is small enough), and stops at the smallest feasible
-    combined mask; otherwise it commits the tau-sized attempt and
-    continues.  When the optimum is at most tau the first iteration
-    returns it exactly.
+    query into a hypergraph and tries section sizes k = min(tau, unmasked
+    positions) down to 1.  One reduction pass serves them all: for each k
+    it deletes best-scored nodes until an edge of at most k nodes exists,
+    continuing from the previous k's edges (see ``_reduce``), and then
+    solves the heaviest k-section over the edges that fit.  The iteration
+    returns the smallest feasible combined mask (fewest positions, then
+    the lexicographically smallest list) if some k reaches the threshold;
+    otherwise it commits the largest k's attempt and continues.  When the
+    optimum is at most tau the first iteration returns it exactly.
 
-    Every iteration masks at least min(tau, unmasked positions) more
-    positions, so the default cap of ceil(l / tau) iterations always
-    suffices.  Raises ``CapacityError`` when ``cfg.max_iterations`` is set
-    and that many iterations end without a mask reaching the threshold.
+    Every iteration that continues masks at least min(tau, unmasked
+    positions) more positions, so the loop ends after at most
+    ceil(l / tau) iterations.
     """
     _require_feasible(inst.threshold, inst.dictionary.size)
     z, length = inst.threshold, inst.dictionary.length
-    limit = cfg.max_iterations
-    if limit is None:
-        limit = ceil(length / cfg.tau)
     masks = mismatch_masks(inst.dictionary, inst.query)
     values, weights, base = edge_arrays(masks)
     solved = 0
     iteration = 0
     while base < z:
-        if iteration == limit:
-            raise CapacityError(
-                f"greedy_pmdm reached max_iterations={limit} before matching {z} entries"
-            )
         iteration += 1
         nodes = tuple(p for p in range(1, length + 1) if not solved >> (p - 1) & 1)
         candidates: list[MaskSet] = []
-        fallback = 0
-        for k in range(1, min(cfg.tau, len(nodes)) + 1):
-            vk, wk, bk, removed = _reduce(
-                values, weights, base, k, length, cfg.use_alternative_score
-            )
+        fallback = None
+        removed = 0
+        for k in range(min(cfg.tau, len(nodes)), 0, -1):
+            values, weights, base, dropped = _reduce(values, weights, base, k, length)
+            removed |= dropped
             nodes_k = tuple(v for v in nodes if not removed >> (v - 1) & 1)
             size = min(k, len(nodes_k))
-            if size == 0:
-                continue
-            fits = np.bitwise_count(vk) <= size
+            fits = np.bitwise_count(values) <= size
             hk = WeightedHypergraph(
-                length, dict(zip(vk[fits].tolist(), wk[fits].tolist())), bk, nodes_k
+                length, dict(zip(values[fits].tolist(), weights[fits].tolist())), base, nodes_k
             )
             section = heaviest_k_section(hk, size)
             attempt = MaskSet.from_bits(removed) | section.nodes
             if section.weight >= z:
                 candidates.append(attempt)
-            fallback = attempt.bits
+            if fallback is None:
+                fallback = attempt.bits
         if candidates:
             best = min(candidates, key=lambda m: (len(m), m.positions))
             return HeuristicResult(MaskSet.from_bits(solved) | best, iteration)
@@ -238,9 +208,7 @@ def greedy_pmdm(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> Heuri
     return HeuristicResult(MaskSet.from_bits(solved), iteration)
 
 
-def baseline_pmdm(
-    inst: PmdmInstance, use_alternative_score: bool = False
-) -> HeuristicResult:
+def baseline_pmdm(inst: PmdmInstance) -> HeuristicResult:
     """Add one best-scored node at a time until the threshold is met.
 
     Every node deletion moves the edges it empties into the base weight,
@@ -252,7 +220,7 @@ def baseline_pmdm(
     values, weights, base = edge_arrays(mismatch_masks(inst.dictionary, inst.query))
     picked = 0
     while base < z:
-        u = _best_node(values, weights, length, use_alternative_score)
+        u = _best_node(values, weights, length)
         values, weights, base = _delete_node(values, weights, base, u)
         picked |= 1 << (u - 1)
     return HeuristicResult(MaskSet.from_bits(picked), picked.bit_count())

@@ -70,11 +70,6 @@ class WeightedHypergraph:
         kept = {b: w for b, w in self.edges.items() if b.bit_count() <= max_edge_size}
         return WeightedHypergraph(self.node_count, kept, self.base_weight, self.nodes)
 
-    def copy(self) -> "WeightedHypergraph":
-        return WeightedHypergraph(
-            self.node_count, dict(self.edges), self.base_weight, self.nodes
-        )
-
     def __repr__(self) -> str:
         return (
             f"WeightedHypergraph({len(self.nodes)} nodes, {len(self.edges)} edges, "

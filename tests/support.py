@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
+from math import comb
 
 import numpy as np
 
 from pmdm import (
-    CapacityError,
     Dictionary,
     GreedyConfig,
     HeuristicResult,
@@ -230,12 +229,14 @@ def random_instance(rng, max_length=10, max_size=40, max_sigma=4, max_z=None) ->
     return PmdmInstance(dictionary, query, rng.randint(1, high))
 
 
-def random_hypergraph(rng, max_nodes=15, max_edges=200, max_edge_size=5) -> WeightedHypergraph:
+def random_hypergraph(
+    rng, max_nodes=15, max_edges=200, max_edge_size=5, min_edge_size=1
+) -> WeightedHypergraph:
     n = rng.randint(max(2, max_edge_size), max_nodes)
     n_edges = rng.randint(0, max_edges)
     edges = {}
     for _ in range(n_edges):
-        size = rng.randint(1, min(max_edge_size, n))
+        size = rng.randint(min_edge_size, min(max_edge_size, n))
         nodes = rng.sample(range(n), size)
         bits = 0
         for p in nodes:
@@ -268,18 +269,9 @@ def mask_of(*positions) -> MaskSet:
     return MaskSet(positions)
 
 
-def reference_node_scores(edges: dict[int, int], use_alternative_score=False):
+def reference_node_scores(edges: dict[int, int]):
     """Sorted (position, Fraction score) pairs of every node in some edge."""
     stats: dict[int, list] = {}
-    if use_alternative_score:
-        for bits, w in edges.items():
-            share = Fraction(w, bits.bit_count())
-            b = bits
-            while b:
-                u = b.bit_length()
-                stats.setdefault(u, [Fraction(0)])[0] += share
-                b &= ~(1 << (u - 1))
-        return sorted((u, s[0]) for u, s in stats.items())
     for bits, w in edges.items():
         size = bits.bit_count()
         b = bits
@@ -293,8 +285,8 @@ def reference_node_scores(edges: dict[int, int], use_alternative_score=False):
     return sorted((u, Fraction(cnt * sw, sl)) for u, (cnt, sw, sl) in stats.items())
 
 
-def _reference_best_node(edges, use_alternative_score) -> int:
-    scored = reference_node_scores(edges, use_alternative_score)
+def _reference_best_node(edges) -> int:
+    scored = reference_node_scores(edges)
     return max(scored, key=lambda us: (us[1], -us[0]))[0]
 
 
@@ -310,13 +302,13 @@ def _reference_delete_node(edges, base, node):
     return out, base
 
 
-def reference_preprocess(h: WeightedHypergraph, k: int, use_alternative_score=False):
+def reference_preprocess(h: WeightedHypergraph, k: int):
     """Remove best-scored nodes until an edge of size at most ``k`` exists."""
     edges = dict(h.edges)
     base = h.base_weight
     removed = 0
     while edges and min(bits.bit_count() for bits in edges) > k:
-        u = _reference_best_node(edges, use_alternative_score)
+        u = _reference_best_node(edges)
         edges, base = _reference_delete_node(edges, base, u)
         removed |= 1 << (u - 1)
     if removed == 0:
@@ -329,19 +321,18 @@ def reference_preprocess(h: WeightedHypergraph, k: int, use_alternative_score=Fa
 
 
 def reference_greedy(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> HeuristicResult:
+    """Each section size k = 1..tau reduces the iteration's hypergraph
+    from scratch, so it checks the one-pass reduction independently."""
     dictionary, query, z = inst.dictionary, inst.query, inst.threshold
     solved = MaskSet()
-    if count_matches(dictionary, mask_apply(query, solved)) >= z:
-        return HeuristicResult(solved, 0)
-    limit = cfg.max_iterations
-    if limit is None:
-        limit = ceil(dictionary.length / cfg.tau)
-    for iteration in range(1, limit + 1):
+    iteration = 0
+    while count_matches(dictionary, mask_apply(query, solved)) < z:
+        iteration += 1
         h = build_hypergraph(dictionary, mask_apply(query, solved))
         candidates = []
         fallback = None
         for k in range(1, min(cfg.tau, len(h.nodes)) + 1):
-            hk, removed = reference_preprocess(h, k, cfg.use_alternative_score)
+            hk, removed = reference_preprocess(h, k)
             size = min(k, len(hk.nodes))
             if size == 0:
                 continue
@@ -355,12 +346,10 @@ def reference_greedy(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> 
             return HeuristicResult(solved | best, iteration)
         assert fallback
         solved = solved | fallback
-        if count_matches(dictionary, mask_apply(query, solved)) >= z:
-            return HeuristicResult(solved, iteration)
-    raise CapacityError(f"reached max_iterations={limit}")
+    return HeuristicResult(solved, iteration)
 
 
-def reference_baseline(inst: PmdmInstance, use_alternative_score=False) -> HeuristicResult:
+def reference_baseline(inst: PmdmInstance) -> HeuristicResult:
     dictionary, query, z = inst.dictionary, inst.query, inst.threshold
     if count_matches(dictionary, mask_apply(query, MaskSet())) >= z:
         return HeuristicResult(MaskSet(), 0)
@@ -370,7 +359,7 @@ def reference_baseline(inst: PmdmInstance, use_alternative_score=False) -> Heuri
     picked = 0
     iterations = 0
     while edges:
-        u = _reference_best_node(edges, use_alternative_score)
+        u = _reference_best_node(edges)
         picked |= 1 << (u - 1)
         iterations += 1
         edges, base = _reference_delete_node(edges, base, u)

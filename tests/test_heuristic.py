@@ -6,7 +6,6 @@ import pytest
 
 import pmdm.heuristic
 from pmdm import (
-    CapacityError,
     Dictionary,
     GreedyConfig,
     InfeasibleThresholdError,
@@ -89,16 +88,6 @@ def test_node_scores_values():
     h = {as_bits([1, 2]): 1, as_bits([1, 3]): 3}
     scores = dict(node_scores(h))
     assert scores == {1: Fraction(2), 2: Fraction(1, 2), 3: Fraction(3, 2)}
-    alt = dict(node_scores(h, use_alternative_score=True))
-    assert alt == {1: Fraction(2), 2: Fraction(1, 2), 3: Fraction(3, 2)}
-
-
-def test_alternative_score_differs_when_edge_counts_do():
-    edges = {as_bits([1, 2]): 2, as_bits([1, 3]): 2, as_bits([2, 3, 4]): 9}
-    default = dict(node_scores(edges))
-    alt = dict(node_scores(edges, use_alternative_score=True))
-    assert default[1] == Fraction(2 * 4, 4) and alt[1] == Fraction(2)
-    assert default[2] == Fraction(2 * 11, 5) and alt[2] == Fraction(1) + Fraction(3)
 
 
 def test_greedy_optimal_within_budget_on_t1():
@@ -164,22 +153,6 @@ def test_baseline_never_beats_bruteforce():
         assert result.iterations == len(result.mask)
 
 
-def test_heuristics_with_alternative_score_stay_feasible():
-    rng = random.Random(62)
-    for _ in range(30):
-        inst = random_instance(rng, max_length=7, max_size=20, max_sigma=3)
-        g = greedy_pmdm(inst, GreedyConfig(tau=2, use_alternative_score=True))
-        b = baseline_pmdm(inst, use_alternative_score=True)
-        for mask in (g.mask, b.mask):
-            assert oracle_count(inst.dictionary, inst.query, mask.bits) >= inst.threshold
-
-
-def test_greedy_iteration_cap_raises_capacity_error():
-    inst = PmdmInstance(Dictionary(["aaaa", "bbbb"]), "abab", 2)
-    with pytest.raises(CapacityError, match="max_iterations=1"):
-        greedy_pmdm(inst, GreedyConfig(tau=1, max_iterations=1))
-
-
 def test_heuristics_scan_the_codes_once(monkeypatch):
     calls = []
     original = pmdm.heuristic.mismatch_masks
@@ -225,43 +198,50 @@ def _clustered_instance(rng, length):
     return PmdmInstance(Dictionary(entries), query, z)
 
 
-def _outcome(solver, *args):
-    try:
-        return solver(*args)
-    except CapacityError as exc:
-        return type(exc)
-
-
 def test_heuristics_match_the_reference_randomized():
     rng = random.Random(63)
-    capped = 0
     for i in range(336):
         inst = _clustered_instance(rng, LENGTHS[i % len(LENGTHS)])
-        alternative = i % 2 == 1
-        cfg = GreedyConfig(
-            tau=rng.randint(1, 4),
-            max_iterations=rng.choice((None, 1, 2, 3)),
-            use_alternative_score=alternative,
-        )
-        expected = _outcome(reference_greedy, inst, cfg)
-        capped += expected is CapacityError
-        assert _outcome(greedy_pmdm, inst, cfg) == expected, (i, inst, cfg)
-        assert baseline_pmdm(inst, alternative) == reference_baseline(inst, alternative), i
-    assert capped > 0
+        cfg = GreedyConfig(tau=rng.randint(1, 4))
+        got = greedy_pmdm(inst, cfg)
+        assert got == reference_greedy(inst, cfg), (i, inst, cfg)
+        assert got.iterations <= math.ceil(inst.dictionary.length / cfg.tau), i
+        baseline = baseline_pmdm(inst)
+        assert baseline == reference_baseline(inst), i
+        for mask in (got.mask, baseline.mask):
+            assert oracle_count(inst.dictionary, inst.query, mask.bits) >= inst.threshold, i
 
 
 def test_preprocess_and_scores_match_the_reference_randomized():
     rng = random.Random(64)
-    for i in range(200):
+    for _ in range(200):
         h = random_hypergraph(rng, max_nodes=64, max_edges=60, max_edge_size=8)
-        alternative = i % 2 == 1
-        assert [tuple(s) for s in node_scores(h.edges, alternative)] == (
-            reference_node_scores(h.edges, alternative)
-        )
+        assert [tuple(s) for s in node_scores(h.edges)] == reference_node_scores(h.edges)
         k = rng.randint(1, 4)
-        got, removed = preprocess(h, k, alternative)
-        want, want_removed = reference_preprocess(h, k, alternative)
+        got, removed = preprocess(h, k)
+        want, want_removed = reference_preprocess(h, k)
         assert removed == want_removed
         assert (got.edges, got.base_weight, got.nodes) == (
             want.edges, want.base_weight, want.nodes
         )
+
+
+def test_reducing_to_k_then_to_k_minus_1_equals_reducing_to_k_minus_1():
+    # greedy_pmdm reduces once per iteration, continuing from size k's edges
+    # to k - 1's; every edge starts above k so that both steps delete nodes
+    rng = random.Random(65)
+    both_delete = 0
+    for i in range(200):
+        k = rng.randint(2, 4)
+        h = random_hypergraph(
+            rng, max_nodes=16, max_edges=30, max_edge_size=k + 4, min_edge_size=k + 1
+        )
+        first, removed_first = preprocess(h, k)
+        second, removed_second = preprocess(first, k - 1)
+        want, want_removed = reference_preprocess(h, k - 1)
+        assert removed_first | removed_second == want_removed, i
+        assert (second.edges, second.base_weight, second.nodes) == (
+            want.edges, want.base_weight, want.nodes
+        ), i
+        both_delete += bool(removed_first) and bool(removed_second)
+    assert both_delete >= 150
