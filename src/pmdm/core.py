@@ -97,6 +97,15 @@ class MaskSet:
         return f"MaskSet({list(self.positions)})"
 
 
+def lex_smaller(a: int, b: int) -> bool:
+    """True when the position set with bits ``a`` comes before the one with
+    bits ``b`` of the same size: its sorted position list is
+    lexicographically smaller, so it holds the lowest position where the
+    two differ.  This is the tie-break of every exact answer."""
+    diff = a ^ b
+    return a & diff & -diff != 0
+
+
 class MaskedString:
     """A fixed-length string with some positions replaced by wildcards.
 

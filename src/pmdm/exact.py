@@ -24,7 +24,9 @@ Both engines break ties the same way, and so do the index queries, so
 neither the engine nor the structure changes the answer: among
 qualifying masks of the optimal size, the highest count (for several
 queries, the highest sum of counts), then the lexicographically smallest
-position list.
+position list (``core.lex_smaller`` for two masks, ``_lex_ranks`` for a
+whole table).  Thresholds are checked by ``_check_threshold``, which the
+solvers, the heuristics, the index queries and the CLI share.
 
 ``solve_pmdm`` is the only exact answer path of the package: ``pmdm
 solve``, ``pmdm index query`` on a small (dictionary) index and the
@@ -47,6 +49,7 @@ from .core import (
     Dictionary,
     InfeasibleThresholdError,
     MaskSet,
+    lex_smaller,
     mismatch_masks,
 )
 from .hypergraph import build_hypergraph, heaviest_k_section_bruteforce
@@ -228,11 +231,13 @@ class KhvInstance:
             raise ValueError(f"count must be in [0, {len(vectors)}]")
 
 
-def _require_feasible(threshold: int, size: int) -> None:
-    if threshold > size:
-        raise InfeasibleThresholdError(
-            f"threshold {threshold} exceeds dictionary size {size}"
-        )
+def _check_threshold(z: int, size: int, min_threshold: int = 1) -> None:
+    """Refuse a threshold below ``min_threshold`` (ValueError) or above the
+    dictionary ``size`` (InfeasibleThresholdError)."""
+    if z < min_threshold:
+        raise ValueError(f"z={z} below the minimum supported threshold {min_threshold}")
+    if z > size:
+        raise InfeasibleThresholdError(f"threshold {z} exceeds dictionary size {size}")
 
 
 def solve_pmdm(inst: PmdmInstance) -> MaskSet:
@@ -267,7 +272,7 @@ def bruteforce_pmdm(inst: PmdmInstance) -> MaskSet:
     test and demo oracle for short strings only; ``solve_pmdm`` answers
     everywhere else.
     """
-    _require_feasible(inst.threshold, inst.dictionary.size)
+    _check_threshold(inst.threshold, inst.dictionary.size)
     h = build_hypergraph(inst.dictionary, inst.query)
     if h.base_weight >= inst.threshold:
         return MaskSet()
@@ -346,7 +351,7 @@ def _smallest_mask(
     ``threshold`` entries, ties broken as the module docstring says.  With
     ``limit``, any such mask of at most ``limit`` positions instead, or
     None when there is none."""
-    _require_feasible(threshold, dictionary.size)
+    _check_threshold(threshold, dictionary.size)
     length = dictionary.length
     masks = [mismatch_masks(dictionary, q) for q in queries]
     if length <= TABLE_MAX_LENGTH:
@@ -425,13 +430,9 @@ def _largest_kept_set(
             if (depth, total) > (best[0], best[1]):
                 # with ``first``, no set is large enough after this one
                 best[:] = (len(agree) + 1 if first else depth), total, kept
-            elif total == best[1]:
-                # the masks' lexicographic order: the smaller mask holds
-                # the smallest position where they differ, so the best C
-                # lacks it
-                diff = kept ^ best[2]
-                if best[2] & diff & -diff:
-                    best[2] = kept
+            elif total == best[1] and lex_smaller(~kept, ~best[2]):
+                # the masks are the complements, ranked as position lists
+                best[2] = kept
         for i, p in enumerate(tail):
             if depth + len(tail) - i < best[0]:
                 return

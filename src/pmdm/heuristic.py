@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MaskSet, mismatch_masks
-from .exact import PmdmInstance, _require_feasible
+from .exact import PmdmInstance, _check_threshold
 from .hypergraph import WeightedHypergraph, edge_arrays, heaviest_k_section
 
 # Unused here, but the benchmark's tracer wraps these names on this module.
@@ -173,7 +173,7 @@ def greedy_pmdm(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> Heuri
     positions) more positions, so the loop ends after at most
     ceil(l / tau) iterations.
     """
-    _require_feasible(inst.threshold, inst.dictionary.size)
+    _check_threshold(inst.threshold, inst.dictionary.size)
     z, length = inst.threshold, inst.dictionary.length
     masks = mismatch_masks(inst.dictionary, inst.query)
     values, weights, base = edge_arrays(masks)
@@ -215,7 +215,7 @@ def baseline_pmdm(inst: PmdmInstance) -> HeuristicResult:
     which is the match count of the picked mask; with no edge left it is
     the dictionary size, so the loop ends for every feasible threshold.
     """
-    _require_feasible(inst.threshold, inst.dictionary.size)
+    _check_threshold(inst.threshold, inst.dictionary.size)
     z, length = inst.threshold, inst.dictionary.length
     values, weights, base = edge_arrays(mismatch_masks(inst.dictionary, inst.query))
     picked = 0

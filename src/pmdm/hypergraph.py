@@ -8,12 +8,14 @@ mask.  The weight of the sub-hypergraph induced on a position set K
 masked query matches, so "mask k positions to match the most entries"
 becomes "find the heaviest k-node section".
 
-Solvers: exhaustive enumeration for any k, linear-time k=2, an
-edge-times-node scan for k=3, and a branching search for k >= 4, with a
-dispatcher choosing by predicted cost.  Weights are non-negative ints.
+Solvers: exhaustive enumeration for any k, one candidate scan for
+k <= 3 (``_small_section``), and a branching search for k >= 4, with a
+dispatcher choosing by predicted cost; for k >= 4 it raises
+CapacityError past ``DENSE_BRUTE_CAP`` or ``BRANCHING_VISIT_BUDGET``.
+Weights are non-negative ints.
 
 Ties everywhere: maximum weight first, then the lexicographically
-smallest sorted position list.
+smallest sorted position list (``core.lex_smaller``).
 """
 
 from __future__ import annotations
@@ -24,10 +26,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dictionary, MaskSet, MaskedString, mismatch_masks
+from .core import CapacityError, Dictionary, MaskSet, MaskedString, lex_smaller, mismatch_masks
 
 #: Dispatcher prefers exhaustive enumeration while C(n, k) * 2^k stays below this.
 DEFAULT_BRUTE_BUDGET = 1 << 20
+
+#: Largest C(n, k) * 2^k the dispatcher enumerates for a dense hypergraph
+#: (more than n^2 edges) before CapacityError: about 4 s per section at
+#: the 9 million subset probes a second of one core of a 2-core x86_64 host.
+DENSE_BRUTE_CAP = 1 << 25
+
+#: Most partial sets ``heaviest_k_section_branching`` may visit before it
+#: raises CapacityError.  At l=30 and about 100-200 edges a visit took 30
+#: to 80 us on the same host, so the budget is a few seconds per section.
+BRANCHING_VISIT_BUDGET = 100_000
 
 
 class WeightedHypergraph:
@@ -46,24 +58,19 @@ class WeightedHypergraph:
             raise ValueError("node_count must be positive")
         self.node_count = node_count
         self.nodes = tuple(nodes) if nodes is not None else tuple(range(1, node_count + 1))
+        node_bits = _bits_of(self.nodes) & ((1 << node_count) - 1)
         clean: dict[int, int] = {}
         for bits, w in edges.items():
             if bits <= 0:
                 raise ValueError("edges must be non-empty position sets")
-            if bits >> node_count:
-                raise ValueError("edge contains a position beyond node_count")
+            if bits & ~node_bits:
+                raise ValueError("edge contains a position outside the nodes")
             if w < 0:
                 raise ValueError("edge weights must be non-negative")
             if w:
                 clean[bits] = w
         self.edges = clean
         self.base_weight = base_weight
-
-    def rank(self) -> int:
-        return max((bits.bit_count() for bits in self.edges), default=0)
-
-    def total_weight(self) -> int:
-        return self.base_weight + sum(self.edges.values())
 
     def restricted(self, max_edge_size: int) -> "WeightedHypergraph":
         """Copy keeping only edges of at most ``max_edge_size`` nodes."""
@@ -145,18 +152,12 @@ class _Best:
         self.weight = -1
 
     def offer(self, bits: int, weight: int) -> None:
-        if weight > self.weight or (
-            weight == self.weight and _positions(bits) < _positions(self.bits)
-        ):
+        if weight > self.weight or (weight == self.weight and lex_smaller(bits, self.bits)):
             self.bits, self.weight = bits, weight
 
     def result(self) -> SectionResult:
         assert self.bits is not None
         return SectionResult(MaskSet.from_bits(self.bits), self.weight)
-
-
-def _positions(bits: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 def _bits_of(positions) -> int:
@@ -188,45 +189,39 @@ def heaviest_k_section_bruteforce(h: WeightedHypergraph, k: int) -> SectionResul
     return SectionResult(MaskSet.from_bits(best_bits), best_weight)
 
 
-def _top_nodes(h: WeightedHypergraph, count: int) -> list[int]:
-    ordered = sorted(h.nodes, key=lambda v: (-h.edges.get(1 << (v - 1), 0), v))
-    return ordered[:count]
+def _small_section(h: WeightedHypergraph, k: int) -> SectionResult:
+    """Heaviest k-section for k <= 3 over three kinds of candidate: the k
+    heaviest nodes, every k-edge, and for k = 3 every 2-edge plus one node.
+    A section holding no edge of two or more nodes weighs at most the k
+    heaviest nodes; any other one holds a k-edge or a 2-edge."""
+    if len(h.nodes) < k:
+        raise ValueError(f"a {k}-section needs at least {k} nodes")
+
+    def candidates():
+        yield _bits_of(sorted(h.nodes, key=lambda v: (-h.edges.get(1 << (v - 1), 0), v))[:k])
+        for e in h.edges:
+            size = e.bit_count()
+            if size == k:
+                yield e
+            elif size == 2 and k == 3:
+                for v in h.nodes:
+                    if not e >> (v - 1) & 1:
+                        yield e | 1 << (v - 1)
+
+    best = _Best()
+    for bits in candidates():
+        best.offer(bits, _section_bits(h, bits))
+    return best.result()
 
 
 def heaviest_2_section(h: WeightedHypergraph) -> SectionResult:
-    """Linear-time k=2: best 2-edge completion vs the two heaviest nodes."""
-    if len(h.nodes) < 2:
-        raise ValueError("heaviest_2_section needs at least two nodes")
-    best = _Best()
-    pair = _top_nodes(h, 2)
-    bits = _bits_of(pair)
-    best.offer(bits, _section_bits(h, bits))
-    for e in h.edges:
-        if e.bit_count() == 2:
-            best.offer(e, _section_bits(h, e))
-    return best.result()
+    """Heaviest 2-section in linear time (see ``_small_section``)."""
+    return _small_section(h, 2)
 
 
 def heaviest_3_section(h: WeightedHypergraph) -> SectionResult:
-    """k=3 in O(|V| * |E|): 3-edges, heaviest node triple, 2-edge + node pairs."""
-    if len(h.nodes) < 3:
-        raise ValueError("heaviest_3_section needs at least three nodes")
-    best = _Best()
-    triple = _top_nodes(h, 3)
-    bits = _bits_of(triple)
-    best.offer(bits, _section_bits(h, bits))
-    for e in h.edges:
-        size = e.bit_count()
-        if size == 3:
-            best.offer(e, _section_bits(h, e))
-        elif size == 2:
-            for v in h.nodes:
-                vb = 1 << (v - 1)
-                if vb & e:
-                    continue
-                kb = e | vb
-                best.offer(kb, _section_bits(h, kb))
-    return best.result()
+    """Heaviest 3-section in O(|V| * |E|) (see ``_small_section``)."""
+    return _small_section(h, 3)
 
 
 def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult:
@@ -234,9 +229,12 @@ def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult
 
     Every processed partial set X is closed by scoring each remaining node
     with the total weight of edges it forms together with subsets of X
-    (table probes) and taking the k - |X| best.  Branching then extends X
-    by every edge contributing at least two new nodes while staying within
-    k.  Visited X sets are deduplicated.
+    (the edges with exactly that one node outside X) and taking the
+    k - |X| best.  Branching then extends X by every edge contributing at
+    least two new nodes while staying within k.  Visited X sets are
+    deduplicated.  Each visit costs O(|V| log |V| + |E|), and the search
+    raises CapacityError once it has visited more than
+    ``BRANCHING_VISIT_BUDGET`` sets.
     """
     _check_k(h, k)
     if k == 0:
@@ -247,20 +245,14 @@ def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult
 
     def close(x_bits: int) -> None:
         need = k - x_bits.bit_count()
-        scored = []
-        for v in h.nodes:
-            vb = 1 << (v - 1)
-            if vb & x_bits:
-                continue
-            w = 0
-            sub = x_bits
-            while True:
-                w += h.edges.get(sub | vb, 0)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & x_bits
-            scored.append((-w, v))
-        scored.sort()
+        # edge weights summed by their part outside X; node v scores gain[its bit]
+        gain: dict[int, int] = {}
+        for e, w in h.edges.items():
+            rest = e & ~x_bits
+            gain[rest] = gain.get(rest, 0) + w
+        scored = sorted(
+            (-gain.get(1 << (v - 1), 0), v) for v in h.nodes if not x_bits >> (v - 1) & 1
+        )
         bits = x_bits
         for _, v in scored[:need]:
             bits |= 1 << (v - 1)
@@ -270,6 +262,11 @@ def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult
         if x_bits in seen:
             return
         seen.add(x_bits)
+        if len(seen) > BRANCHING_VISIT_BUDGET:
+            raise CapacityError(
+                f"branching section search exceeded its budget of {BRANCHING_VISIT_BUDGET} "
+                "visited sets (hypergraph.BRANCHING_VISIT_BUDGET)"
+            )
         close(x_bits)
         if x_bits.bit_count() > k - 2:
             return
@@ -292,25 +289,29 @@ def heaviest_k_section(h: WeightedHypergraph, k: int) -> SectionResult:
     if k == 0:
         return SectionResult(MaskSet(), h.base_weight)
     if k == 1:
-        best = _Best()
-        for v in h.nodes:
-            bits = 1 << (v - 1)
-            best.offer(bits, h.base_weight + h.edges.get(bits, 0))
-        return best.result()
+        return _small_section(h, 1)
     if k == 2:
         return heaviest_2_section(h)
     if k == 3:
         return heaviest_3_section(h)
     n, m = len(h.nodes), len(h.edges)
-    if comb(n, k) << k <= DEFAULT_BRUTE_BUDGET or m > n * n:
+    cost = comb(n, k) << k
+    if cost <= DEFAULT_BRUTE_BUDGET:
         return heaviest_k_section_bruteforce(h, k)
-    return heaviest_k_section_branching(h, k)
+    if m <= n * n:
+        return heaviest_k_section_branching(h, k)
+    if cost > DENSE_BRUTE_CAP:
+        raise CapacityError(
+            f"a dense {k}-section ({n} nodes, {m} edges) needs {cost} subset probes, "
+            f"above hypergraph.DENSE_BRUTE_CAP = {DENSE_BRUTE_CAP}"
+        )
+    return heaviest_k_section_bruteforce(h, k)
 
 
 def dump_hypergraph(h: WeightedHypergraph) -> dict:
     """JSON-friendly dump: edges sorted by their canonical position lists."""
     entries = sorted(
-        ({"nodes": list(_positions(bits)), "w": w} for bits, w in h.edges.items()),
+        ({"nodes": list(MaskSet.from_bits(b).positions), "w": w} for b, w in h.edges.items()),
         key=lambda e: e["nodes"],
     )
     return {"l": h.node_count, "base": h.base_weight, "edges": entries}

@@ -39,13 +39,12 @@ from .core import (
     MAX_LENGTH,
     CapacityError,
     Dictionary,
-    InfeasibleThresholdError,
     MaskSet,
     _codes,
     mismatch_masks,
     pack_bits,
 )
-from .exact import _best_in_table, subset_counts
+from .exact import _best_in_table, _check_threshold, subset_counts
 
 #: Largest string length for which 2^length tables may be built.
 DEFAULT_TABLE_LIMIT = 24
@@ -88,13 +87,6 @@ def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
     ``solve_pmdm``."""
     _check_threshold(z, table.size)
     return _best_in_table(table.counts >= z, table.counts, table.length)
-
-
-def _check_threshold(z: int, size: int, min_threshold: int = 1) -> None:
-    if z < min_threshold:
-        raise ValueError(f"z={z} below the minimum supported threshold {min_threshold}")
-    if z > size:
-        raise InfeasibleThresholdError(f"threshold {z} exceeds dictionary size {size}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,11 @@ from math import comb
 from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
-from .core import MAX_LENGTH, CapacityError, Dictionary, MaskSet
+from .core import MAX_LENGTH, CapacityError, Dictionary, MaskSet, mismatch_masks
 from .exact import PmdmInstance
+
+#: Most index subsets ``mu_bruteforce`` may enumerate before CapacityError.
+MU_ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,8 @@ def clique_to_pmdm(graph: Graph, k: int) -> PmdmInstance:
 
 def pmdm_to_mu(inst: PmdmInstance) -> MuInstance:
     """Per entry, the set of positions where it differs from the query."""
-    sets = []
-    q = inst.query
-    for entry in inst.dictionary:
-        sets.append(frozenset(i + 1 for i, (a, b) in enumerate(zip(q, entry)) if a != b))
+    masks = mismatch_masks(inst.dictionary, inst.query).tolist()
+    sets = [MaskSet.from_bits(bits).positions for bits in masks]
     return MuInstance(inst.dictionary.length, sets, inst.threshold)
 
 
@@ -144,14 +145,16 @@ def mu_to_pmdm(inst: MuInstance) -> PmdmInstance:
     return PmdmInstance(Dictionary(entries), "a" * length, inst.threshold)
 
 
-def mu_bruteforce(inst: MuInstance, budget: int = 2_000_000) -> MuSolution:
+def mu_bruteforce(inst: MuInstance) -> MuSolution:
     """Enumerate every index subset of the target size; smallest union wins,
-    ties by lexicographic index list."""
+    ties by lexicographic index list.  Raises CapacityError when there are
+    more than ``MU_ENUMERATION_BUDGET`` subsets."""
     d = len(inst.sets)
     z = inst.threshold
-    if comb(d, z) > budget:
+    if comb(d, z) > MU_ENUMERATION_BUDGET:
         raise CapacityError(
-            f"C({d},{z}) = {comb(d, z)} subsets exceed the enumeration budget {budget}"
+            f"C({d},{z}) = {comb(d, z)} subsets exceed the enumeration budget "
+            f"{MU_ENUMERATION_BUDGET}"
         )
     best_indices = None
     best_union: frozenset[int] = frozenset()

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+import pmdm.hypergraph
 import pmdm.index
 from pmdm import GenConfig, generate
 from pmdm.cli import main
@@ -62,6 +63,13 @@ def test_capacity_guard_exit_code(capsys, t1_file, tmp_path, monkeypatch):
         "--out", str(out),
     )
     assert code == 3 and not out.exists()
+    # a greedy section search of 4 or more positions past its visit budget
+    monkeypatch.setattr(pmdm.hypergraph, "DEFAULT_BRUTE_BUDGET", 0)
+    monkeypatch.setattr(pmdm.hypergraph, "BRANCHING_VISIT_BUDGET", 0)
+    code, out = run_cli(
+        capsys, "greedy", "--dict", t1_file, "--query", "abab", "--z", "5", "--tau", "4"
+    )
+    assert code == 3 and out == ""
 
 
 @pytest.mark.parametrize("length", [4, 30])

@@ -16,7 +16,7 @@ from pmdm import (
     mismatch_set,
 )
 
-from pmdm.core import COPY_BLOCK
+from pmdm.core import COPY_BLOCK, lex_smaller
 
 from support import oracle_mismatch_bits, t1
 
@@ -232,3 +232,11 @@ def test_mismatch_masks_match_a_per_character_scan(length):
         assert bits.dtype == np.uint64 and bits.shape == (len(entries),)
         assert [int(b) for b in bits] == oracle_mismatch_bits(d, x)
     assert int(mismatch_masks(d, query).max()) == (1 << length) - 1
+
+
+def test_lex_smaller_follows_the_position_list_order():
+    masks = [MaskSet.from_bits(bits) for bits in range(1 << 7)]
+    for a in masks:
+        for b in masks:
+            if len(a) == len(b):
+                assert lex_smaller(a.bits, b.bits) == (a.positions < b.positions), (a, b)

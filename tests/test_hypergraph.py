@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+import pmdm.hypergraph
 from pmdm import (
+    CapacityError,
     Dictionary,
     MaskSet,
     WeightedHypergraph,
@@ -105,23 +107,73 @@ def test_dispatch_examples():
         heaviest_k_section(h, 5)
 
 
+def without_nodes(h, dropped):
+    """``h`` after deleting ``dropped`` as the greedy does: their bits leave
+    every edge, emptied edges feed the base weight, colliding edges merge,
+    and the node set leaves them out."""
+    gone = as_bits(dropped)
+    edges, base = {}, h.base_weight
+    for e, w in h.edges.items():
+        if e & ~gone:
+            edges[e & ~gone] = edges.get(e & ~gone, 0) + w
+        else:
+            base += w
+    nodes = tuple(v for v in h.nodes if v not in dropped)
+    return WeightedHypergraph(h.node_count, edges, base, nodes)
+
+
 def test_solver_oracle_equivalence_randomized():
     rng = random.Random(20240817)
+    drop_rng = random.Random(3)
+    solvers = {
+        1: lambda h: heaviest_k_section(h, 1),
+        2: heaviest_2_section,
+        3: heaviest_3_section,
+    }
     for _ in range(60):
-        h = random_hypergraph(rng, max_nodes=10, max_edges=40, max_edge_size=5)
-        for k in range(2, min(5, len(h.nodes)) + 1):
-            expect = heaviest_k_section_bruteforce(h, k)
-            if k == 2:
-                got = heaviest_2_section(h)
-            elif k == 3:
-                got = heaviest_3_section(h)
-            else:
-                got = heaviest_k_section_branching(h, k)
-            assert got.weight == expect.weight, (h.edges, k)
-            if k <= 3:
-                # the small-k algorithms also reproduce the lexicographic tie
-                assert got.nodes == expect.nodes, (h.edges, k)
-            assert section_weight(h, got.nodes) == got.weight
+        full = random_hypergraph(rng, max_nodes=10, max_edges=40, max_edge_size=5)
+        dropped = drop_rng.sample(full.nodes, drop_rng.randint(1, len(full.nodes) - 1))
+        for h in (full, without_nodes(full, dropped)):
+            for k in range(1, min(5, len(h.nodes)) + 1):
+                expect = heaviest_k_section_bruteforce(h, k)
+                got = solvers[k](h) if k <= 3 else heaviest_k_section_branching(h, k)
+                assert got.weight == expect.weight, (h.edges, h.nodes, k)
+                if k <= 3:
+                    # the small-k algorithms also reproduce the lexicographic tie
+                    assert got.nodes == expect.nodes, (h.edges, h.nodes, k)
+                assert got.nodes.issubset(MaskSet(h.nodes)), (h.edges, h.nodes, k)
+                assert section_weight(h, got.nodes) == got.weight
+
+
+def test_section_search_for_k_at_least_4_is_bounded(monkeypatch):
+    # 40 nodes and k = 4: C(40, 4) * 2^4 = 1 462 240 is above
+    # DEFAULT_BRUTE_BUDGET, so a sparse hypergraph goes to the branching
+    # search and a dense one (more than 40^2 edges) to enumeration
+    sparse = WeightedHypergraph(40, {as_bits([i, i + 1]): i for i in range(1, 40, 2)})
+    # it visits the empty set, the 20 edges and their 190 pairs
+    monkeypatch.setattr(pmdm.hypergraph, "BRANCHING_VISIT_BUDGET", 211)
+    assert heaviest_k_section(sparse, 4) == (MaskSet([37, 38, 39, 40]), 37 + 39)
+    monkeypatch.setattr(pmdm.hypergraph, "BRANCHING_VISIT_BUDGET", 210)
+    with pytest.raises(CapacityError, match="BRANCHING_VISIT_BUDGET"):
+        heaviest_k_section(sparse, 4)
+
+    rng = random.Random(11)
+    edges = {}
+    while len(edges) <= 40 * 40:
+        edges[as_bits(rng.sample(range(1, 41), rng.randint(1, 4)))] = 1
+    dense = WeightedHypergraph(40, edges)
+    enumerated = []
+    monkeypatch.setattr(
+        pmdm.hypergraph, "heaviest_k_section_bruteforce",
+        lambda h, k: enumerated.append(k) or (MaskSet([1, 2, 3, 4]), 0),
+    )
+    monkeypatch.setattr(pmdm.hypergraph, "DENSE_BRUTE_CAP", 1_462_240)
+    heaviest_k_section(dense, 4)
+    assert enumerated == [4]
+    monkeypatch.setattr(pmdm.hypergraph, "DENSE_BRUTE_CAP", 1_462_239)
+    with pytest.raises(CapacityError, match="DENSE_BRUTE_CAP"):
+        heaviest_k_section(dense, 4)
+    assert enumerated == [4]
 
 
 def test_dictionary_consistency_all_masks():
@@ -153,13 +205,16 @@ def test_total_weight_accounts_for_every_entry():
     for _ in range(20):
         inst = random_instance(rng, max_length=8, max_size=30, max_sigma=4)
         h = build_hypergraph(inst.dictionary, inst.query)
-        assert h.total_weight() == inst.dictionary.size
+        assert h.base_weight + sum(h.edges.values()) == inst.dictionary.size
 
 
 def test_rank_and_restriction():
+    def rank(h):
+        return max(bits.bit_count() for bits in h.edges)
+
     h = build_hypergraph(t1(), "abab")
-    assert h.rank() == 2
-    assert h.restricted(1).rank() == 1
+    assert rank(h) == 2
+    assert rank(h.restricted(1)) == 1
     assert h.restricted(1).base_weight == h.base_weight
 
 
@@ -178,3 +233,5 @@ def test_zero_weight_edges_are_dropped():
         WeightedHypergraph(3, {0b1000: 1})
     with pytest.raises(ValueError):
         WeightedHypergraph(3, {0: 1})
+    with pytest.raises(ValueError):
+        WeightedHypergraph(3, {0b100: 1}, nodes=(1, 2))

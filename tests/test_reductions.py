@@ -189,12 +189,16 @@ def test_extract_matches_optimal_union():
         assert union <= set(best.positions)
 
 
-def test_mu_bruteforce_budget_and_ties():
+def test_mu_bruteforce_budget_and_ties(monkeypatch):
     mu = MuInstance(3, [{1}, {1}, {2, 3}], 2)
     solution = mu_bruteforce(mu)
     assert solution.indices == [0, 1] and solution.union == frozenset({1})
     with pytest.raises(CapacityError):
-        mu_bruteforce(MuInstance(2, [{1}] * 30, 15), budget=10)
+        mu_bruteforce(MuInstance(2, [{1}] * 30, 15))
+    # the budget is read at call time: C(3, 2) = 3 subsets exceed a budget of 2
+    monkeypatch.setattr(pmdm.reductions, "MU_ENUMERATION_BUDGET", 2)
+    with pytest.raises(CapacityError):
+        mu_bruteforce(mu)
 
 
 def test_graph_file_parsing(tmp_path):
