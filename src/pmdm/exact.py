@@ -5,13 +5,16 @@ The three entry points (``solve_pmdm``, ``solve_mpmdm``,
 picks its engine by a single cost rule on the string length l:
 
 * l <= ``TABLE_MAX_LENGTH`` (20): a table of 2^l subset counts.  The
-  per-entry mismatch bitmasks are histogrammed and completed by an
-  in-place sum-over-subsets pass (Yates's zeta transform), so counts[K]
-  is the number of entries the query matches when masked at K.  The
-  optimum size k is the smallest popcount among masks whose count reaches
-  the threshold; for several queries the count is the element-wise
-  minimum of the per-query tables.  The same kernel fills
-  ``index.small_ell_build``.
+  per-entry mismatch bitmasks are histogrammed and completed by a
+  sum-over-subsets pass (Yates's zeta transform) of ceil(l / 4) float32
+  BLAS products, each applying a 16 x 16 subset matrix to one block of 4
+  bits; the floats are exact while every partial sum counts at most 2^24
+  masks, and a call with more masks sums in float64.
+  counts[K] is the number of entries the query matches when masked at K.
+  The optimum size k is the smallest popcount among masks whose count
+  reaches the threshold; for several queries every per-query table must
+  reach it.  The same kernel fills ``index.small_ell_build`` and the
+  split index's scans of rare halves.
 * l > ``TABLE_MAX_LENGTH``: the unmasked positions form a maximum
   frequent itemset.  Per query and position, the entries agreeing with
   the query there form a set; a depth-first search over frequent
@@ -59,10 +62,10 @@ from .hypergraph import heaviest_k_section  # noqa: F401
 
 #: Longest string answered from the full table of 2^l subset counts; longer
 #: strings go to the kept-set search.  At 20 the table is 4 MB of int32;
-#: at d = 1e4 it takes about 11 ms to fill and a whole answer about 15 ms
-#: on one core of a 2-core x86_64 host, whatever the optimal k, while the
-#: search's cost grows with the number of near-optimal kept sets and is
-#: exponential in the middle band.
+#: at d = 1e4 it takes about 5-6 ms to fill and a whole answer about 6.5-8
+#: ms on a 2-core x86_64 host, whatever the optimal k, while the search's
+#: cost grows with the number of near-optimal kept sets and is exponential
+#: in the middle band.
 TABLE_MAX_LENGTH = 20
 
 #: Most nodes the kept-set search (l > ``TABLE_MAX_LENGTH``) may visit
@@ -73,55 +76,60 @@ TABLE_MAX_LENGTH = 20
 #: 39 s.
 KEPT_SET_VISIT_BUDGET = 1_000_000
 
-#: Cells per chunk of the in-place subset-sum pass: 2^16 int32 counters
-#: (256 KB) stay in a core's L2 cache while all their low bits are folded.
-CHUNK_BITS = 16
+#: Bits of the table index transformed by one matrix product.
+BLOCK_BITS = 4
+
+#: Most masks one ``subset_counts`` call sums in float32: every partial sum
+#: is a count of at most that many masks, and an integer up to 2^24 fits
+#: float32's 24-bit significand (the argument of ``core.PACK_WIDTH``), so
+#: every sum is exact whatever order the BLAS kernel adds in.  More masks
+#: are summed in float64.
+FLOAT32_EXACT_COUNT = 1 << 24
 
 
-def _fold(view: np.ndarray) -> None:
-    """One sum-over-subsets step on a (-1, 2, run) view: the half with the
-    bit set adds the half without it."""
-    view[:, 1] += view[:, 0]
+@lru_cache(maxsize=None)
+def _subset_matrix(width: int, dtype: type) -> np.ndarray:
+    """zeta[J, K] = 1 when J is a subset of K, for J, K < 2^width: a row
+    vector of counts times it sums each K's subsets."""
+    cells = np.arange(1 << width)
+    zeta = (cells[:, None] & ~cells[None, :] == 0).astype(dtype)
+    zeta.flags.writeable = False
+    return zeta
 
 
 def subset_counts(masks: np.ndarray, length: int, rows: int = 1) -> np.ndarray:
     """counts[K] = how many ``masks`` are subsets of K, for every K < 2^length.
 
-    A histogram of the masks completed by an in-place sum-over-subsets pass
-    (Yates's zeta transform): after folding bit b, counts[K] covers every
-    mask that equals K above bit b and is a subset of K on bits 0..b.
-    Bits at and above ``length`` are never folded, so ``rows`` independent
-    tables can share one call: a mask ``r << length | m`` counts in row r
-    only, and the result holds ``rows << length`` int32 counters, row after
-    row.
+    A histogram of the masks completed by a sum-over-subsets pass (Yates's
+    zeta transform): the transform is the Kronecker product of ``length``
+    copies of [[1, 0], [1, 1]], so a block of ``BLOCK_BITS`` bits is one
+    product with a 16 x 16 subset matrix (the last block may be narrower).
+    Bits at and above ``length`` are never transformed, so ``rows``
+    independent tables can share one call: a mask ``r << length | m``
+    counts in row r only, and the result holds ``rows << length`` int32
+    counters, row after row.
 
-    Layout: folding bit b adds runs of 2^b counters, and numpy runs short
-    inner loops slowly (bits 1..3 alone took half of a 2^15 pass).  So the
-    table is cut into chunks of 2^``CHUNK_BITS`` counters (the last may be
-    shorter; for shorter strings a chunk holds whole rows).  With c =
-    min(length, ``CHUNK_BITS``) and h = c // 2, a chunk is copied out
-    transposed, as a (2^h, chunk / 2^h) array, so folding its low h bits
-    adds runs of at least chunk / 2^h counters; it is copied back and bits
-    h..c-1 are folded in place, in runs of at least 2^h.  Bits c and up
-    are folded over the whole table, in runs of at least 2^16.  The work
-    stays O(2^length * length) additions plus two copies of each chunk,
-    and the memory beyond the histogram and the result is one chunk.
+    Layout: the histogram counts cell K of row r at K * rows + r and is
+    cast to floats.  Each product takes the top block of the cell bits as
+    its inner dimension (a transposed operand, which BLAS reads without a
+    copy) and writes the block's bits lowest, so the index rotates by the
+    block's width with the row digit riding along; after ceil(length /
+    ``BLOCK_BITS``) products every cell bit is back in order below the
+    row digit, and the result is cast back to int32.  The sums are
+    float32, exact while the call has at most ``FLOAT32_EXACT_COUNT``
+    masks, and float64 beyond.  Cost: ceil(length / ``BLOCK_BITS``)
+    products of (rows << length) * 16 multiply-adds; memory peaks while
+    the int64 histogram is cast, at the histogram plus one table.
     """
-    counts = np.bincount(masks.astype(np.int64), minlength=rows << length)
-    counts = counts.astype(np.int32)
-    inner = min(length, CHUNK_BITS)
-    low = inner // 2
-    for start in range(0, len(counts), 1 << CHUNK_BITS):
-        cells = counts[start:start + (1 << CHUNK_BITS)]
-        moved = cells.reshape(-1, 1 << low).T.copy()
-        for b in range(low):
-            _fold(moved.reshape(-1, 2, moved.shape[1] << b))
-        cells.reshape(-1, 1 << low)[...] = moved.T
-        for b in range(low, inner):
-            _fold(cells.reshape(-1, 2, 1 << b))
-    for b in range(inner, length):
-        _fold(counts.reshape(-1, 2, 1 << b))
-    return counts
+    dtype = np.float32 if len(masks) <= FLOAT32_EXACT_COUNT else np.float64
+    cells = masks.view(np.int64)  # every mask is below 2^63
+    if rows > 1:
+        cells = (cells & (1 << length) - 1) * rows + (cells >> length)
+    table = np.bincount(cells, minlength=rows << length).astype(dtype)
+    for done in range(0, length, BLOCK_BITS):
+        width = min(BLOCK_BITS, length - done)
+        table = table.reshape(1 << width, -1).T @ _subset_matrix(width, dtype)
+    return table.astype(np.int32).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -144,16 +152,20 @@ def _lex_ranks(length: int) -> np.ndarray:
     return rank
 
 
-def _best_in_table(
-    qualifying: np.ndarray, weight: np.ndarray, length: int
-) -> MaskSet:
-    """Smallest qualifying mask; ties by highest ``weight``, then by the
-    lexicographically smallest position list."""
+def _best_in_table(tables: np.ndarray, threshold: int, length: int) -> MaskSet:
+    """Smallest mask at which every row of ``tables`` (one table of 2^length
+    counts per query, or a single table) reaches ``threshold``; ties by the
+    highest sum of the rows' counts, then by the lexicographically smallest
+    position list."""
+    tables = tables.reshape(-1, 1 << length)
+    qualifying = tables[0] >= threshold
+    for row in tables[1:]:
+        qualifying &= row >= threshold
     pop = _popcounts(length)
     k = pop[qualifying].min()
     tied = np.flatnonzero(qualifying & (pop == k))
     # every rank is below 2^length, so the weight decides first
-    key = weight[tied].astype(np.int64) << length | _lex_ranks(length)[tied]
+    key = tables[:, tied].sum(axis=0, dtype=np.int64) << length | _lex_ranks(length)[tied]
     return MaskSet.from_bits(int(tied[np.argmax(key)]))
 
 
@@ -355,15 +367,11 @@ def _smallest_mask(
     length = dictionary.length
     masks = [mismatch_masks(dictionary, q) for q in queries]
     if length <= TABLE_MAX_LENGTH:
-        if len(masks) == 1:
-            # one query's table is its own minimum and sum
-            table = subset_counts(masks[0], length)
-            best = _best_in_table(table >= threshold, table, length)
-        else:
-            # one table row per query, all filled by one pass
-            tagged = np.concatenate([m | np.uint64(j << length) for j, m in enumerate(masks)])
-            tables = subset_counts(tagged, length, len(masks)).reshape(len(masks), -1)
-            best = _best_in_table(tables.min(axis=0) >= threshold, tables.sum(axis=0), length)
+        # one table row per query, all filled by one pass
+        tagged = masks[0] if len(masks) == 1 else np.concatenate(
+            [m | np.uint64(j << length) for j, m in enumerate(masks)]
+        )
+        best = _best_in_table(subset_counts(tagged, length, len(masks)), threshold, length)
         return best if limit is None or len(best) <= limit else None
     # every query matches its ``threshold`` fewest-mismatch entries once
     # all their mismatches are masked, so this union qualifies

@@ -86,7 +86,7 @@ def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
     matches, then to the lexicographically smallest position list, as in
     ``solve_pmdm``."""
     _check_threshold(z, table.size)
-    return _best_in_table(table.counts >= z, table.counts, table.length)
+    return _best_in_table(table.counts, z, table.length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,7 +444,7 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
     ``solve_pmdm``."""
     _check_threshold(z, idx.size, idx.min_threshold)
     counts = split_counts(idx, q)
-    return _best_in_table(counts >= z, counts, idx.length)
+    return _best_in_table(counts, z, idx.length)
 
 
 # ---------------------------------------------------------------------------

@@ -336,14 +336,54 @@ def test_subset_counts_match_a_brute_force_count(length):
 
 @pytest.mark.parametrize("length", range(15, 21))
 def test_subset_counts_match_the_per_bit_fold(length):
-    """Above 2^16 cells a chunk no longer holds a whole table, and with
-    three rows at l = 15 a chunk holds two rows and the last one half."""
+    """Lengths 15..20 take four or five block products, the last block
+    narrower unless 4 divides l, and with three rows the row digit rides
+    between the blocks through every product."""
     rng = random.Random(length)
     for rows in (1, 3):
         masks = kernel_masks(rng, length, rows, 3000)
         counts = subset_counts(masks, length, rows)
         assert counts.dtype == np.int32
         assert np.array_equal(counts, reference_subset_counts(masks, length, rows))
+
+
+@pytest.mark.parametrize("length", [5, 15])
+def test_subset_counts_past_the_float32_bound_sum_in_float64(length, monkeypatch):
+    """A call with more than ``FLOAT32_EXACT_COUNT`` masks runs its products
+    in float64; the bound is lowered to reach that path with small inputs."""
+    original = pmdm.exact._subset_matrix
+    seen = []
+
+    def spy(width, dtype):
+        seen.append(dtype)
+        return original(width, dtype)
+
+    monkeypatch.setattr(pmdm.exact, "_subset_matrix", spy)
+    rng = random.Random(length)
+    for rows in (1, 3):
+        masks = kernel_masks(rng, length, rows, 3000)
+        for bound, dtype in ((len(masks), np.float32), (len(masks) - 1, np.float64)):
+            monkeypatch.setattr(pmdm.exact, "FLOAT32_EXACT_COUNT", bound)
+            seen.clear()
+            counts = subset_counts(masks, length, rows)
+            assert seen and set(seen) == {dtype}
+            assert counts.dtype == np.int32
+            assert np.array_equal(counts, reference_subset_counts(masks, length, rows))
+
+
+def test_cached_tables_are_read_only():
+    """The cached subset matrices and popcounts are shared by every call,
+    so none may be written; zeta[J, K] is 1 exactly when J is a subset of K."""
+    assert not pmdm.exact._popcounts(5).flags.writeable
+    for width in range(1, pmdm.exact.BLOCK_BITS + 1):
+        cells = range(1 << width)
+        for dtype in (np.float32, np.float64):
+            zeta = pmdm.exact._subset_matrix(width, dtype)
+            assert zeta is pmdm.exact._subset_matrix(width, dtype)
+            assert zeta.dtype == dtype and not zeta.flags.writeable
+            with pytest.raises(ValueError):
+                zeta[0, 0] = 0
+            assert zeta.tolist() == [[float(j & ~k == 0) for k in cells] for j in cells]
 
 
 def table_instance(length: int) -> tuple[Dictionary, str]:
