@@ -187,7 +187,7 @@ def _cmd_index_query(args) -> int:
     elif isinstance(obj, SplitIndex):
         _check_threshold(args.z, obj.size, obj.min_threshold)
         counts = split_counts(obj, args.query)
-        mask = _best_in_table(counts, args.z, obj.length)
+        mask = _best_in_table([counts], args.z, obj.length)
         matches = int(counts[mask.bits])
     else:
         raise ValueError("unsupported index payload")

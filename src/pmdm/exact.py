@@ -2,26 +2,27 @@
 
 The three entry points (``solve_pmdm``, ``solve_mpmdm``,
 ``decide_k_pmdm``) share one private solver over a list of queries, which
-picks its engine by a single cost rule on the string length l:
+picks its engine by a single cost rule on the string length l and the
+number of queries m:
 
-* l <= ``TABLE_MAX_LENGTH`` (20): a table of 2^l subset counts.  The
-  per-entry mismatch bitmasks are histogrammed and completed by a
-  sum-over-subsets pass (Yates's zeta transform) of ceil(l / 4) float32
-  BLAS products, each applying a 16 x 16 subset matrix to one block of 4
-  bits; the floats are exact while every partial sum counts at most 2^24
-  masks, and a call with more masks sums in float64.
+* l <= ``TABLE_MAX_LENGTH`` (20) and m * 2^l at most
+  2^``DEFAULT_TABLE_LIMIT`` counters: a table of 2^l subset counts per
+  query.  The per-entry mismatch bitmasks are histogrammed and completed
+  by a sum-over-subsets pass (Yates's zeta transform) of ceil(l / 4)
+  float32 BLAS products, each applying a 16 x 16 subset matrix to one
+  block of 4 bits; the floats are exact while every partial sum counts
+  at most 2^24 masks, and a call with more masks sums in float64.
   counts[K] is the number of entries the query matches when masked at K.
   The optimum size k is the smallest popcount among masks whose count
-  reaches the threshold; for several queries every per-query table must
-  reach it.  The same kernel fills ``index.small_ell_build`` and the
-  split index's scans of rare halves.
-* l > ``TABLE_MAX_LENGTH``: the unmasked positions form a maximum
-  frequent itemset.  Per query and position, the entries agreeing with
-  the query there form a set; a depth-first search over frequent
-  extensions (Eclat) grows the kept set, cutting a branch only when it
-  cannot reach the best size found.  Entries with more mismatches than an
-  upper bound on the optimum are dropped first: no optimal mask matches
-  them.
+  reaches the threshold in every query's table.  The same kernel fills
+  ``index.small_ell_build`` and the split index's one table over the
+  members of rare halves.
+* otherwise: the unmasked positions form a maximum frequent itemset.
+  Per query and position, the entries agreeing with the query there form
+  a set; a depth-first search over frequent extensions (Eclat) grows the
+  kept set, cutting a branch only when it cannot reach the best size
+  found.  Entries with more mismatches than an upper bound on the optimum
+  are dropped first: no optimal mask matches them.
 
 Both engines break ties the same way, and so do the index queries, so
 neither the engine nor the structure changes the answer: among
@@ -68,12 +69,17 @@ from .hypergraph import heaviest_k_section  # noqa: F401
 #: in the middle band.
 TABLE_MAX_LENGTH = 20
 
-#: Most nodes the kept-set search (l > ``TABLE_MAX_LENGTH``) may visit
-#: before it gives up with CapacityError.  At l=40, d=2e4, rho=0.1, 20
-#: centres and m=3 the search visited about 25 000 nodes a second on one
-#: core of a 2-core x86_64 host: the z=50 answer (k=9) needs about 0.4
-#: million visits (16 s), and at z=500 the budget ends the search after
-#: 39 s.
+#: Most counters, as a power of two, that the tables of one call may hold:
+#: ``index`` builds 2^l-counter tables only up to l = 24, and a multi-query
+#: answer fills its per-query tables only while all of them together stay
+#: within 2^24 counters (64 MB of int32), else it takes the kept-set search.
+DEFAULT_TABLE_LIMIT = 24
+
+#: Most nodes the kept-set search may visit before it gives up with
+#: CapacityError.  At l=40, d=2e4, rho=0.1, 20 centres and m=3 the search
+#: visited about 25 000 nodes a second on one core of a 2-core x86_64
+#: host: the z=50 answer (k=9) needs about 0.4 million visits (16 s), and
+#: at z=500 the budget ends the search after 39 s.
 KEPT_SET_VISIT_BUDGET = 1_000_000
 
 #: Bits of the table index transformed by one matrix product.
@@ -97,35 +103,28 @@ def _subset_matrix(width: int, dtype: type) -> np.ndarray:
     return zeta
 
 
-def subset_counts(masks: np.ndarray, length: int, rows: int = 1) -> np.ndarray:
+def subset_counts(masks: np.ndarray, length: int) -> np.ndarray:
     """counts[K] = how many ``masks`` are subsets of K, for every K < 2^length.
 
     A histogram of the masks completed by a sum-over-subsets pass (Yates's
     zeta transform): the transform is the Kronecker product of ``length``
     copies of [[1, 0], [1, 1]], so a block of ``BLOCK_BITS`` bits is one
     product with a 16 x 16 subset matrix (the last block may be narrower).
-    Bits at and above ``length`` are never transformed, so ``rows``
-    independent tables can share one call: a mask ``r << length | m``
-    counts in row r only, and the result holds ``rows << length`` int32
-    counters, row after row.
 
-    Layout: the histogram counts cell K of row r at K * rows + r and is
-    cast to floats.  Each product takes the top block of the cell bits as
-    its inner dimension (a transposed operand, which BLAS reads without a
-    copy) and writes the block's bits lowest, so the index rotates by the
-    block's width with the row digit riding along; after ceil(length /
-    ``BLOCK_BITS``) products every cell bit is back in order below the
-    row digit, and the result is cast back to int32.  The sums are
-    float32, exact while the call has at most ``FLOAT32_EXACT_COUNT``
-    masks, and float64 beyond.  Cost: ceil(length / ``BLOCK_BITS``)
-    products of (rows << length) * 16 multiply-adds; memory peaks while
-    the int64 histogram is cast, at the histogram plus one table.
+    Layout: the histogram is cast to floats.  Each product takes the top
+    block of the index bits as its inner dimension (a transposed operand,
+    which BLAS reads without a copy) and writes the block's bits lowest,
+    so the index rotates by the block's width; after ceil(length /
+    ``BLOCK_BITS``) products every bit is back in order, and the result
+    is cast back to int32.  The sums are float32, exact while the call
+    has at most ``FLOAT32_EXACT_COUNT`` masks, and float64 beyond.  Cost:
+    ceil(length / ``BLOCK_BITS``) products of 2^length * 16 multiply-adds;
+    memory peaks while the int64 histogram is cast, at the histogram plus
+    one table.
     """
     dtype = np.float32 if len(masks) <= FLOAT32_EXACT_COUNT else np.float64
-    cells = masks.view(np.int64)  # every mask is below 2^63
-    if rows > 1:
-        cells = (cells & (1 << length) - 1) * rows + (cells >> length)
-    table = np.bincount(cells, minlength=rows << length).astype(dtype)
+    # every mask is below 2^63
+    table = np.bincount(masks.view(np.int64), minlength=1 << length).astype(dtype)
     for done in range(0, length, BLOCK_BITS):
         width = min(BLOCK_BITS, length - done)
         table = table.reshape(1 << width, -1).T @ _subset_matrix(width, dtype)
@@ -152,20 +151,20 @@ def _lex_ranks(length: int) -> np.ndarray:
     return rank
 
 
-def _best_in_table(tables: np.ndarray, threshold: int, length: int) -> MaskSet:
-    """Smallest mask at which every row of ``tables`` (one table of 2^length
-    counts per query, or a single table) reaches ``threshold``; ties by the
-    highest sum of the rows' counts, then by the lexicographically smallest
-    position list."""
-    tables = tables.reshape(-1, 1 << length)
+def _best_in_table(tables: Sequence[np.ndarray], threshold: int, length: int) -> MaskSet:
+    """Smallest mask at which every one of ``tables`` (2^length counts
+    each, one per query) reaches ``threshold``; ties by the highest sum of
+    the tables' counts, then by the lexicographically smallest position
+    list."""
     qualifying = tables[0] >= threshold
-    for row in tables[1:]:
-        qualifying &= row >= threshold
+    for table in tables[1:]:
+        qualifying &= table >= threshold
     pop = _popcounts(length)
     k = pop[qualifying].min()
     tied = np.flatnonzero(qualifying & (pop == k))
+    weight = np.sum([table[tied] for table in tables], axis=0, dtype=np.int64)
     # every rank is below 2^length, so the weight decides first
-    key = tables[:, tied].sum(axis=0, dtype=np.int64) << length | _lex_ranks(length)[tied]
+    key = weight << length | _lex_ranks(length)[tied]
     return MaskSet.from_bits(int(tied[np.argmax(key)]))
 
 
@@ -366,12 +365,8 @@ def _smallest_mask(
     _check_threshold(threshold, dictionary.size)
     length = dictionary.length
     masks = [mismatch_masks(dictionary, q) for q in queries]
-    if length <= TABLE_MAX_LENGTH:
-        # one table row per query, all filled by one pass
-        tagged = masks[0] if len(masks) == 1 else np.concatenate(
-            [m | np.uint64(j << length) for j, m in enumerate(masks)]
-        )
-        best = _best_in_table(subset_counts(tagged, length, len(masks)), threshold, length)
+    if length <= TABLE_MAX_LENGTH and len(masks) << length <= 1 << DEFAULT_TABLE_LIMIT:
+        best = _best_in_table([subset_counts(m, length) for m in masks], threshold, length)
         return best if limit is None or len(best) <= limit else None
     # every query matches its ``threshold`` fewest-mismatch entries once
     # all their mismatches are masked, so this union qualifies

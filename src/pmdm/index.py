@@ -14,12 +14,12 @@ Three structures, trading construction cost and space for query speed:
 * half-split tables: per side, one sorted array of (half mask, masked
   half) keys with their counts and member lists, plus one sorted array of
   exact pair counters, keyed by the two halves' group ids, for the half
-  patterns frequent on both sides; rare halves fall back to scanning
-  their short member lists.  A query computes the count of all 2^l masks
-  at once: one search of each side's 2^(l/2) query keys, one scan over
-  the at most 2^(l/2) * max(tau, z0) members of its rare halves, and one
-  search of the pair counters with at most 2^l ascending keys; no step
-  reads the whole dictionary.
+  patterns frequent on both sides; masks with a rare half are counted
+  from those halves' short member lists.  A query computes the count of
+  all 2^l masks at once: one search of each side's 2^(l/2) query keys,
+  one subset-count table over the at most 2^(l/2 + 1) * max(tau, z0)
+  members of its rare halves, and one search of the pair counters with
+  at most 2^l ascending keys; no step reads the whole dictionary.
 
 All three agree with a plain linear scan on every mask they cover, and
 all sorted key arrays are read through the one helper ``_lookup``.
@@ -35,6 +35,7 @@ from math import comb
 
 import numpy as np
 
+from . import exact
 from .core import (
     MAX_LENGTH,
     CapacityError,
@@ -45,9 +46,6 @@ from .core import (
     pack_bits,
 )
 from .exact import _best_in_table, _check_threshold, subset_counts
-
-#: Largest string length for which 2^length tables may be built.
-DEFAULT_TABLE_LIMIT = 24
 
 #: Cap on the workspace of a build: C(length, k) * d for the fixed-size
 #: tables, pair entries plus members for the half-split tables.
@@ -72,9 +70,9 @@ class SmallEllTable:
 def small_ell_build(dictionary: Dictionary, q: str) -> SmallEllTable:
     """Histogram the mismatch bitmasks, then run the subset-sum pass."""
     length = dictionary.length
-    if length > DEFAULT_TABLE_LIMIT:
+    if length > exact.DEFAULT_TABLE_LIMIT:
         raise CapacityError(
-            f"length {length} exceeds the table limit {DEFAULT_TABLE_LIMIT} "
+            f"length {length} exceeds the table limit {exact.DEFAULT_TABLE_LIMIT} "
             f"(2^{length} counters)"
         )
     counts = subset_counts(mismatch_masks(dictionary, q), length)
@@ -86,7 +84,7 @@ def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
     matches, then to the lexicographically smallest position list, as in
     ``solve_pmdm``."""
     _check_threshold(z, table.size)
-    return _best_in_table(table.counts, z, table.length)
+    return _best_in_table([table.counts], z, table.length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +276,12 @@ class SplitIndex:
     ``pair_counts`` the number of such entries; a group id names its half
     mask, so a key names its full mask too.  ``codes`` is the entries'
     row-major (size, length) uint32 code-point matrix, whose rows the
-    rare-half scans gather.
+    query gathers for the members of its rare halves.
 
     A query (``split_counts``) costs one search of each side's 2^(l/2)
-    query keys, one scan over at most 2^(l/2) * max(tau, z0) members of
-    rare halves, and one search of at most 2^l ascending pair keys.
+    query keys, one subset-count table over at most 2^(l/2 + 1) *
+    max(tau, z0) members of rare halves, and one search of at most 2^l
+    ascending pair keys.
     """
 
     length: int
@@ -321,9 +320,9 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     """
     length = dictionary.length
     d = dictionary.size
-    if length > DEFAULT_TABLE_LIMIT:
+    if length > exact.DEFAULT_TABLE_LIMIT:
         raise CapacityError(
-            f"length {length} exceeds the table limit {DEFAULT_TABLE_LIMIT}"
+            f"length {length} exceeds the table limit {exact.DEFAULT_TABLE_LIMIT}"
         )
     if not 1 <= tau <= d:
         raise ValueError(f"tau must be in [1, {d}]")
@@ -332,7 +331,7 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     lam = (length + 1) // 2
     members = ((1 << lam) + (1 << (length - lam))) * d
     _check_split_workspace(0, members)
-    # row-major, as a loaded index holds them: the rare-half scans gather rows
+    # row-major, as a loaded index holds them: a query gathers rows
     codes = np.ascontiguousarray(dictionary.codes)
     left, gid_left = _build_half(codes, 0, lam)
     right, gid_right = _build_half(codes, lam, length - lam)
@@ -372,23 +371,13 @@ def _half_lookup(side: _HalfMaps, q_codes: np.ndarray, rare_below: int) -> tuple
     return gid, rare, present & ~rare
 
 
-def _scan_groups(
-    side: _HalfMaps, groups: np.ndarray, other: _HalfMaps, codes: np.ndarray, q_codes: np.ndarray
-) -> np.ndarray:
-    """counts[i, m] = members of ``side``'s group ``groups[i]`` whose other
-    half matches the query under the other side's half mask m: each
-    member's mismatch bitmask on the other half, histogrammed per group and
-    completed by a subset-sum pass."""
+def _members(side: _HalfMaps, groups: np.ndarray) -> np.ndarray:
+    """The members of ``side``'s groups ``groups``, back to back."""
     sizes = side.counts[groups]
     ends = np.cumsum(sizes)
-    row = np.repeat(np.arange(len(groups), dtype=np.uint64), sizes)
-    # the groups' members concatenated: member i of group j sits at
-    # starts[groups[j]] + i in members.ravel()
-    at = np.arange(ends[-1]) + np.repeat(side.starts[groups] - (ends - sizes), sizes)
-    cols = slice(other.offset, other.offset + other.width)
-    mismatch = pack_bits(codes[side.members.ravel()[at], cols] != q_codes[cols])
-    table = subset_counts(row << np.uint64(other.width) | mismatch, other.width, len(groups))
-    return table.reshape(len(groups), 1 << other.width)
+    # member i of group j sits at starts[groups[j]] + i in members.ravel()
+    at = np.arange(sizes.sum()) + np.repeat(side.starts[groups] - (ends - sizes), sizes)
+    return side.members.ravel()[at]
 
 
 def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
@@ -396,12 +385,12 @@ def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
     mask below 2^length, exactly.
 
     On each side the query's half content is looked up under every half
-    mask.  A mask whose half content occurs in no entry counts 0.  A mask
-    whose left half is rare (seen fewer than max(tau, z0) times) counts
-    the members of that left group matching the query on the right half;
-    otherwise a rare right half does the same the other way round.  All
-    rare groups are scanned in one pass.  The remaining masks, frequent on
-    both sides, read their pair counter.
+    mask.  An entry that ``q`` matches under a mask whose half content is
+    rare (seen fewer than max(tau, z0) times) on either side is a member
+    of that half's group, so one subset-count table over the members of
+    all the query's rare halves counts every mask with a rare half
+    exactly, and every mask with a half no entry has as 0.  The masks
+    frequent on both sides read their pair counter instead.
     """
     if len(q) != idx.length:
         raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
@@ -410,23 +399,19 @@ def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
     q_codes = _codes(q)
     gid_l, rare_l, frequent_l = _half_lookup(left, q_codes, rare_below)
     gid_r, rare_r, frequent_r = _half_lookup(right, q_codes, rare_below)
-    out = np.zeros(1 << idx.length, dtype=np.int64)
+    # an entry in rare groups of both sides, or of several half masks, once
+    rare = np.unique(np.concatenate([_members(left, gid_l[rare_l]), _members(right, gid_r[rare_r])]))
+    out = subset_counts(pack_bits(idx.codes[rare] != q_codes), idx.length)
     grid = out.reshape(1 << right.width, 1 << left.width)  # grid[m_r, m_l] is out[bits]
-    cols_l = np.flatnonzero(rare_l)
-    if cols_l.size:
-        grid[:, cols_l] = _scan_groups(left, gid_l[cols_l], right, idx.codes, q_codes).T
-    rows_r = np.flatnonzero(rare_r)
-    cols_f = np.flatnonzero(frequent_l)
-    if rows_r.size and cols_f.size:
-        scanned = _scan_groups(right, gid_r[rows_r], left, idx.codes, q_codes)
-        grid[np.ix_(rows_r, cols_f)] = scanned[:, cols_f]
     rows_f = np.flatnonzero(frequent_r)
+    cols_f = np.flatnonzero(frequent_l)
     if rows_f.size and cols_f.size:
         # left mask outer, right mask inner: group ids ascend with their
         # half masks, so the keys ascend and the search reads pair_keys in order
         at = _lookup(idx.pair_keys, (gid_l[cols_f, None] * len(right.keys) + gid_r[rows_f]).ravel())
-        c, r = np.divmod(np.flatnonzero(at >= 0), len(rows_f))
-        grid[rows_f[r], cols_f[c]] = idx.pair_counts[at[at >= 0]]
+        pairs = np.zeros(len(at), dtype=out.dtype)  # 0 where no entry has the pair
+        pairs[at >= 0] = idx.pair_counts[at[at >= 0]]
+        grid[np.ix_(rows_f, cols_f)] = pairs.reshape(len(cols_f), len(rows_f)).T
     return out
 
 
@@ -444,7 +429,7 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
     ``solve_pmdm``."""
     _check_threshold(z, idx.size, idx.min_threshold)
     counts = split_counts(idx, q)
-    return _best_in_table(counts, z, idx.length)
+    return _best_in_table([counts], z, idx.length)
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +608,8 @@ def _load_split(rd: _Reader) -> SplitIndex:
     (size,) = rd.fields("I")
     if lam != (length + 1) // 2 or not 1 <= tau <= size or not 1 <= z0 <= size:
         raise ValueError("corrupt index file: header field out of range")
-    if length > DEFAULT_TABLE_LIMIT:
-        raise CapacityError(f"length {length} exceeds the table limit {DEFAULT_TABLE_LIMIT}")
+    if length > exact.DEFAULT_TABLE_LIMIT:
+        raise CapacityError(f"length {length} exceeds the table limit {exact.DEFAULT_TABLE_LIMIT}")
     # the build's guard, which also keeps every pair key below 2^50
     _check_split_workspace(0, ((1 << lam) + (1 << (length - lam))) * size)
     entries = tuple(rd.string().split("\n"))

@@ -70,11 +70,11 @@ def oracle_mismatch_bits(dictionary: Dictionary, x: str | MaskedString) -> list[
     ]
 
 
-def reference_subset_counts(masks: np.ndarray, length: int, rows: int = 1) -> np.ndarray:
+def reference_subset_counts(masks: np.ndarray, length: int) -> np.ndarray:
     """``exact.subset_counts`` as a plain per-bit sum-over-subsets fold of
     the whole table: after folding bit b, counts[K] covers every mask that
     equals K above bit b and is a subset of K on bits 0..b."""
-    counts = np.bincount(masks.astype(np.int64), minlength=rows << length).astype(np.int32)
+    counts = np.bincount(masks.astype(np.int64), minlength=1 << length).astype(np.int32)
     for b in range(length):
         view = counts.reshape(-1, 2, 1 << b)
         view[:, 1] += view[:, 0]

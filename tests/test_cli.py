@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+import pmdm.exact
 import pmdm.hypergraph
 import pmdm.index
 from pmdm import GenConfig, generate
@@ -56,7 +57,7 @@ def test_solve_mixed_length_dictionary_exit_code(capsys, tmp_path):
 
 
 def test_capacity_guard_exit_code(capsys, t1_file, tmp_path, monkeypatch):
-    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 3)
+    monkeypatch.setattr(pmdm.exact, "DEFAULT_TABLE_LIMIT", 3)
     out = tmp_path / "idx.bin"
     code, _ = run_cli(
         capsys, "index", "build", "--dict", t1_file, "--kind", "split", "--tau", "1",

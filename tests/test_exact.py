@@ -307,44 +307,60 @@ def test_mpmdm_validation():
         solve_mpmdm(MpmdmInstance(d, ["aa"], 3))
 
 
-def kernel_masks(rng, length: int, rows: int, size: int) -> np.ndarray:
-    """About 1.5 * ``size`` + 3 masks per row below 2^length, row r's
-    tagged ``r << length``: random ones, repeats of them, the zero mask
-    and the full mask twice."""
+def test_multi_query_tables_past_the_table_limit_take_the_kept_set_search(monkeypatch):
+    """Queries whose tables together would hold more than
+    2^``DEFAULT_TABLE_LIMIT`` counters are answered without filling any."""
+    rng = random.Random(9)
+    d = Dictionary("".join(rng.choice("abc") for _ in range(10)) for _ in range(40))
+    queries = [d[0], d[1], "".join(rng.choice("abc") for _ in range(10))]
+    original = pmdm.exact.subset_counts
+    calls = []
+
+    def spy(masks, length):
+        calls.append(length)
+        return original(masks, length)
+
+    monkeypatch.setattr(pmdm.exact, "subset_counts", spy)
+    # two tables of 2^10 counters fit in 2^11, three do not
+    monkeypatch.setattr(pmdm.exact, "DEFAULT_TABLE_LIMIT", 11)
+    for z in (1, 3, 12, 40):
+        calls.clear()
+        assert solve_mpmdm(MpmdmInstance(d, queries[:2], z)) == oracle_mpmdm(d, queries[:2], z)
+        assert calls == [10, 10]
+        calls.clear()
+        assert solve_mpmdm(MpmdmInstance(d, queries, z)) == oracle_mpmdm(d, queries, z)
+        assert calls == []
+
+
+def kernel_masks(rng, length: int, size: int) -> np.ndarray:
+    """About 1.5 * ``size`` + 3 masks below 2^length: random ones, repeats
+    of them, the zero mask and the full mask twice."""
     full = (1 << length) - 1
-    out = []
-    for r in range(rows):
-        drawn = [rng.getrandbits(length) for _ in range(size)]
-        drawn += [0, full, full] + rng.choices(drawn, k=size // 2)
-        out += [r << length | m for m in drawn]
-    return np.array(out, dtype=np.uint64)
+    drawn = [rng.getrandbits(length) for _ in range(size)]
+    drawn += [0, full, full] + rng.choices(drawn, k=size // 2)
+    return np.array(drawn, dtype=np.uint64)
 
 
 @pytest.mark.parametrize("length", range(1, 15))
 def test_subset_counts_match_a_brute_force_count(length):
     rng = random.Random(length)
-    for rows in (1, 2, 3):
-        masks = kernel_masks(rng, length, rows, 3 * length)
-        counts = subset_counts(masks, length, rows)
-        assert counts.dtype == np.int32 and counts.shape == (rows << length,)
-        cells = np.arange(1 << length, dtype=np.uint64)
-        for r, row in enumerate(counts.reshape(rows, -1)):
-            mine = masks[masks >> np.uint64(length) == r] & np.uint64((1 << length) - 1)
-            # cell K counts the row's masks whose bits all lie in K
-            assert np.array_equal(row, ((mine[None, :] & ~cells[:, None]) == 0).sum(axis=1))
+    masks = kernel_masks(rng, length, 3 * length)
+    counts = subset_counts(masks, length)
+    assert counts.dtype == np.int32 and counts.shape == (1 << length,)
+    cells = np.arange(1 << length, dtype=np.uint64)
+    # cell K counts the masks whose bits all lie in K
+    assert np.array_equal(counts, ((masks[None, :] & ~cells[:, None]) == 0).sum(axis=1))
 
 
 @pytest.mark.parametrize("length", range(15, 21))
 def test_subset_counts_match_the_per_bit_fold(length):
     """Lengths 15..20 take four or five block products, the last block
-    narrower unless 4 divides l, and with three rows the row digit rides
-    between the blocks through every product."""
+    narrower unless 4 divides l."""
     rng = random.Random(length)
-    for rows in (1, 3):
-        masks = kernel_masks(rng, length, rows, 3000)
-        counts = subset_counts(masks, length, rows)
-        assert counts.dtype == np.int32
-        assert np.array_equal(counts, reference_subset_counts(masks, length, rows))
+    masks = kernel_masks(rng, length, 3000)
+    counts = subset_counts(masks, length)
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, reference_subset_counts(masks, length))
 
 
 @pytest.mark.parametrize("length", [5, 15])
@@ -360,15 +376,14 @@ def test_subset_counts_past_the_float32_bound_sum_in_float64(length, monkeypatch
 
     monkeypatch.setattr(pmdm.exact, "_subset_matrix", spy)
     rng = random.Random(length)
-    for rows in (1, 3):
-        masks = kernel_masks(rng, length, rows, 3000)
-        for bound, dtype in ((len(masks), np.float32), (len(masks) - 1, np.float64)):
-            monkeypatch.setattr(pmdm.exact, "FLOAT32_EXACT_COUNT", bound)
-            seen.clear()
-            counts = subset_counts(masks, length, rows)
-            assert seen and set(seen) == {dtype}
-            assert counts.dtype == np.int32
-            assert np.array_equal(counts, reference_subset_counts(masks, length, rows))
+    masks = kernel_masks(rng, length, 3000)
+    for bound, dtype in ((len(masks), np.float32), (len(masks) - 1, np.float64)):
+        monkeypatch.setattr(pmdm.exact, "FLOAT32_EXACT_COUNT", bound)
+        seen.clear()
+        counts = subset_counts(masks, length)
+        assert seen and set(seen) == {dtype}
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, reference_subset_counts(masks, length))
 
 
 def test_cached_tables_are_read_only():
@@ -423,8 +438,8 @@ def table_oracle(d: Dictionary, query: str, z: int) -> MaskSet:
 
 @pytest.mark.parametrize("length", range(1, 21))
 def test_single_query_table_agrees_with_the_multi_query_rows(length):
-    """A single query reads its one table row directly; two copies of the
-    query fill two rows whose minimum and sum rank masks as one row does."""
+    """A single query reads its one table directly; two copies of the
+    query fill two tables that rank masks as the one table does."""
     d, query = table_instance(length)
     exact_copies = d.entries.count(query)
     for z in sorted({1, 2, exact_copies + 1, d.size // 2, d.size - 1, d.size}):

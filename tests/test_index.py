@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import pmdm.exact
 import pmdm.index
 
 from pmdm import (
@@ -72,10 +73,10 @@ def test_small_ell_query_examples():
 
 
 def test_small_ell_capacity_guard(monkeypatch):
-    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 3)
+    monkeypatch.setattr(pmdm.exact, "DEFAULT_TABLE_LIMIT", 3)
     with pytest.raises(CapacityError, match="table limit 3"):
         small_ell_build(t1(), "abab")
-    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 4)
+    monkeypatch.setattr(pmdm.exact, "DEFAULT_TABLE_LIMIT", 4)
     assert small_ell_query(small_ell_build(t1(), "abab"), 4) == MaskSet([1, 2, 4])
 
 
@@ -320,6 +321,36 @@ def test_split_counts_scan_halves_below_z0():
         assert count_for_mask(idx, q, 0b0011) == expected[0b0011]
 
 
+def test_split_counts_count_an_entry_in_rare_halves_of_both_sides_once():
+    # with tau = 3 the query's left half "ab" and right half "ab" are both
+    # rare unmasked, and its own entry is a member of both groups and of
+    # the query's group under every other half mask
+    d = Dictionary(["abab", "abba", "bbab", "aaaa", "bbbb", "aaaa"])
+    idx = split_build(d, 3)
+    assert 1 <= idx.left.counts[half_group(idx.left, 0, "ab")] < 3
+    assert 1 <= idx.right.counts[half_group(idx.right, 0, "ab")] < 3
+    counts = split_counts(idx, "abab")
+    assert counts[0] == 1
+    assert (counts == oracle_counts_all_masks(d, "abab")).all()
+
+
+def test_split_counts_at_length_22_with_tau_d_match_the_full_table():
+    # with tau = d a half is frequent only where all d entries share it,
+    # so nearly every mask is counted from the rare halves' members
+    rng = random.Random(22)
+    centre = "".join(rng.choice("ab日") for _ in range(22))
+    entries = []
+    for _ in range(40):
+        chars = list(centre)
+        for p in rng.sample(range(22), rng.randint(0, 8)):
+            chars[p] = rng.choice("ab日")
+        entries.append("".join(chars))
+    d = Dictionary(entries + entries[:5])
+    idx = split_build(d, d.size)
+    for q in (d[0], centre, "".join(rng.choice("ab日") for _ in range(22))):
+        assert (split_counts(idx, q) == small_ell_build(d, q).counts).all()
+
+
 def test_split_pair_key_past_its_segment_is_not_found():
     # with pair keys numbered per full mask, some query pair key here is
     # larger than every key stored for its mask and equal to the first key
@@ -431,7 +462,7 @@ def test_split_capacity_and_parameter_guards(monkeypatch):
         split_build(t1(), 0)
     with pytest.raises(ValueError):
         split_build(t1(), 6)
-    monkeypatch.setattr(pmdm.index, "DEFAULT_TABLE_LIMIT", 3)
+    monkeypatch.setattr(pmdm.exact, "DEFAULT_TABLE_LIMIT", 3)
     with pytest.raises(CapacityError, match="table limit 3"):
         split_build(t1(), 1)
     # C(4, 2) masks of 5 entries: a workspace of 30

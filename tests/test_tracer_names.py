@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import pmdm
-from pmdm import GreedyConfig, PmdmInstance
+from pmdm import GreedyConfig, MpmdmInstance, PmdmInstance
 
 from support import t1
 
@@ -28,7 +28,12 @@ def test_tracer_installs_on_pmdm_and_restores():
         tracing.install(tracer, pmdm)
         # one greedy iteration tries sections of size 3, 2 and 1
         pmdm.heuristic.greedy_pmdm(PmdmInstance(t1(), "abab", 5), GreedyConfig(tau=3))
+        pmdm.exact.solve_mpmdm(MpmdmInstance(t1(), ["abab", "bbbb"], 3))
+        pmdm.index.small_ell_query(pmdm.index.small_ell_build(t1(), "abab"), 4)
         summary = tracer.summary()
-    for name in ("heuristic.greedy", "hypergraph.section", "hypergraph.k2", "hypergraph.k3"):
+    for name in (
+        "heuristic.greedy", "hypergraph.section", "hypergraph.k2", "hypergraph.k3",
+        "exact.multi", "index.small_ell_build", "index.small_ell_query",
+    ):
         assert summary[name]["calls"] >= 1, name
     assert [dict(vars(m)) for m in modules] == before
