@@ -28,9 +28,9 @@ Both engines break ties the same way, and so do the index queries, so
 neither the engine nor the structure changes the answer: among
 qualifying masks of the optimal size, the highest count (for several
 queries, the highest sum of counts), then the lexicographically smallest
-position list (``core.lex_smaller`` for two masks, ``_lex_ranks`` for a
-whole table).  Thresholds are checked by ``_check_threshold``, which the
-solvers, the heuristics, the index queries and the CLI share.
+position list (``core.lex_smaller``).  Thresholds are checked by
+``_check_threshold``, which the solvers, the heuristics, the index
+queries and the CLI share.
 
 ``solve_pmdm`` is the only exact answer path of the package: ``pmdm
 solve``, ``pmdm index query`` on a small (dictionary) index and the
@@ -138,19 +138,6 @@ def _popcounts(length: int) -> np.ndarray:
     return pop
 
 
-@lru_cache(maxsize=None)
-def _lex_ranks(length: int) -> np.ndarray:
-    """Every mask's bits in reverse order, so position 1 is the most
-    significant: among masks of one size, the lexicographically smaller
-    position list holds the smallest position where they differ, so it
-    has the larger rank."""
-    rank = np.zeros(1, dtype=np.uint32)
-    for _ in range(length):
-        rank = np.concatenate([rank << 1, rank << 1 | 1])
-    rank.flags.writeable = False
-    return rank
-
-
 def _best_in_table(tables: Sequence[np.ndarray], threshold: int, length: int) -> MaskSet:
     """Smallest mask at which every one of ``tables`` (2^length counts
     each, one per query) reaches ``threshold``; ties by the highest sum of
@@ -163,9 +150,12 @@ def _best_in_table(tables: Sequence[np.ndarray], threshold: int, length: int) ->
     k = pop[qualifying].min()
     tied = np.flatnonzero(qualifying & (pop == k))
     weight = np.sum([table[tied] for table in tables], axis=0, dtype=np.int64)
-    # every rank is below 2^length, so the weight decides first
-    key = weight << length | _lex_ranks(length)[tied]
-    return MaskSet.from_bits(int(tied[np.argmax(key)]))
+    heaviest = tied[weight == weight.max()].tolist()  # usually one cell
+    best = heaviest[0]
+    for bits in heaviest[1:]:
+        if lex_smaller(bits, best):
+            best = bits
+    return MaskSet.from_bits(best)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ Three structures, trading construction cost and space for query speed:
 * fixed-size tables: for one mask size k, counts of identical masked
   strings under each of the C(length, k) masks, pruned below a minimum
   supported threshold, held as one sorted array of (mask rank, kept code
-  points) keys beside one array of counts.  A query searches its C(length,
-  k) keys in one pass and picks the highest count, ties going to the
-  lexicographically smallest position list;
+  points) keys beside one array of counts.  The build costs one uint64
+  sort of d ids per mask: each mask's kept symbols, ranked in the keys'
+  byte order, fold into one integer per entry.  A query searches its
+  C(length, k) keys in one pass and picks the highest count, ties going
+  to the lexicographically smallest position list;
 * half-split tables: per side, one sorted array of (half mask, masked
   half) keys with their counts and member lists, plus one sorted array of
   exact pair counters, keyed by the two halves' group ids, for the half
@@ -153,8 +155,37 @@ def _strictly_ascending(keys: np.ndarray) -> bool:
     return bool((later[at, first] > earlier[at, first]).all())
 
 
+def _byte_ranks(codes: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of distinct code points in ``codes``, and each one's rank
+    among them in the byte order keys sort in (native bytes read as a
+    big-endian integer), as a uint32 matrix of ``codes``'s shape."""
+    # codes.T is C-contiguous for column-major codes: the ranks come out
+    # column-major too, so each position's ranks are contiguous
+    alphabet, inverse = np.unique(codes.T, return_inverse=True)
+    byte_rank = np.empty(len(alphabet), dtype=np.uint32)
+    byte_rank[np.argsort(alphabet.view(">u4"))] = np.arange(len(alphabet), dtype=np.uint32)
+    # the inverse's shape for 2-D input differs across numpy 2.x
+    return len(alphabet), byte_rank[inverse.reshape(codes.T.shape)].T
+
+
 def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
-    """Group masked strings per mask of size ``k``; keep counts >= ``z0``."""
+    """Group masked strings per mask of size ``k``; keep counts >= ``z0``.
+
+    The code points are ranked once in the byte order the keys sort in.
+    Per mask, each entry's kept ranks fold into one uint64 id in radix
+    sigma (the number of distinct code points), so the ids sort as the
+    keys would; where the next symbol would carry the id past 2^64, the
+    ids are first replaced by their dense ranks, which only keys wider
+    than 64 bits need.  One argsort of the d ids then yields the mask's
+    groups in key order, and each kept group's key is written from one
+    member's code points.  So the cost is one uint64 sort of d ids per
+    mask, and the items come out exactly as a sort of the keys themselves
+    would give them.  Peak traced memory is the result, one int64 row
+    index and one count per item, and one mask's workspace: 128 MiB, 88
+    of them the result, at d = 1e5, l = 15, k = 1, z0 = 1 (clustered
+    ``bench.generate`` data, 1.36e6 items), where a void-key sort per
+    mask peaked at 193 MiB.
+    """
     length = dictionary.length
     d = dictionary.size
     if not 1 <= k <= length:
@@ -166,12 +197,36 @@ def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
             f"workspace C({length},{k})*{d} exceeds limit {DEFAULT_WORKSPACE_LIMIT}"
         )
     _, kept = _combinations(length, k)
-    keys, counts = [], []
-    for rank, cols in enumerate(kept):
-        uniq, n = np.unique(_key_rows(np.full(d, rank), dictionary.codes[:, cols]), return_counts=True)
-        keys.append(uniq[n >= z0])
-        counts.append(n[n >= z0])
-    return SimpleIndex(length, k, z0, np.concatenate(keys), np.concatenate(counts).astype(np.int64))
+    codes = dictionary.codes
+    sigma, ranks = _byte_ranks(codes)
+    reps, counts = [], []
+    edge = np.ones(d + 1, dtype=bool)  # edge[i]: a group starts at sorted row i
+    for cols in kept:
+        # the kept columns in radix sigma: ids sort as the keys do
+        ids, span = np.zeros(d, dtype=np.uint64), 1
+        for col in cols:
+            if span * sigma > 1 << 64:
+                # keys wider than 64 bits: dense ids, in the same order
+                uniq, dense = np.unique(ids, return_inverse=True)
+                ids, span = dense.astype(np.uint64), len(uniq)
+            ids *= np.uint64(sigma)
+            ids += ranks[:, col]
+            span *= sigma
+        order = np.argsort(ids)
+        ids = ids[order]
+        np.not_equal(ids[1:], ids[:-1], out=edge[1:d])
+        bounds = np.flatnonzero(edge)  # group starts, then d
+        sizes = bounds[1:] - bounds[:-1]
+        kept_groups = sizes >= z0
+        reps.append(order[bounds[:-1][kept_groups]])
+        counts.append(sizes[kept_groups])
+    # one group's key from one member's code points, written in place
+    keys = np.empty(sum(map(len, reps)), dtype=np.dtype((np.void, 4 * (1 + length - k))))
+    at = 0
+    for rank, (cols, rows) in enumerate(zip(kept, reps)):
+        keys[at : at + len(rows)] = _key_rows(np.full(len(rows), rank), codes[:, cols][rows])
+        at += len(rows)
+    return SimpleIndex(length, k, z0, keys, np.concatenate(counts).astype(np.int64))
 
 
 def simple_counts(idx: SimpleIndex, q: str) -> np.ndarray:

@@ -12,6 +12,9 @@ checks by rescanning the dictionary.
 
 from __future__ import annotations
 
+import struct
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -101,6 +104,23 @@ def reference_simple_query(dictionary: Dictionary, k: int, z0: int, q: str, z: i
         if count >= z and (best is None or count > best[1]):
             best = (MaskSet.from_bits(bits), count)
     return best
+
+
+def reference_simple_items(dictionary: Dictionary, k: int, z0: int) -> dict[tuple[int, str], int]:
+    """The fixed-size index's items by counting strings: (mask rank in
+    ``combinations`` order, the symbols the mask keeps) -> number of
+    entries, for counts >= ``z0``, in the order of the bytes of their
+    keys: the rank as a big-endian uint32, then each kept code point as a
+    native uint32."""
+    native = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+    items = {}
+    for rank, masked in enumerate(combinations(range(dictionary.length), k)):
+        keep = [p for p in range(dictionary.length) if p not in masked]
+        for kept, n in Counter("".join(e[p] for p in keep) for e in dictionary.entries).items():
+            if n >= z0:
+                items[rank, kept] = n
+    order = sorted(items, key=lambda item: struct.pack(">I", item[0]) + item[1].encode(native))
+    return {item: items[item] for item in order}
 
 
 def oracle_optimum_size(dictionary: Dictionary, q: str, z: int) -> int:

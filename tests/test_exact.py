@@ -22,7 +22,7 @@ from pmdm import (
 )
 from pmdm.cli import main
 from pmdm.core import CapacityError
-from pmdm.exact import subset_counts
+from pmdm.exact import _best_in_table, subset_counts
 
 from support import (
     khv_feasible,
@@ -384,6 +384,30 @@ def test_subset_counts_past_the_float32_bound_sum_in_float64(length, monkeypatch
         assert seen and set(seen) == {dtype}
         assert counts.dtype == np.int32
         assert np.array_equal(counts, reference_subset_counts(masks, length))
+
+
+def test_best_in_table_matches_a_brute_force_over_tied_cells():
+    # random tables over a few values, so several cells of the smallest
+    # qualifying size tie on weight; the full mask always qualifies
+    rng = np.random.default_rng(17)
+    seen = {"weight decides": 0, "positions decide": 0}
+    for _ in range(500):
+        length = int(rng.integers(1, 13))
+        top = int(rng.integers(1, 4))
+        tables = [rng.integers(0, top + 2, size=1 << length).astype(np.int32) for _ in range(rng.integers(1, 4))]
+        for table in tables:
+            table[-1] = top
+        threshold = int(rng.integers(1, top + 1))
+        cells = [bits for bits in range(1 << length) if all(t[bits] >= threshold for t in tables)]
+        size = min(bin(bits).count("1") for bits in cells)
+        smallest = [bits for bits in cells if bin(bits).count("1") == size]
+        weight = {bits: sum(int(t[bits]) for t in tables) for bits in smallest}
+        heaviest = [bits for bits in smallest if weight[bits] == max(weight.values())]
+        expected = min(heaviest, key=lambda bits: MaskSet.from_bits(bits).positions)
+        assert _best_in_table(tables, threshold, length) == MaskSet.from_bits(expected)
+        seen["weight decides"] += len(smallest) > len(heaviest)
+        seen["positions decide"] += len(heaviest) > 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_cached_tables_are_read_only():

@@ -28,13 +28,14 @@ from pmdm import (
     split_query,
 )
 from pmdm.core import _codes
-from pmdm.index import _key_rows, _lookup
+from pmdm.index import _key_rows, _key_table, _lookup
 
 from support import (
     combination_bits,
     oracle_count,
     oracle_counts_all_masks,
     random_dictionary,
+    reference_simple_items,
     reference_simple_query,
     t1,
 )
@@ -114,6 +115,40 @@ def test_simple_query_examples():
         simple_query(idx, "abab", 1)
     with pytest.raises(ValueError):
         simple_query(idx, "aba", 2)
+
+
+def test_simple_build_matches_the_reference_items_randomized():
+    # lengths up to 64, alphabets of 2 to 300 symbols with code points past
+    # 255 and astral ones (whose byte order differs from their code-point
+    # order), duplicate entries, z0 > 1 and k = l; keys wider than 64 bits
+    # take the build's re-ranking of its ids
+    rng = random.Random(41)
+    symbols = (
+        [chr(c) for c in range(0x21, 0x7F)]
+        + [chr(c) for c in range(0x100, 0x180)]
+        + [chr(c) for c in range(0x4E00, 0x4E40)]
+        + [chr(c) for c in range(0x1F600, 0x1F640)]
+    )
+    seen = {"wide": 0, "k=l": 0, "z0>1": 0, "sigma>=100": 0}
+    for _ in range(100):
+        length = rng.randint(1, 64)
+        letters = rng.sample(symbols, rng.choice([2, 3, 4, rng.randint(2, 300), 300]))
+        pool = ["".join(rng.choice(letters) for _ in range(length)) for _ in range(rng.randint(1, 30))]
+        d = Dictionary(rng.choice(pool) for _ in range(rng.randint(1, 30)))
+        sizes = (1, 2, 3, length - 2, length - 1, length)
+        k = rng.choice([k for k in sizes if 1 <= k <= length and math.comb(length, k) <= 700])
+        z0 = rng.randint(1, min(3, d.size))
+        idx = simple_build(d, k, z0)
+        ranks, codes = _key_table(idx.keys)
+        built = {(int(r), "".join(map(chr, row))): int(n) for r, row, n in zip(ranks, codes.tolist(), idx.counts)}
+        expected = reference_simple_items(d, k, z0)
+        assert list(built.items()) == list(expected.items()), (d.entries, k, z0)
+        sigma = len(set("".join(d.entries)))
+        seen["wide"] += sigma ** (length - k) > 1 << 64
+        seen["k=l"] += k == length
+        seen["z0>1"] += z0 > 1
+        seen["sigma>=100"] += sigma >= 100
+    assert min(seen.values()) >= 10, seen
 
 
 def test_simple_counts_match_oracle_per_query():
@@ -488,6 +523,14 @@ def test_split_workspace_guard_counts_pairs_and_members(monkeypatch):
         split_build(t1(), 1)
 
 
+def _byte_order_dictionary() -> Dictionary:
+    """60 seeded entries of length 5 over "aĀb😀".  As little-endian uint32
+    bytes, Ā (00 01 00 00) and 😀 (00 F6 01 00) sort before a and b, so
+    the items' byte order differs from their code-point order."""
+    rng = random.Random(2026)
+    return Dictionary("".join(rng.choice("aĀb😀") for _ in range(5)) for _ in range(60))
+
+
 def _golden_dictionary() -> Dictionary:
     """40 seeded entries of length 9 over a four-symbol alphabet with one
     non-ASCII symbol, so every key blob holds multi-byte UTF-8."""
@@ -496,18 +539,29 @@ def _golden_dictionary() -> Dictionary:
 
 
 # sha256 of each file as the row-major code matrix wrote it; the layout of
-# Dictionary.codes must not change a byte of any index file
+# Dictionary.codes must not change a byte of any index file.  The
+# byte-order files were recorded on a little-endian host from a build
+# that sorted the void keys themselves
 GOLDEN_SHA256 = {
     "small": "b9909ec3eb2c0a70fe7628840dcac9b6cb7dd62caf93f7ff1b1991ad1fbbde7b",
     "simple": "1db95e3318d7f7ea16781b417e229eb6913d63f34f528eef83191c3ea9b5008f",
     "split": "783828aa8f0ff07cf013b3ab7b58cc674bba5ddc8f9cf84c4a51bad1bababd9d",
+    "simple-byte-order-k1": "0df0d3eeb56abd34a092fd6f2b2cf18e42037d724a945cff22d6d33f4cd328da",
+    "simple-byte-order-k2": "f7831fee571c4abbe6782cb2a88b197e241cea4e8b18e540bda1eebfe7b8562c",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_SHA256))
 def test_index_files_are_byte_identical_to_the_recorded_layout(tmp_path, kind):
     d = _golden_dictionary()
-    build = {"small": lambda: d, "simple": lambda: simple_build(d, 2), "split": lambda: split_build(d, 3, 2)}
+    mixed = _byte_order_dictionary()
+    build = {
+        "small": lambda: d,
+        "simple": lambda: simple_build(d, 2),
+        "split": lambda: split_build(d, 3, 2),
+        "simple-byte-order-k1": lambda: simple_build(mixed, 1, 2),
+        "simple-byte-order-k2": lambda: simple_build(mixed, 2, 2),
+    }
     obj = build[kind]()
     path = tmp_path / f"{kind}.bin"
     save_index(path, obj)
