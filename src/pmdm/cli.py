@@ -351,7 +351,7 @@ def _parser() -> argparse.ArgumentParser:
                 "--tau", type=int, required=True,
                 help="section sizes tried per iteration (1..tau); the exact section "
                 "search grows steeply with tau: at l=30, d=2000 one answer took "
-                "0.01 s at tau=3, 0.3 s at 6 and 2 s at 9. A section search of 4 or "
+                "0.02 s at tau=3, 0.14 s at 6 and 1.6 s at 9. A section search of 4 or "
                 "more positions that passes hypergraph.BRANCHING_VISIT_BUDGET or "
                 "hypergraph.DENSE_BRUTE_CAP stops with exit code 3",
             )

@@ -40,9 +40,6 @@ from .hypergraph import WeightedHypergraph, edge_arrays, heaviest_k_section
 from .core import count_matches  # noqa: F401
 from .hypergraph import build_hypergraph  # noqa: F401
 
-Weightings = dict[int, int]
-
-
 @dataclass(frozen=True)
 class GreedyConfig:
     """Section budget of ``greedy_pmdm``: iterations try section sizes up
@@ -66,12 +63,6 @@ class HeuristicResult(NamedTuple):
     iterations: int
 
 
-def _as_arrays(edges: Weightings) -> tuple[np.ndarray, np.ndarray]:
-    values = np.array(list(edges), dtype=np.uint64)
-    weights = np.array(list(edges.values()), dtype=np.int64)
-    return values, weights
-
-
 def _scores(values: np.ndarray, weights: np.ndarray, length: int) -> list[tuple[int, int, int]]:
     """(position, numerator, denominator) of the score of every node in some edge."""
     bits = (values[:, None] >> np.arange(length, dtype=np.uint64)) & np.uint64(1)
@@ -84,13 +75,11 @@ def _scores(values: np.ndarray, weights: np.ndarray, length: int) -> list[tuple[
     ]
 
 
-def node_scores(edges: Weightings) -> list[ScoredNode]:
+def node_scores(h: WeightedHypergraph) -> list[ScoredNode]:
     """Exact scores for every node appearing in at least one edge."""
-    values, weights = _as_arrays(edges)
-    length = max(edges, default=0).bit_length()
     return [
         ScoredNode(u, Fraction(num, den))
-        for u, num, den in _scores(values, weights, length)
+        for u, num, den in _scores(h.edges, h.weights, h.node_count)
     ]
 
 
@@ -146,13 +135,12 @@ def preprocess(h: WeightedHypergraph, k: int) -> tuple[WeightedHypergraph, MaskS
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    values, weights = _as_arrays(h.edges)
-    values, weights, base, removed = _reduce(values, weights, h.base_weight, k, h.node_count)
+    values, weights, base, removed = _reduce(h.edges, h.weights, h.base_weight, k, h.node_count)
     if removed == 0:
         return h, MaskSet()
     nodes = tuple(v for v in h.nodes if not removed >> (v - 1) & 1)
-    edges = dict(zip(values.tolist(), weights.tolist()))
-    return WeightedHypergraph(h.node_count, edges, base, nodes), MaskSet.from_bits(removed)
+    reduced = WeightedHypergraph(h.node_count, values, weights, base, nodes)
+    return reduced, MaskSet.from_bits(removed)
 
 
 def greedy_pmdm(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> HeuristicResult:
@@ -191,9 +179,7 @@ def greedy_pmdm(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> Heuri
             nodes_k = tuple(v for v in nodes if not removed >> (v - 1) & 1)
             size = min(k, len(nodes_k))
             fits = np.bitwise_count(values) <= size
-            hk = WeightedHypergraph(
-                length, dict(zip(values[fits].tolist(), weights[fits].tolist())), base, nodes_k
-            )
+            hk = WeightedHypergraph(length, values[fits], weights[fits], base, nodes_k)
             section = heaviest_k_section(hk, size)
             attempt = MaskSet.from_bits(removed) | section.nodes
             if section.weight >= z:

@@ -8,11 +8,16 @@ mask.  The weight of the sub-hypergraph induced on a position set K
 masked query matches, so "mask k positions to match the most entries"
 becomes "find the heaviest k-node section".
 
-Solvers: exhaustive enumeration for any k, one candidate scan for
-k <= 3 (``_small_section``), and a branching search for k >= 4, with a
-dispatcher choosing by predicted cost; for k >= 4 it raises
-CapacityError past ``DENSE_BRUTE_CAP`` or ``BRANCHING_VISIT_BUDGET``.
-Weights are non-negative ints.
+A hypergraph holds the arrays that ``edge_arrays`` groups the per-entry
+mismatch bitmasks into: the distinct edges in ascending order (uint64)
+and their weights (int64).
+
+Solvers: one enumeration of the k-subsets of the nodes, which weighs
+each by looking up its subsets in the sorted edges and answers every k
+(the sizes 1 to 3 and the exhaustive solver), and a branching search for
+k >= 4, with a dispatcher choosing by predicted cost; for k >= 4 it
+raises CapacityError past ``DENSE_BRUTE_CAP`` or
+``BRANCHING_VISIT_BUDGET``.  Weights are non-negative ints.
 
 Ties everywhere: maximum weight first, then the lexicographically
 smallest sorted position list (``core.lex_smaller``).
@@ -20,62 +25,79 @@ smallest sorted position list (``core.lex_smaller``).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import CapacityError, Dictionary, MaskSet, MaskedString, lex_smaller, mismatch_masks
+from .core import MAX_LENGTH, CapacityError, Dictionary, MaskSet, MaskedString
+from .core import lex_smaller, mismatch_masks
 
 #: Dispatcher prefers exhaustive enumeration while C(n, k) * 2^k stays below this.
 DEFAULT_BRUTE_BUDGET = 1 << 20
 
 #: Largest C(n, k) * 2^k the dispatcher enumerates for a dense hypergraph
-#: (more than n^2 edges) before CapacityError: about 4 s per section at
-#: the 9 million subset probes a second of one core of a 2-core x86_64 host.
+#: (more than n^2 edges) before CapacityError.  A 5-section of 43 nodes
+#: (31 M subset probes, 1 850 edges) took 2.3 s on one core of a 2-core
+#: x86_64 host with 2 MB of traced memory, a 25-section of 25 nodes (626
+#: edges of up to 25 nodes) 6.7 s with 27 MB.
 DENSE_BRUTE_CAP = 1 << 25
 
 #: Most partial sets ``heaviest_k_section_branching`` may visit before it
-#: raises CapacityError.  At l=30 and about 100-200 edges a visit took 30
-#: to 80 us on the same host, so the budget is a few seconds per section.
+#: raises CapacityError.  At l=30 and up to about 100 edges a visit took 25
+#: to 45 us on the same host, so the budget is a few seconds per section.
 BRANCHING_VISIT_BUDGET = 100_000
 
 
 class WeightedHypergraph:
-    """Positions as nodes, mismatch sets as weighted edges (bitmask keyed)."""
+    """Positions as nodes, mismatch bitmasks as weighted edges.
 
-    __slots__ = ("node_count", "nodes", "edges", "base_weight")
+    ``edges`` are ascending, distinct, non-empty uint64 position sets
+    inside ``nodes`` (ascending positions, all of 1..node_count by
+    default) and ``weights`` their non-negative int64 weights; edges of
+    weight 0 are dropped.
+    """
+
+    __slots__ = ("node_count", "nodes", "edges", "weights", "base_weight")
 
     def __init__(
         self,
         node_count: int,
-        edges: dict[int, int],
+        edges,
+        weights,
         base_weight: int = 0,
         nodes: tuple[int, ...] | None = None,
     ):
-        if node_count < 1:
-            raise ValueError("node_count must be positive")
+        if not 1 <= node_count <= MAX_LENGTH:
+            raise ValueError(f"node_count must be in [1, {MAX_LENGTH}], got {node_count}")
         self.node_count = node_count
         self.nodes = tuple(nodes) if nodes is not None else tuple(range(1, node_count + 1))
-        node_bits = _bits_of(self.nodes) & ((1 << node_count) - 1)
-        clean: dict[int, int] = {}
-        for bits, w in edges.items():
-            if bits <= 0:
+        if any(not 0 <= a < b <= node_count for a, b in zip((0,) + self.nodes, self.nodes)):
+            raise ValueError(f"nodes must be ascending positions in [1, {node_count}]")
+        edges = np.asarray(edges, dtype=np.uint64)
+        weights = np.asarray(weights, dtype=np.int64)
+        if edges.ndim != 1 or edges.shape != weights.shape:
+            raise ValueError("edges and weights must be 1-D arrays of one length")
+        if edges.size:
+            if edges[0] == 0:
                 raise ValueError("edges must be non-empty position sets")
-            if bits & ~node_bits:
+            if (edges[1:] <= edges[:-1]).any():
+                raise ValueError("edges must be ascending and distinct")
+            if int(np.bitwise_or.reduce(edges)) & ~sum(1 << (v - 1) for v in self.nodes):
                 raise ValueError("edge contains a position outside the nodes")
-            if w < 0:
+        if weights.size and weights.min() <= 0:
+            if weights.min() < 0:
                 raise ValueError("edge weights must be non-negative")
-            if w:
-                clean[bits] = w
-        self.edges = clean
-        self.base_weight = base_weight
+            edges, weights = edges[weights != 0], weights[weights != 0]
+        self.edges, self.weights, self.base_weight = edges, weights, base_weight
 
     def restricted(self, max_edge_size: int) -> "WeightedHypergraph":
         """Copy keeping only edges of at most ``max_edge_size`` nodes."""
-        kept = {b: w for b, w in self.edges.items() if b.bit_count() <= max_edge_size}
-        return WeightedHypergraph(self.node_count, kept, self.base_weight, self.nodes)
+        kept = np.bitwise_count(self.edges) <= max_edge_size
+        return WeightedHypergraph(
+            self.node_count, self.edges[kept], self.weights[kept], self.base_weight, self.nodes
+        )
 
     def __repr__(self) -> str:
         return (
@@ -110,118 +132,88 @@ def build_hypergraph(dictionary: Dictionary, q: str | MaskedString) -> WeightedH
     """
     length = dictionary.length
     values, weights, base = edge_arrays(mismatch_masks(dictionary, q))
-    edges = dict(zip(values.tolist(), weights.tolist()))
     if isinstance(q, MaskedString) and q.mask:
         nodes = tuple(p for p in range(1, length + 1) if p not in q.mask)
     else:
         nodes = tuple(range(1, length + 1))
-    return WeightedHypergraph(length, edges, base, nodes)
+    return WeightedHypergraph(length, values, weights, base, nodes)
 
 
-def _section_bits(h: WeightedHypergraph, bits: int) -> int:
+def _weight(h: WeightedHypergraph, bits: int) -> int:
     """Sum of weights of edges inside ``bits``, plus the base weight."""
-    total = h.base_weight
-    edges = h.edges
-    k = bits.bit_count()
-    if edges and (1 << k) - 1 > 2 * len(edges):
-        for e, w in edges.items():
-            if e & ~bits == 0:
-                total += w
-        return total
-    sub = bits
-    while sub:
-        total += edges.get(sub, 0)
-        sub = (sub - 1) & bits
-    return total
+    return h.base_weight + int(h.weights[(h.edges & ~np.uint64(bits)) == 0].sum())
 
 
 def section_weight(h: WeightedHypergraph, nodes: MaskSet) -> int:
     """Weight of the sub-hypergraph induced on ``nodes`` (base included)."""
     if nodes.max_position() > h.node_count:
         raise ValueError("section node out of range")
-    return _section_bits(h, nodes.bits)
+    return _weight(h, nodes.bits)
 
 
-class _Best:
-    """Maximum tracker with (weight, lexicographic positions) ties."""
+def _enumerate(h: WeightedHypergraph, k: int) -> SectionResult:
+    """Heaviest k-section over every k-subset of the nodes.
 
-    __slots__ = ("bits", "weight")
+    The subsets come in ``combinations`` order, that is by ascending
+    position list.  Each is weighed by looking up all of its non-empty
+    subsets in the sorted edges with ``np.searchsorted``, at most
+    C(n, k) * 2^k probes in all, 2^16 at a time: a block of subsets, or
+    one subset's subsets in several blocks when k > 16.  Keeping the
+    first maximum realizes the tie-break.
 
-    def __init__(self):
-        self.bits: int | None = None
-        self.weight = -1
-
-    def offer(self, bits: int, weight: int) -> None:
-        if weight > self.weight or (weight == self.weight and lex_smaller(bits, self.bits)):
-            self.bits, self.weight = bits, weight
-
-    def result(self) -> SectionResult:
-        assert self.bits is not None
-        return SectionResult(MaskSet.from_bits(self.bits), self.weight)
-
-
-def _bits_of(positions) -> int:
-    bits = 0
-    for p in positions:
-        bits |= 1 << (p - 1)
-    return bits
-
-
-def heaviest_k_section_bruteforce(h: WeightedHypergraph, k: int) -> SectionResult:
-    """Try every k-subset of the nodes, summing edge weights by table probes."""
+    A node in no edge adds nothing to a section, and swapping it for a
+    smaller such node outside the section keeps the weight and makes the
+    position list smaller.  So the walk skips every such node but the k
+    smallest.
+    """
     _check_k(h, k)
     if k == 0:
         return SectionResult(MaskSet(), h.base_weight)
-    edges = h.edges
-    base = h.base_weight
-    best_bits = best_weight = None
-    # combinations() yields position lists in lexicographic order, so keeping
-    # only strict improvements realizes the tie-break for free.
-    for combo in combinations(h.nodes, k):
-        bits = _bits_of(combo)
-        total = base
-        sub = bits
-        while sub:
-            total += edges.get(sub, 0)
-            sub = (sub - 1) & bits
-        if best_bits is None or total > best_weight:
-            best_bits, best_weight = bits, total
-    return SectionResult(MaskSet.from_bits(best_bits), best_weight)
+    if not h.edges.size:  # every section weighs the base: the k smallest nodes
+        return SectionResult(MaskSet(h.nodes[:k]), h.base_weight)
+    used = int(np.bitwise_or.reduce(h.edges))
+    bits = [1 << (v - 1) for v in h.nodes]
+    idle = [b for b in bits if not b & used]
+    if len(idle) > k:
+        bits = [b for b in bits if b & used or b < idle[k]]
+    subsets = combinations(bits, k)
+    width = 1 << min(k, 16)
+    chunk = (1 << 16) // width
+    powers = np.arange(k, dtype=np.uint64)[:, None]
+    best_bits, best_weight = 0, -1
+    for _ in range(0, comb(len(bits), k), chunk):
+        columns = np.fromiter(chain.from_iterable(islice(subsets, chunk)), dtype=np.uint64)
+        columns = columns.reshape(-1, k)
+        totals = 0
+        for low in range(0, 1 << k, width):
+            # probes[:, s] is the union of the columns picked by the bits of low + s
+            picks = (np.arange(low, low + width, dtype=np.uint64) >> powers) & np.uint64(1)
+            probes = columns @ picks
+            # a probe above every edge finds the last one, which it does not equal
+            found = h.edges.searchsorted(probes)
+            hits = h.edges.take(found, mode="clip") == probes
+            totals = totals + np.where(hits, h.weights.take(found, mode="clip"), 0).sum(axis=1)
+        i = int(totals.argmax())
+        if totals[i] > best_weight:
+            best_bits, best_weight = int(columns[i].sum()), int(totals[i])
+    return SectionResult(MaskSet.from_bits(best_bits), h.base_weight + best_weight)
 
 
-def _small_section(h: WeightedHypergraph, k: int) -> SectionResult:
-    """Heaviest k-section for k <= 3 over three kinds of candidate: the k
-    heaviest nodes, every k-edge, and for k = 3 every 2-edge plus one node.
-    A section holding no edge of two or more nodes weighs at most the k
-    heaviest nodes; any other one holds a k-edge or a 2-edge."""
-    if len(h.nodes) < k:
-        raise ValueError(f"a {k}-section needs at least {k} nodes")
-
-    def candidates():
-        yield _bits_of(sorted(h.nodes, key=lambda v: (-h.edges.get(1 << (v - 1), 0), v))[:k])
-        for e in h.edges:
-            size = e.bit_count()
-            if size == k:
-                yield e
-            elif size == 2 and k == 3:
-                for v in h.nodes:
-                    if not e >> (v - 1) & 1:
-                        yield e | 1 << (v - 1)
-
-    best = _Best()
-    for bits in candidates():
-        best.offer(bits, _section_bits(h, bits))
-    return best.result()
+def heaviest_k_section_bruteforce(h: WeightedHypergraph, k: int) -> SectionResult:
+    """Try every k-subset of the nodes (see ``_enumerate``)."""
+    return _enumerate(h, k)
 
 
 def heaviest_2_section(h: WeightedHypergraph) -> SectionResult:
-    """Heaviest 2-section in linear time (see ``_small_section``)."""
-    return _small_section(h, 2)
+    """Heaviest 2-section by ``_enumerate``: at most C(n, 2) * 4 probes, each a
+    binary search over the edges, so O(n^2 log |E|)."""
+    return _enumerate(h, 2)
 
 
 def heaviest_3_section(h: WeightedHypergraph) -> SectionResult:
-    """Heaviest 3-section in O(|V| * |E|) (see ``_small_section``)."""
-    return _small_section(h, 3)
+    """Heaviest 3-section by ``_enumerate``: at most C(n, 3) * 8 probes, each a
+    binary search over the edges, so O(n^3 log |E|)."""
+    return _enumerate(h, 3)
 
 
 def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult:
@@ -231,32 +223,37 @@ def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult
     with the total weight of edges it forms together with subsets of X
     (the edges with exactly that one node outside X) and taking the
     k - |X| best.  Branching then extends X by every edge contributing at
-    least two new nodes while staying within k.  Visited X sets are
-    deduplicated.  Each visit costs O(|V| log |V| + |E|), and the search
-    raises CapacityError once it has visited more than
-    ``BRANCHING_VISIT_BUDGET`` sets.
+    least two new nodes while staying within k, in ascending edge order.
+    Visited X sets are deduplicated.  Each visit costs a few passes over
+    the edges and the nodes, and the search raises CapacityError once it
+    has visited more than ``BRANCHING_VISIT_BUDGET`` sets.
     """
     _check_k(h, k)
     if k == 0:
         return SectionResult(MaskSet(), h.base_weight)
-    best = _Best()
-    edge_keys = sorted(h.edges)
+    best_bits, best_weight = 0, -1
+    edges, weights = h.edges, h.weights
+    nodes = np.array(h.nodes, dtype=np.uint64)
+    node_bits = np.uint64(1) << (nodes - np.uint64(1))
     seen: set[int] = set()
 
     def close(x_bits: int) -> None:
+        nonlocal best_bits, best_weight
         need = k - x_bits.bit_count()
-        # edge weights summed by their part outside X; node v scores gain[its bit]
-        gain: dict[int, int] = {}
-        for e, w in h.edges.items():
-            rest = e & ~x_bits
-            gain[rest] = gain.get(rest, 0) + w
-        scored = sorted(
-            (-gain.get(1 << (v - 1), 0), v) for v in h.nodes if not x_bits >> (v - 1) & 1
-        )
-        bits = x_bits
-        for _, v in scored[:need]:
-            bits |= 1 << (v - 1)
-        best.offer(bits, _section_bits(h, bits))
+        rest = edges & ~np.uint64(x_bits)
+        # node v scores the weight of the edges whose rest is its bit alone
+        # (summed in float64, exact below 2^53)
+        single = np.bitwise_count(rest) == 1
+        gain = np.bincount(
+            np.bitwise_count(rest[single] - np.uint64(1)), weights[single], minlength=h.node_count
+        ).astype(np.int64)
+        free = (node_bits & np.uint64(x_bits)) == 0
+        scores = gain[nodes[free].astype(np.intp) - 1]
+        picked = node_bits[free][np.argsort(-scores, kind="stable")[:need]]
+        bits = x_bits | int(np.bitwise_or.reduce(picked, initial=np.uint64(0)))
+        weight = _weight(h, bits)
+        if weight > best_weight or (weight == best_weight and lex_smaller(bits, best_bits)):
+            best_bits, best_weight = bits, weight
 
     def visit(x_bits: int) -> None:
         if x_bits in seen:
@@ -270,12 +267,13 @@ def heaviest_k_section_branching(h: WeightedHypergraph, k: int) -> SectionResult
         close(x_bits)
         if x_bits.bit_count() > k - 2:
             return
-        for e in edge_keys:
-            if (e & ~x_bits).bit_count() >= 2 and (e | x_bits).bit_count() <= k:
-                visit(e | x_bits)
+        x = np.uint64(x_bits)
+        grows = (np.bitwise_count(edges & ~x) >= 2) & (np.bitwise_count(edges | x) <= k)
+        for child in (edges[grows] | x).tolist():
+            visit(child)
 
     visit(0)
-    return best.result()
+    return SectionResult(MaskSet.from_bits(best_bits), best_weight)
 
 
 def _check_k(h: WeightedHypergraph, k: int) -> None:
@@ -286,10 +284,8 @@ def _check_k(h: WeightedHypergraph, k: int) -> None:
 def heaviest_k_section(h: WeightedHypergraph, k: int) -> SectionResult:
     """Dispatch to the cheapest exact solver for the requested section size."""
     _check_k(h, k)
-    if k == 0:
-        return SectionResult(MaskSet(), h.base_weight)
-    if k == 1:
-        return _small_section(h, 1)
+    if k <= 1:
+        return _enumerate(h, k)
     if k == 2:
         return heaviest_2_section(h)
     if k == 3:
@@ -311,7 +307,10 @@ def heaviest_k_section(h: WeightedHypergraph, k: int) -> SectionResult:
 def dump_hypergraph(h: WeightedHypergraph) -> dict:
     """JSON-friendly dump: edges sorted by their canonical position lists."""
     entries = sorted(
-        ({"nodes": list(MaskSet.from_bits(b).positions), "w": w} for b, w in h.edges.items()),
+        (
+            {"nodes": list(MaskSet.from_bits(b).positions), "w": w}
+            for b, w in zip(h.edges.tolist(), h.weights.tolist())
+        ),
         key=lambda e: e["nodes"],
     )
     return {"l": h.node_count, "base": h.base_weight, "edges": entries}

@@ -3,11 +3,12 @@
 Oracles here deliberately avoid the solver code paths they check: match
 counting is done per entry (or via mismatch-bit subset tests, whose
 equivalence to per-entry matching is itself pinned by the core tests),
-optima come from plain subset enumeration, and cliques from enumerating
-node subsets.  The greedy and baseline references are the heuristics'
-original dict-based drivers: per-edge Python loops for scoring and node
-deletion, a hypergraph rebuilt from the codes every iteration, and match
-checks by rescanning the dictionary.
+optima and heaviest sections come from plain subset enumeration, and
+cliques from enumerating node subsets.  The greedy and baseline
+references are the heuristics' original dict-based drivers: per-edge
+Python loops for scoring and node deletion, a hypergraph rebuilt from
+the codes every iteration, and match checks by rescanning the
+dictionary.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from pmdm import (
     mask_apply,
     mismatch_masks,
 )
-from pmdm.hypergraph import WeightedHypergraph, build_hypergraph, heaviest_k_section
+from pmdm.hypergraph import (
+    SectionResult,
+    WeightedHypergraph,
+    build_hypergraph,
+    heaviest_k_section,
+)
 from pmdm.reductions import Graph
 
 T1_ENTRIES = ("abab", "abbb", "aaaa", "bbab", "abaa")
@@ -262,7 +268,39 @@ def random_hypergraph(
         for p in nodes:
             bits |= 1 << p
         edges[bits] = edges.get(bits, 0) + rng.randint(1, 9)
-    return WeightedHypergraph(n, edges, rng.randint(0, 3))
+    return hypergraph_of(n, edges, rng.randint(0, 3))
+
+
+def hypergraph_of(
+    node_count: int, edges: dict[int, int], base_weight: int = 0, nodes=None
+) -> WeightedHypergraph:
+    """A hypergraph from a {bitmask: weight} dict literal."""
+    keys = sorted(edges)
+    return WeightedHypergraph(node_count, keys, [edges[e] for e in keys], base_weight, nodes)
+
+
+def edge_dict(h: WeightedHypergraph) -> dict[int, int]:
+    """A hypergraph's edges as a {bitmask: weight} dict."""
+    return dict(zip(h.edges.tolist(), h.weights.tolist()))
+
+
+def reference_section(edges: dict[int, int], base: int, nodes, k: int) -> SectionResult:
+    """Heaviest k-section by a walk over dict lookups: every k-subset of
+    ``nodes`` in ``combinations`` order weighs ``base`` plus the weights
+    of its subsets found in ``edges``.  Keeping the first maximum gives
+    the documented tie-break: the heaviest, then the lexicographically
+    smallest position list."""
+    best = None
+    for combo in combinations(sorted(nodes), k):
+        bits = as_bits(combo)
+        total = base
+        sub = bits
+        while sub:
+            total += edges.get(sub, 0)
+            sub = (sub - 1) & bits
+        if best is None or total > best[1]:
+            best = SectionResult(MaskSet.from_bits(bits), total)
+    return best
 
 
 def random_graph(rng, max_nodes=12, p=0.5) -> Graph:
@@ -324,7 +362,7 @@ def _reference_delete_node(edges, base, node):
 
 def reference_preprocess(h: WeightedHypergraph, k: int):
     """Remove best-scored nodes until an edge of size at most ``k`` exists."""
-    edges = dict(h.edges)
+    edges = edge_dict(h)
     base = h.base_weight
     removed = 0
     while edges and min(bits.bit_count() for bits in edges) > k:
@@ -335,7 +373,7 @@ def reference_preprocess(h: WeightedHypergraph, k: int):
         return h, MaskSet()
     nodes = tuple(v for v in h.nodes if not removed >> (v - 1) & 1)
     return (
-        WeightedHypergraph(h.node_count, edges, base, nodes),
+        hypergraph_of(h.node_count, edges, base, nodes),
         MaskSet.from_bits(removed),
     )
 
@@ -374,7 +412,7 @@ def reference_baseline(inst: PmdmInstance) -> HeuristicResult:
     if count_matches(dictionary, mask_apply(query, MaskSet())) >= z:
         return HeuristicResult(MaskSet(), 0)
     h = build_hypergraph(dictionary, query)
-    edges = dict(h.edges)
+    edges = edge_dict(h)
     base = h.base_weight
     picked = 0
     iterations = 0

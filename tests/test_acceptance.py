@@ -25,7 +25,6 @@ from pmdm import (
     heaviest_2_section,
     heaviest_3_section,
     heaviest_k_section_branching,
-    heaviest_k_section_bruteforce,
     mu_bruteforce,
     mu_to_pmdm,
     pmdm_to_mu,
@@ -45,6 +44,7 @@ from pmdm import (
 
 from support import (
     combination_bits,
+    edge_dict,
     has_clique,
     khv_feasible,
     oracle_count,
@@ -53,6 +53,7 @@ from support import (
     random_graph,
     random_hypergraph,
     random_instance,
+    reference_section,
 )
 
 
@@ -79,21 +80,19 @@ def test_criterion_2_section_solver_equivalence():
     for _ in range(300):
         h = random_hypergraph(rng, max_nodes=15, max_edges=200, max_edge_size=5)
         n = len(h.nodes)
-        assert heaviest_2_section(h).weight == heaviest_k_section_bruteforce(h, 2).weight
+
+        def reference(k):
+            return reference_section(edge_dict(h), h.base_weight, h.nodes, k)
+
+        assert heaviest_2_section(h).weight == reference(2).weight
         if n >= 3:
-            assert (
-                heaviest_3_section(h).weight
-                == heaviest_k_section_bruteforce(h, 3).weight
-            )
+            assert heaviest_3_section(h).weight == reference(3).weight
         for k in (4, 5):
             if n >= k:
-                assert (
-                    heaviest_k_section_branching(h, k).weight
-                    == heaviest_k_section_bruteforce(h, k).weight
-                )
+                assert heaviest_k_section_branching(h, k).weight == reference(k).weight
                 checked += 1
     assert checked >= 300
-    _pass(2, "300 hypergraphs: k=2,3 linear and k=4,5 branching match brute force")
+    _pass(2, "300 hypergraphs: k=2,3 enumeration and k=4,5 branching match the reference")
 
 
 def test_criterion_3_index_agreement():

@@ -11,7 +11,6 @@ from pmdm import (
     InfeasibleThresholdError,
     MaskSet,
     PmdmInstance,
-    WeightedHypergraph,
     baseline_pmdm,
     bruteforce_pmdm,
     greedy_pmdm,
@@ -21,6 +20,8 @@ from pmdm.heuristic import node_scores
 
 from support import (
     as_bits,
+    edge_dict,
+    hypergraph_of,
     oracle_count,
     random_hypergraph,
     random_instance,
@@ -33,24 +34,24 @@ from support import (
 
 
 def edge_map(h):
-    return {MaskSet.from_bits(b).positions: w for b, w in h.edges.items()}
+    return {MaskSet.from_bits(b).positions: w for b, w in edge_dict(h).items()}
 
 
 def test_preprocess_noop_when_small_edge_exists():
-    h = WeightedHypergraph(3, {as_bits([1]): 2, as_bits([1, 2, 3]): 1})
+    h = hypergraph_of(3, {as_bits([1]): 2, as_bits([1, 2, 3]): 1})
     h2, removed = preprocess(h, 1)
     assert removed == MaskSet() and h2 is h
 
 
 def test_preprocess_noop_without_edges():
-    h = WeightedHypergraph(3, {})
+    h = hypergraph_of(3, {})
     h2, removed = preprocess(h, 1)
     assert removed == MaskSet() and h2 is h
 
 
 def test_preprocess_score_driven_removal():
     # s(1) = 2 * (4/4) = 2, s(2) = 1 * (1/2), s(3) = 1 * (3/2): node 1 goes
-    h = WeightedHypergraph(3, {as_bits([1, 2]): 1, as_bits([1, 3]): 3})
+    h = hypergraph_of(3, {as_bits([1, 2]): 1, as_bits([1, 3]): 3})
     h2, removed = preprocess(h, 1)
     assert removed == MaskSet([1])
     assert edge_map(h2) == {(2,): 1, (3,): 3}
@@ -58,34 +59,34 @@ def test_preprocess_score_driven_removal():
 
 
 def test_preprocess_tie_breaks_on_position_until_small_edge():
-    h = WeightedHypergraph(3, {as_bits([1, 2, 3]): 1})
+    h = hypergraph_of(3, {as_bits([1, 2, 3]): 1})
     h2, removed = preprocess(h, 1)
     assert removed == MaskSet([1, 2])
     assert edge_map(h2) == {(3,): 1}
 
 
 def test_preprocess_merges_colliding_edges():
-    h = WeightedHypergraph(3, {as_bits([1, 2]): 2, as_bits([2]): 3, as_bits([1, 2, 3]): 1})
+    h = hypergraph_of(3, {as_bits([1, 2]): 2, as_bits([2]): 3, as_bits([1, 2, 3]): 1})
     h2, removed = preprocess(h, 1)
     assert removed == MaskSet() and h2 is h  # singleton {2} already present
 
     # s(1) = 2*(18/6) = 6 dominates; dropping node 1 collapses {1,2,3} onto
     # {2,3} (weights sum), then node 2 goes (s = 5) leaving a singleton
-    h = WeightedHypergraph(
+    h = hypergraph_of(
         5, {as_bits([1, 2, 3]): 9, as_bits([2, 3]): 1, as_bits([1, 4, 5]): 9}
     )
     h2, removed = preprocess(h, 1)
     assert removed == MaskSet([1, 2])
     assert edge_map(h2) == {(3,): 10, (4, 5): 9}
 
-    h = WeightedHypergraph(2, {as_bits([1, 2]): 5})
+    h = hypergraph_of(2, {as_bits([1, 2]): 5})
     h2, removed = preprocess(h, 1)
     assert removed == MaskSet([1])
     assert edge_map(h2) == {(2,): 5}
 
 
 def test_node_scores_values():
-    h = {as_bits([1, 2]): 1, as_bits([1, 3]): 3}
+    h = hypergraph_of(3, {as_bits([1, 2]): 1, as_bits([1, 3]): 3})
     scores = dict(node_scores(h))
     assert scores == {1: Fraction(2), 2: Fraction(1, 2), 3: Fraction(3, 2)}
 
@@ -216,13 +217,13 @@ def test_preprocess_and_scores_match_the_reference_randomized():
     rng = random.Random(64)
     for _ in range(200):
         h = random_hypergraph(rng, max_nodes=64, max_edges=60, max_edge_size=8)
-        assert [tuple(s) for s in node_scores(h.edges)] == reference_node_scores(h.edges)
+        assert [tuple(s) for s in node_scores(h)] == reference_node_scores(edge_dict(h))
         k = rng.randint(1, 4)
         got, removed = preprocess(h, k)
         want, want_removed = reference_preprocess(h, k)
         assert removed == want_removed
-        assert (got.edges, got.base_weight, got.nodes) == (
-            want.edges, want.base_weight, want.nodes
+        assert (edge_dict(got), got.base_weight, got.nodes) == (
+            edge_dict(want), want.base_weight, want.nodes
         )
 
 
@@ -240,8 +241,8 @@ def test_reducing_to_k_then_to_k_minus_1_equals_reducing_to_k_minus_1():
         second, removed_second = preprocess(first, k - 1)
         want, want_removed = reference_preprocess(h, k - 1)
         assert removed_first | removed_second == want_removed, i
-        assert (second.edges, second.base_weight, second.nodes) == (
-            want.edges, want.base_weight, want.nodes
+        assert (edge_dict(second), second.base_weight, second.nodes) == (
+            edge_dict(want), want.base_weight, want.nodes
         ), i
         both_delete += bool(removed_first) and bool(removed_second)
     assert both_delete >= 150
