@@ -8,7 +8,6 @@ from pmdm import (
     MaskSet,
     PmdmInstance,
     build_hypergraph,
-    bruteforce_pmdm,
     count_matches,
     decide_k_pmdm,
     dump_hypergraph,
@@ -36,21 +35,16 @@ for positions in ([2, 4], [1, 3]):
 print()
 
 # The minimum mask size is the smallest k whose heaviest k-section reaches
-# the threshold.  The exhaustive solver grows k exactly so; solve_pmdm
-# agrees with it.
+# the threshold.  solve_pmdm finds it, and the per-size decision variant
+# proves it optimal: no mask of one position fewer reaches z.
 for z in range(1, dictionary.size + 1):
     inst = PmdmInstance(dictionary, query, z)
     best = solve_pmdm(inst)
-    reference = bruteforce_pmdm(inst)
+    k = len(best)
     masked = mask_apply(query, best)
+    fewer = "" if k == 0 else f", size {k - 1} works: {decide_k_pmdm(inst, k - 1)}"
     print(f"z={z}: mask {list(best.positions)!s:14} -> {masked.render()}"
-          f"  ({count_matches(dictionary, masked)} matches,"
-          f" exhaustive size {len(reference)})")
+          f"  ({count_matches(dictionary, masked)} matches{fewer})")
 print()
 
-# The per-size decision variant pins optimality: one size below fails.
-inst = PmdmInstance(dictionary, query, 4)
-k = len(solve_pmdm(inst))
-print(f"z=4: size {k} works: {decide_k_pmdm(inst, k)};"
-      f" size {k - 1} works: {decide_k_pmdm(inst, k - 1)}")
 print("best 2-section anyway:", heaviest_k_section(h, 2))

@@ -6,13 +6,12 @@ Run: python demos/05_reductions.py
 from pmdm import (
     Graph,
     MuInstance,
-    bruteforce_pmdm,
     clique_to_pmdm,
     decide_k_pmdm,
     extract_mu_solution,
-    mu_bruteforce,
     mu_to_pmdm,
     pmdm_to_mu,
+    solve_pmdm,
 )
 
 # A triangle with a tail: the 3-clique exists, a 4-clique does not.
@@ -24,21 +23,21 @@ for k in (3, 4):
           f" -> decision {decide_k_pmdm(inst, k)}")
 print()
 
-# Choosing z sets with the smallest union is the same problem in disguise.
+# Choosing z sets with the smallest union is the same problem in disguise:
+# solve it as a masking instance and read the chosen sets off the mask.
 mu = MuInstance(5, [{1}, {1, 2, 3}, {1, 3, 5}, {3}, {3, 4, 5}, {4}, {4, 5}, {5}], 4)
-best = mu_bruteforce(mu)
-print(f"pick {mu.threshold} of {len(mu.sets)} sets: indices {best.indices},"
-      f" union {sorted(best.union)} (size {len(best.union)})")
-
 inst = mu_to_pmdm(mu)
-mask = bruteforce_pmdm(inst)
-print(f"as strings: query {inst.query}, optimal mask size {len(mask)}"
-      f" = optimal union size {len(best.union)}")
+mask = solve_pmdm(inst)
 chosen = extract_mu_solution(mu, mask)
+union = set().union(*(mu.sets[i] for i in chosen))
+print(f"as strings: query {inst.query}, optimal mask size {len(mask)}")
+print(f"pick {mu.threshold} of {len(mu.sets)} sets: indices {chosen},"
+      f" union {sorted(union)} (size {len(union)})")
 print("sets recovered from the mask:", [sorted(mu.sets[i]) for i in chosen])
 print()
 
-# And back: a string instance becomes a set-selection instance.
+# And back: a string instance becomes a set-selection instance whose
+# optimum, solved the same way, keeps the mask size.
 mu2 = pmdm_to_mu(inst)
-print("round trip keeps the optimum:",
-      len(mu_bruteforce(mu2).union) == len(mask))
+mask2 = solve_pmdm(mu_to_pmdm(mu2))
+print("round trip keeps the optimum:", len(mask2) == len(mask))

@@ -14,6 +14,10 @@ Modules:
     reductions  clique and minimum-union instance translations
     bench       synthetic dictionaries and the evaluation harness
     cli         the `pmdm` command-line front end
+
+The exhaustive searches the solvers are checked against (every mask by
+growing size, every choice of sets for a minimum union, per-node scores
+as fractions) are test oracles and live in the test suite, not here.
 """
 
 from .core import (
@@ -32,7 +36,6 @@ from .exact import (
     KhvInstance,
     MpmdmInstance,
     PmdmInstance,
-    bruteforce_pmdm,
     decide_k_pmdm,
     solve_khv,
     solve_mpmdm,
@@ -76,10 +79,8 @@ from .index import (
 from .reductions import (
     Graph,
     MuInstance,
-    MuSolution,
     clique_to_pmdm,
     extract_mu_solution,
-    mu_bruteforce,
     mu_to_pmdm,
     pmdm_to_mu,
 )
@@ -101,7 +102,6 @@ __all__ = [
     "MaskedString",
     "MpmdmInstance",
     "MuInstance",
-    "MuSolution",
     "PmdmInstance",
     "SectionResult",
     "SimpleIndex",
@@ -109,7 +109,6 @@ __all__ = [
     "SplitIndex",
     "WeightedHypergraph",
     "baseline_pmdm",
-    "bruteforce_pmdm",
     "build_hypergraph",
     "clique_to_pmdm",
     "count_for_mask",
@@ -129,7 +128,6 @@ __all__ = [
     "matches",
     "mismatch_masks",
     "mismatch_set",
-    "mu_bruteforce",
     "mu_to_pmdm",
     "pmdm_to_mu",
     "preprocess",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CapacityError, Dictionary, count_matches, mask_apply
+from .core import MAX_LENGTH, CapacityError, Dictionary, count_matches, mask_apply
 from .exact import PmdmInstance, solve_pmdm
 from .heuristic import GreedyConfig, baseline_pmdm, greedy_pmdm
 
@@ -39,6 +39,11 @@ class GenConfig:
     def __post_init__(self):
         if self.size < 1 or self.length < 1 or self.alphabet_size < 1:
             raise ValueError("size, length and alphabet_size must be positive")
+        if self.length > MAX_LENGTH:
+            # refused before ``generate`` draws a (size, length) code matrix
+            raise CapacityError(
+                f"string length {self.length} exceeds the supported maximum {MAX_LENGTH}"
+            )
         if self.mode not in ("uniform", "clustered"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "clustered":

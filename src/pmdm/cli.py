@@ -304,8 +304,18 @@ def _cmd_bench_run(args) -> int:
     return 0
 
 
+def _glyph(text: str) -> str:
+    """``--wildcard``'s type: one character, so a masked string keeps the
+    query's length."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--wildcard", default="?", help="wildcard glyph for text I/O")
+    parser.add_argument(
+        "--wildcard", default="?", type=_glyph, help="wildcard glyph for text I/O (one character)"
+    )
     parser.add_argument(
         "--format", choices=("json", "csv", "plain"), default="json",
         help="output format (default json)",

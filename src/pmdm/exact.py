@@ -34,9 +34,9 @@ queries and the CLI share.
 
 ``solve_pmdm`` is the only exact answer path of the package: ``pmdm
 solve``, ``pmdm index query`` on a small (dictionary) index and the
-harness's ``bf`` in ``bench.run_experiment`` all call it.
-``bruteforce_pmdm`` stays as the reference the tests and demos compare
-against, and ``solve_khv`` solves the paper's vector-domination
+harness's ``bf`` in ``bench.run_experiment`` all call it.  The exhaustive
+enumeration it is checked against lives with the tests, outside the
+package, and ``solve_khv`` solves the paper's vector-domination
 subproblem on its own.
 """
 
@@ -56,10 +56,9 @@ from .core import (
     lex_smaller,
     mismatch_masks,
 )
-from .hypergraph import build_hypergraph, heaviest_k_section_bruteforce
 
-# Unused here, but the benchmark's tracer wraps this name on this module.
-from .hypergraph import heaviest_k_section  # noqa: F401
+# Unused here, but the benchmark's tracer wraps these names on this module.
+from .hypergraph import build_hypergraph, heaviest_k_section  # noqa: F401
 
 #: Longest string answered from the full table of 2^l subset counts; longer
 #: strings go to the kept-set search.  At 20 the table is 4 MB of int32;
@@ -264,24 +263,6 @@ def decide_k_pmdm(inst: PmdmInstance, k: int) -> bool:
     if inst.threshold > inst.dictionary.size or k > inst.dictionary.length:
         return False
     return _smallest_mask(inst.dictionary, [inst.query], inst.threshold, k) is not None
-
-
-def bruteforce_pmdm(inst: PmdmInstance) -> MaskSet:
-    """Reference solver: exhaustive k-subset enumeration by growing size.
-
-    Its cost grows as sum over sizes of C(length, k) * 2^k, so it is a
-    test and demo oracle for short strings only; ``solve_pmdm`` answers
-    everywhere else.
-    """
-    _check_threshold(inst.threshold, inst.dictionary.size)
-    h = build_hypergraph(inst.dictionary, inst.query)
-    if h.base_weight >= inst.threshold:
-        return MaskSet()
-    for k in range(1, inst.dictionary.length + 1):
-        result = heaviest_k_section_bruteforce(h.restricted(k), k)
-        if result.weight >= inst.threshold:
-            return result.nodes
-    raise AssertionError("full mask matches every entry; unreachable")
 
 
 def solve_khv(inst: KhvInstance) -> Optional[list[int]]:

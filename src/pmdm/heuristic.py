@@ -27,7 +27,6 @@ overflow is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -53,11 +52,6 @@ class GreedyConfig:
             raise ValueError("tau must be at least 1")
 
 
-class ScoredNode(NamedTuple):
-    node: int
-    score: Fraction
-
-
 class HeuristicResult(NamedTuple):
     mask: MaskSet
     iterations: int
@@ -72,14 +66,6 @@ def _scores(values: np.ndarray, weights: np.ndarray, length: int) -> list[tuple[
     weight_sum, size_sum = (np.stack([weights, sizes]) @ bits).tolist()
     return [
         (u + 1, count[u] * weight_sum[u], size_sum[u]) for u in range(length) if count[u]
-    ]
-
-
-def node_scores(h: WeightedHypergraph) -> list[ScoredNode]:
-    """Exact scores for every node appearing in at least one edge."""
-    return [
-        ScoredNode(u, Fraction(num, den))
-        for u, num, den in _scores(h.edges, h.weights, h.node_count)
     ]
 
 

@@ -92,13 +92,6 @@ class WeightedHypergraph:
             edges, weights = edges[weights != 0], weights[weights != 0]
         self.edges, self.weights, self.base_weight = edges, weights, base_weight
 
-    def restricted(self, max_edge_size: int) -> "WeightedHypergraph":
-        """Copy keeping only edges of at most ``max_edge_size`` nodes."""
-        kept = np.bitwise_count(self.edges) <= max_edge_size
-        return WeightedHypergraph(
-            self.node_count, self.edges[kept], self.weights[kept], self.base_weight, self.nodes
-        )
-
     def __repr__(self) -> str:
         return (
             f"WeightedHypergraph({len(self.nodes)} nodes, {len(self.edges)} edges, "

@@ -55,9 +55,10 @@ DEFAULT_WORKSPACE_LIMIT = 1 << 26
 
 _MAGIC = b"PMDM2"
 _KIND_DICTIONARY = 1
-_KIND_SIMPLE = 2
+_KIND_SIMPLE_RETIRED = 2
 _KIND_SPLIT_RETIRED = 3
 _KIND_SPLIT = 4
+_KIND_SIMPLE = 5
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,14 @@ class SimpleIndex:
     row of the mask's rank as a big-endian uint32, then the native uint32
     code points the mask keeps (none when k = length); so the keys, in
     byte order, are sorted by mask first and hold no repeats.  Items with
-    counts below ``min_threshold`` are dropped, and so are queries below it.
+    counts below ``min_threshold`` are dropped, and so are queries below it;
+    queries above ``size``, the number of dictionary entries, are refused.
     """
 
     length: int
     mask_size: int
     min_threshold: int
+    size: int
     keys: np.ndarray
     counts: np.ndarray
 
@@ -226,7 +229,7 @@ def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
     for rank, (cols, rows) in enumerate(zip(kept, reps)):
         keys[at : at + len(rows)] = _key_rows(np.full(len(rows), rank), codes[:, cols][rows])
         at += len(rows)
-    return SimpleIndex(length, k, z0, keys, np.concatenate(counts).astype(np.int64))
+    return SimpleIndex(length, k, z0, d, keys, np.concatenate(counts).astype(np.int64))
 
 
 def simple_counts(idx: SimpleIndex, q: str) -> np.ndarray:
@@ -247,11 +250,7 @@ def simple_query(idx: SimpleIndex, q: str, z: int) -> tuple[MaskSet, int] | None
     count reaches ``z``, with the count; else None.  Ties go to the
     lexicographically smallest position list (the first in
     ``combinations`` order).  Costs one search of C(length, k) keys."""
-    if z < idx.min_threshold:
-        raise ValueError(
-            f"z={z} below the index's minimum supported threshold "
-            f"{idx.min_threshold}; counts below it were discarded"
-        )
+    _check_threshold(z, idx.size, idx.min_threshold)
     counts = simple_counts(idx, q)
     best = int(np.argmax(counts))
     if counts[best] < z:
@@ -495,9 +494,10 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
 #
 # * dictionary (kind 1): length u4, size u4, then the entries joined by
 #   "\n" as a blob;
-# * simple (kind 2): length u4, mask_size u4, z0 u4, n u8, then bits u8[n],
-#   counts u8[n] and the keys, length - mask_size characters each; items in
-#   the byte order of the in-memory keys (mask rank, then code points);
+# * simple (kind 5): length u4, mask_size u4, z0 u4, size u4, n u8, then
+#   bits u8[n], counts u8[n] and the keys, length - mask_size characters
+#   each; items in the byte order of the in-memory keys (mask rank, then
+#   code points);
 # * split (kind 4): length u4, half_split u1, tau u4, z0 u4, size u4 and
 #   the entries as for a dictionary; then per side of width w: groups per
 #   mask u4[2^w], group sizes u8[total groups], members u4[size * 2^w]
@@ -505,9 +505,10 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
 #   a group of mask m contributes the w - popcount(m) characters m keeps;
 #   then the pair counters: n u8, keys u8[n], counts u8[n], as in memory.
 #
-# Files of the older one-field-per-item layout (magic "PMDM1") and split
-# files of kind 3, which stored the pair counters per full mask, are
-# refused and must be rebuilt.
+# Files of the older one-field-per-item layout (magic "PMDM1"), split
+# files of kind 3, which stored the pair counters per full mask, and simple
+# files of kind 2, which stored no dictionary size, are refused and must be
+# rebuilt.
 
 
 def _w(fh, fmt: str, *values) -> None:
@@ -559,7 +560,7 @@ class _Reader:
         return self.read(n).decode("utf-8")
 
 
-_STRUCTS = {fmt: struct.Struct("<" + fmt) for fmt in ("B", "I", "II", "Q", "IIIQ", "IBII")}
+_STRUCTS = {fmt: struct.Struct("<" + fmt) for fmt in ("B", "I", "II", "Q", "IIIIQ", "IBII")}
 
 
 def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
@@ -573,7 +574,7 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
             bits, _ = _combinations(obj.length, obj.mask_size)
             ranks, codes = _key_table(obj.keys)
             _w(fh, "B", _KIND_SIMPLE)
-            _w(fh, "IIIQ", obj.length, obj.mask_size, obj.min_threshold, len(ranks))
+            _w(fh, "IIIIQ", obj.length, obj.mask_size, obj.min_threshold, obj.size, len(ranks))
             _w_array(fh, bits[ranks], "<u8")
             _w_array(fh, obj.counts, "<u8")
             _w_str(fh, codes.astype("<u4").tobytes().decode("utf-32-le"))
@@ -605,13 +606,15 @@ def _load_dictionary(rd: _Reader) -> Dictionary:
 
 
 def _load_simple(rd: _Reader) -> SimpleIndex:
-    length, mask_size, z0, n = rd.fields("IIIQ")
-    if not 1 <= mask_size <= length <= MAX_LENGTH or z0 < 1:
+    length, mask_size, z0, size, n = rd.fields("IIIIQ")
+    if not 1 <= mask_size <= length <= MAX_LENGTH or not 1 <= z0 <= size:
         raise ValueError("corrupt index file: header field out of range")
     if comb(length, mask_size) > DEFAULT_WORKSPACE_LIMIT:
         raise CapacityError(f"C({length},{mask_size}) masks exceed the limit {DEFAULT_WORKSPACE_LIMIT}")
     bits = rd.array("<u8", n)
     counts = rd.array("<u8", n)
+    if (counts > size).any():
+        raise ValueError("corrupt index file: an item's count exceeds the dictionary size")
     text = rd.string()
     width = length - mask_size
     if len(text) != n * width:
@@ -627,7 +630,7 @@ def _load_simple(rd: _Reader) -> SimpleIndex:
     keys = _key_rows(rank, _codes(text).reshape(n, width))
     if not _strictly_ascending(keys):
         raise ValueError("corrupt index file: simple index items out of order or repeated")
-    return SimpleIndex(length, mask_size, z0, keys, counts.astype(np.int64))
+    return SimpleIndex(length, mask_size, z0, size, keys, counts.astype(np.int64))
 
 
 def _load_half(rd: _Reader, offset: int, width: int, size: int) -> _HalfMaps:
@@ -685,6 +688,11 @@ def _load_split(rd: _Reader) -> SplitIndex:
     )
 
 
+_RETIRED_KINDS = {
+    _KIND_SIMPLE_RETIRED: "simple index file has the retired layout without the dictionary size",
+    _KIND_SPLIT_RETIRED: "split index file has the retired per-mask pair layout",
+}
+
 _LOADERS = {
     _KIND_DICTIONARY: _load_dictionary,
     _KIND_SIMPLE: _load_simple,
@@ -703,10 +711,8 @@ def load_index(path) -> Dictionary | SimpleIndex | SplitIndex:
     if magic != _MAGIC:
         raise ValueError("not an index file (bad magic)")
     (kind,) = rd.fields("B")
-    if kind == _KIND_SPLIT_RETIRED:
-        raise ValueError(
-            "split index file has the retired per-mask pair layout; rebuild it with `pmdm index build`"
-        )
+    if kind in _RETIRED_KINDS:
+        raise ValueError(f"{_RETIRED_KINDS[kind]}; rebuild it with `pmdm index build`")
     if kind not in _LOADERS:
         raise ValueError(f"unknown index kind {kind}")
     obj = _LOADERS[kind](rd)

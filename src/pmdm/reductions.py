@@ -5,24 +5,19 @@
   k*(k-1)/2 matches;
 * minimum union: choosing z sets with the smallest union corresponds
   one-to-one with masking the fewest positions to match z entries, in
-  both directions, with solution extraction for the round trip;
-* an exact enumeration solver for minimum union, used to cross-check the
-  mask solvers on small instances.
+  both directions.  So a minimum union is solved by ``solve_pmdm`` on
+  ``mu_to_pmdm``'s instance, and ``extract_mu_solution`` reads the
+  chosen sets off the mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 from numbers import Integral
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .core import MAX_LENGTH, CapacityError, Dictionary, MaskSet, mismatch_masks
 from .exact import PmdmInstance
-
-#: Most index subsets ``mu_bruteforce`` may enumerate before CapacityError.
-MU_ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -93,11 +88,6 @@ class MuInstance:
             raise ValueError(f"threshold must be in [1, {len(sets)}]")
 
 
-class MuSolution(NamedTuple):
-    indices: list[int]
-    union: frozenset[int]
-
-
 def clique_to_pmdm(graph: Graph, k: int) -> PmdmInstance:
     """One all-'a' query; per edge a string with 'b' at both endpoints.
 
@@ -143,28 +133,6 @@ def mu_to_pmdm(inst: MuInstance) -> PmdmInstance:
             row[rank[e] - 1] = "b"
         entries.append("".join(row))
     return PmdmInstance(Dictionary(entries), "a" * length, inst.threshold)
-
-
-def mu_bruteforce(inst: MuInstance) -> MuSolution:
-    """Enumerate every index subset of the target size; smallest union wins,
-    ties by lexicographic index list.  Raises CapacityError when there are
-    more than ``MU_ENUMERATION_BUDGET`` subsets."""
-    d = len(inst.sets)
-    z = inst.threshold
-    if comb(d, z) > MU_ENUMERATION_BUDGET:
-        raise CapacityError(
-            f"C({d},{z}) = {comb(d, z)} subsets exceed the enumeration budget "
-            f"{MU_ENUMERATION_BUDGET}"
-        )
-    best_indices = None
-    best_union: frozenset[int] = frozenset()
-    for indices in combinations(range(d), z):
-        union = frozenset().union(*(inst.sets[i] for i in indices))
-        if best_indices is None or len(union) < len(best_union):
-            best_indices = list(indices)
-            best_union = union
-    assert best_indices is not None
-    return MuSolution(best_indices, best_union)
 
 
 def extract_mu_solution(inst: MuInstance, mask: MaskSet) -> list[int]:

@@ -3,12 +3,12 @@
 Oracles here deliberately avoid the solver code paths they check: match
 counting is done per entry (or via mismatch-bit subset tests, whose
 equivalence to per-entry matching is itself pinned by the core tests),
-optima and heaviest sections come from plain subset enumeration, and
-cliques from enumerating node subsets.  The greedy and baseline
-references are the heuristics' original dict-based drivers: per-edge
-Python loops for scoring and node deletion, a hypergraph rebuilt from
-the codes every iteration, and match checks by rescanning the
-dictionary.
+optima, heaviest sections and minimum unions come from plain subset
+enumeration, and cliques from enumerating node subsets.  The greedy and
+baseline references are the heuristics' original dict-based drivers:
+per-edge Python loops for scoring and node deletion, a hypergraph
+rebuilt from the codes every iteration, and match checks by rescanning
+the dictionary.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from pmdm import (
     Dictionary,
     GreedyConfig,
     HeuristicResult,
+    InfeasibleThresholdError,
     MaskSet,
     MaskedString,
     PmdmInstance,
@@ -39,7 +41,7 @@ from pmdm.hypergraph import (
     build_hypergraph,
     heaviest_k_section,
 )
-from pmdm.reductions import Graph
+from pmdm.reductions import Graph, MuInstance
 
 T1_ENTRIES = ("abab", "abbb", "aaaa", "bbab", "abaa")
 
@@ -102,6 +104,8 @@ def reference_simple_query(dictionary: Dictionary, k: int, z0: int, q: str, z: i
     ``combinations`` order, with that count; None when there is none."""
     if z < z0:
         raise ValueError(f"z={z} below the minimum supported threshold {z0}")
+    if z > dictionary.size:
+        raise InfeasibleThresholdError(f"threshold {z} exceeds dictionary size {dictionary.size}")
     if len(q) != dictionary.length:
         raise ValueError(f"query length {len(q)} differs from {dictionary.length}")
     best = None
@@ -230,6 +234,24 @@ def has_clique(graph: Graph, k: int) -> bool:
         if all((u, v) in edges for u, v in combinations(nodes, 2)):
             return True
     return False
+
+
+class MuSolution(NamedTuple):
+    indices: list[int]
+    union: frozenset[int]
+
+
+def reference_mu(inst: MuInstance) -> MuSolution:
+    """Minimum union by enumerating every index subset of the threshold's
+    size: the smallest union wins, ties by the lexicographically smallest
+    index list.  It shares no code with the reduction to masks, so it
+    checks that reduction; it costs C(d, z) unions, small instances only."""
+    best = None
+    for indices in combinations(range(len(inst.sets)), inst.threshold):
+        union = frozenset().union(*(inst.sets[i] for i in indices))
+        if best is None or len(union) < len(best.union):
+            best = MuSolution(list(indices), union)
+    return best
 
 
 def random_dictionary(rng, max_length=10, max_size=40, max_sigma=4) -> Dictionary:
@@ -394,7 +416,12 @@ def reference_greedy(inst: PmdmInstance, cfg: GreedyConfig = GreedyConfig()) -> 
             size = min(k, len(hk.nodes))
             if size == 0:
                 continue
-            section = heaviest_k_section(hk.restricted(size), size)
+            # only edges of at most ``size`` nodes fit in a section
+            fits = np.bitwise_count(hk.edges) <= size
+            fitting = WeightedHypergraph(
+                hk.node_count, hk.edges[fits], hk.weights[fits], hk.base_weight, hk.nodes
+            )
+            section = heaviest_k_section(fitting, size)
             attempt = removed | section.nodes
             if section.weight >= z:
                 candidates.append(attempt)

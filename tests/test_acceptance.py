@@ -17,7 +17,6 @@ from pmdm import (
     MpmdmInstance,
     MuInstance,
     PmdmInstance,
-    bruteforce_pmdm,
     clique_to_pmdm,
     decide_k_pmdm,
     generate,
@@ -25,7 +24,6 @@ from pmdm import (
     heaviest_2_section,
     heaviest_3_section,
     heaviest_k_section_branching,
-    mu_bruteforce,
     mu_to_pmdm,
     pmdm_to_mu,
     run_experiment,
@@ -49,10 +47,13 @@ from support import (
     khv_feasible,
     oracle_count,
     oracle_counts_all_masks,
+    oracle_mpmdm,
     oracle_mpmdm_size,
+    oracle_optimum_size,
     random_graph,
     random_hypergraph,
     random_instance,
+    reference_mu,
     reference_section,
 )
 
@@ -66,12 +67,11 @@ def test_criterion_1_exact_solver_oracle_suite():
     for _ in range(500):
         inst = random_instance(rng, max_length=10, max_size=40, max_sigma=4)
         fast = solve_pmdm(inst)
-        slow = bruteforce_pmdm(inst)
-        assert len(fast) == len(slow)
+        assert fast == oracle_mpmdm(inst.dictionary, [inst.query], inst.threshold)
         assert oracle_count(inst.dictionary, inst.query, fast.bits) >= inst.threshold
         if len(fast) >= 1:
             assert not decide_k_pmdm(inst, len(fast) - 1)
-    _pass(1, "500 instances: |solve| = |bruteforce|, feasible, minimal")
+    _pass(1, "500 instances: solve = enumeration oracle, feasible, minimal")
 
 
 def test_criterion_2_section_solver_equivalence():
@@ -147,13 +147,15 @@ def test_criterion_5_minimum_union_round_trips():
     worked = MuInstance(
         5, [{1}, {1, 2, 3}, {1, 3, 5}, {3}, {3, 4, 5}, {4}, {4, 5}, {5}], 4
     )
-    assert len(mu_bruteforce(worked).union) == 3
-    assert len(bruteforce_pmdm(mu_to_pmdm(worked))) == 3
+    assert len(reference_mu(worked).union) == 3
+    assert len(solve_pmdm(mu_to_pmdm(worked))) == 3
 
     rng = random.Random(505)
     for _ in range(100):
         inst = random_instance(rng, max_length=8, max_size=12, max_sigma=3)
-        assert len(mu_bruteforce(pmdm_to_mu(inst)).union) == len(bruteforce_pmdm(inst))
+        assert len(reference_mu(pmdm_to_mu(inst)).union) == oracle_optimum_size(
+            inst.dictionary, inst.query, inst.threshold
+        )
     for _ in range(100):
         universe = rng.randint(1, 8)
         d = rng.randint(1, 12)
@@ -162,7 +164,7 @@ def test_criterion_5_minimum_union_round_trips():
             for _ in range(d)
         ]
         mu = MuInstance(universe, sets, rng.randint(1, d))
-        assert len(bruteforce_pmdm(mu_to_pmdm(mu))) == len(mu_bruteforce(mu).union)
+        assert len(solve_pmdm(mu_to_pmdm(mu))) == len(reference_mu(mu).union)
     _pass(5, "worked instance union = 3; 200 round trips preserve optimum sizes")
 
 
@@ -226,7 +228,7 @@ def test_criterion_8_greedy_exactness_regime():
     checks = 0
     while checks < 1000:
         inst = random_instance(rng, max_length=8, max_size=25, max_sigma=3, max_z=8)
-        optimum = len(bruteforce_pmdm(inst))
+        optimum = oracle_optimum_size(inst.dictionary, inst.query, inst.threshold)
         tau = rng.randint(1, 4)
         if optimum > tau:
             continue

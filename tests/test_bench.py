@@ -5,8 +5,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+import pmdm.bench
 import pmdm.exact
 from pmdm import (
+    CapacityError,
     Dictionary,
     GenConfig,
     InfeasibleThresholdError,
@@ -16,6 +18,7 @@ from pmdm import (
     run_experiment,
     solve_pmdm,
 )
+from pmdm.cli import main
 
 from support import t1
 
@@ -78,6 +81,17 @@ def test_generate_validation():
             size=5, length=4, alphabet_size=2, mode="clustered", centers=2,
             mutation_rate=1.5,
         )
+
+
+def test_generate_refuses_a_length_above_the_maximum_before_drawing(monkeypatch, tmp_path, capsys):
+    draws = []
+    monkeypatch.setattr(pmdm.bench.np.random, "default_rng", lambda *args: draws.append(args))
+    with pytest.raises(CapacityError, match="length 65"):
+        generate(GenConfig(size=10**9, length=65, alphabet_size=2))
+    out = tmp_path / "syn.txt"
+    argv = ["bench", "gen", "--d", "1000000000", "--l", "65", "--sigma", "2", "--out", str(out)]
+    assert main(argv) == 3
+    assert draws == [] and not out.exists() and capsys.readouterr().out == ""
 
 
 def _small_clustered():

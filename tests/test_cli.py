@@ -250,6 +250,17 @@ def test_custom_wildcard_glyph(capsys, t1_file):
     assert code == 0 and data["masked"] == "**a*"
 
 
+@pytest.mark.parametrize("glyph", ["##", ""])
+@pytest.mark.parametrize("command", ["mask", "solve"])
+def test_wildcard_must_be_one_character(capsys, t1_file, command, glyph):
+    argv = {
+        "mask": ["mask", "--query", "abc", "--positions", "[1]"],
+        "solve": ["solve", "--dict", t1_file, "--query", "abab", "--z", "4"],
+    }[command]
+    code, out = run_cli(capsys, *argv, "--wildcard", glyph)
+    assert code == 2 and out == ""
+
+
 @pytest.mark.parametrize(
     "kind,extra",
     [("small", []), ("simple", ["--k", "1"]), ("split", ["--tau", "2"])],
@@ -266,6 +277,11 @@ def test_index_build_and_query(capsys, t1_file, tmp_path, kind, extra):
     )
     assert code == 0
     assert data["found"] and data["k"] == 1 and data["matches"] == 2
+    # a threshold above the dictionary size is infeasible on every kind
+    code, printed = run_cli(
+        capsys, "index", "query", "--index", str(out), "--query", "abab", "--z", "6"
+    )
+    assert code == 1 and printed == ""
 
 
 def test_index_query_not_found(capsys, t1_file, tmp_path):

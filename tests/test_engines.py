@@ -16,7 +16,6 @@ from pmdm import (
     MpmdmInstance,
     PmdmInstance,
     baseline_pmdm,
-    bruteforce_pmdm,
     decide_k_pmdm,
     greedy_pmdm,
     mismatch_masks,
@@ -80,7 +79,7 @@ def other_queries(rng, d: Dictionary, query: str, m: int) -> list[str]:
 def test_single_query_engines_agree_with_bruteforce(monkeypatch):
     for _, inst in instances(seed=2024, count=150):
         table, search = both_engines(monkeypatch, solve_pmdm, inst)
-        assert table == search == bruteforce_pmdm(inst)
+        assert table == search == oracle_mpmdm(inst.dictionary, [inst.query], inst.threshold)
         assert len(table) == oracle_optimum_size(inst.dictionary, inst.query, inst.threshold)
         assert oracle_count(inst.dictionary, inst.query, table.bits) >= inst.threshold
         for k in {0, len(table) - 1, len(table)} - {-1}:
@@ -133,7 +132,7 @@ def test_engines_at_the_length_boundary(monkeypatch, length):
     d, query, z = near_instance(seed=length, length=length)
     inst = PmdmInstance(d, query, z)
     table, search = both_engines(monkeypatch, solve_pmdm, inst)
-    assert table == search == bruteforce_pmdm(inst)
+    assert table == search == oracle_mpmdm(d, [query], z)
     assert len(table) == oracle_optimum_size(d, query, z)
     queries = [query, d[0]]
     multi = MpmdmInstance(d, queries, 2)

@@ -12,7 +12,6 @@ from pmdm import (
     MaskSet,
     MpmdmInstance,
     PmdmInstance,
-    bruteforce_pmdm,
     count_matches,
     decide_k_pmdm,
     mask_apply,
@@ -46,8 +45,6 @@ def test_solve_examples():
 def test_solve_infeasible_threshold():
     with pytest.raises(InfeasibleThresholdError):
         solve_pmdm(PmdmInstance(t1(), "abab", 9))
-    with pytest.raises(InfeasibleThresholdError):
-        bruteforce_pmdm(PmdmInstance(t1(), "abab", 6))
 
 
 def test_instance_validation():
@@ -66,10 +63,14 @@ def test_decide_examples():
 
 
 def test_bruteforce_trivial_cases():
-    d = Dictionary(["bbbb"])
-    assert bruteforce_pmdm(PmdmInstance(d, "aaaa", 1)) == MaskSet([1, 2, 3, 4])
-    d = Dictionary(["abab", "abab", "baba"])
-    assert bruteforce_pmdm(PmdmInstance(d, "abab", 2)) == MaskSet()
+    # the full mask, and the empty one, against the enumeration oracle too
+    for entries, query, z, want in (
+        (["bbbb"], "aaaa", 1, MaskSet([1, 2, 3, 4])),
+        (["abab", "abab", "baba"], "abab", 2, MaskSet()),
+    ):
+        d = Dictionary(entries)
+        assert solve_pmdm(PmdmInstance(d, query, z)) == want
+        assert oracle_mpmdm(d, [query], z) == want
 
 
 def test_solver_agreement_randomized():
@@ -77,8 +78,7 @@ def test_solver_agreement_randomized():
     for _ in range(120):
         inst = random_instance(rng, max_length=8, max_size=30, max_sigma=4)
         fast = solve_pmdm(inst)
-        slow = bruteforce_pmdm(inst)
-        assert len(fast) == len(slow)
+        slow = oracle_mpmdm(inst.dictionary, [inst.query], inst.threshold)
         assert fast == slow  # both sides break ties identically
         # feasibility certified by the per-entry scan, not solver arithmetic
         assert oracle_count(inst.dictionary, inst.query, fast.bits) >= inst.threshold

@@ -12,17 +12,17 @@ from pmdm import (
     MaskSet,
     PmdmInstance,
     baseline_pmdm,
-    bruteforce_pmdm,
     greedy_pmdm,
     preprocess,
 )
-from pmdm.heuristic import node_scores
+from pmdm.heuristic import _scores
 
 from support import (
     as_bits,
     edge_dict,
     hypergraph_of,
     oracle_count,
+    oracle_optimum_size,
     random_hypergraph,
     random_instance,
     reference_baseline,
@@ -35,6 +35,11 @@ from support import (
 
 def edge_map(h):
     return {MaskSet.from_bits(b).positions: w for b, w in edge_dict(h).items()}
+
+
+def node_scores(h):
+    """``heuristic._scores`` of a hypergraph as (position, Fraction) pairs."""
+    return [(u, Fraction(num, den)) for u, num, den in _scores(h.edges, h.weights, h.node_count)]
 
 
 def test_preprocess_noop_when_small_edge_exists():
@@ -120,7 +125,7 @@ def test_greedy_exact_when_optimum_within_budget():
     rng = random.Random(60)
     for _ in range(150):
         inst = random_instance(rng, max_length=8, max_size=25, max_sigma=3, max_z=8)
-        optimum = len(bruteforce_pmdm(inst))
+        optimum = oracle_optimum_size(inst.dictionary, inst.query, inst.threshold)
         tau = rng.randint(1, 4)
         result = greedy_pmdm(inst, GreedyConfig(tau=tau))
         assert oracle_count(inst.dictionary, inst.query, result.mask.bits) >= inst.threshold
@@ -150,7 +155,7 @@ def test_baseline_never_beats_bruteforce():
         inst = random_instance(rng, max_length=8, max_size=25, max_sigma=3)
         result = baseline_pmdm(inst)
         assert oracle_count(inst.dictionary, inst.query, result.mask.bits) >= inst.threshold
-        assert len(result.mask) >= len(bruteforce_pmdm(inst))
+        assert len(result.mask) >= oracle_optimum_size(inst.dictionary, inst.query, inst.threshold)
         assert result.iterations == len(result.mask)
 
 
@@ -217,7 +222,7 @@ def test_preprocess_and_scores_match_the_reference_randomized():
     rng = random.Random(64)
     for _ in range(200):
         h = random_hypergraph(rng, max_nodes=64, max_edges=60, max_edge_size=8)
-        assert [tuple(s) for s in node_scores(h)] == reference_node_scores(edge_dict(h))
+        assert node_scores(h) == reference_node_scores(edge_dict(h))
         k = rng.randint(1, 4)
         got, removed = preprocess(h, k)
         want, want_removed = reference_preprocess(h, k)

@@ -234,14 +234,9 @@ def test_total_weight_accounts_for_every_entry():
         assert h.base_weight + sum(edge_dict(h).values()) == inst.dictionary.size
 
 
-def test_rank_and_restriction():
-    def rank(h):
-        return max(bits.bit_count() for bits in edge_dict(h))
-
+def test_rank():
     h = build_hypergraph(t1(), "abab")
-    assert rank(h) == 2
-    assert rank(h.restricted(1)) == 1
-    assert h.restricted(1).base_weight == h.base_weight
+    assert max(bits.bit_count() for bits in edge_dict(h)) == 2
 
 
 def test_dump_format_sorted_by_canonical_edge():

@@ -163,8 +163,8 @@ def test_simple_counts_match_oracle_per_query():
 
 def test_simple_query_matches_the_reference_randomized(tmp_path):
     # non-ASCII alphabets, duplicate entries, k = l (empty keys), z0 > 1,
-    # tied counts, query symbols no entry has, wrong lengths, z below z0;
-    # built and loaded indexes answer alike
+    # tied counts, query symbols no entry has, wrong lengths, z below z0 or
+    # above d; built and loaded indexes answer and refuse alike
     rng = random.Random(31)
     path = tmp_path / "simple.bin"
     seen = {"none": 0, "tie": 0, "k=l": 0, "z0>1": 0, "raises": 0}
@@ -185,10 +185,10 @@ def test_simple_query_matches_the_reference_randomized(tmp_path):
             for z in sorted({1, z0, rng.randint(1, d.size), d.size, d.size + 1}):
                 try:
                     expected = reference_simple_query(d, k, z0, q, z)
-                except ValueError:
+                except ValueError as refused:
                     seen["raises"] += 1
                     for idx in (built, loaded):
-                        with pytest.raises(ValueError):
+                        with pytest.raises(type(refused)):
                             simple_query(idx, q, z)
                     continue
                 for idx in (built, loaded):
@@ -431,7 +431,7 @@ def test_serialization_round_trips(tmp_path):
     save_index(path, idx)
     loaded = load_index(path)
     assert np.array_equal(loaded.keys, idx.keys) and np.array_equal(loaded.counts, idx.counts)
-    assert (loaded.length, loaded.mask_size, loaded.min_threshold) == (4, 1, 2)
+    assert (loaded.length, loaded.mask_size, loaded.min_threshold, loaded.size) == (4, 1, 2, 5)
 
     path = tmp_path / "split.bin"
     sidx = split_build(d, 2)
@@ -464,7 +464,9 @@ def test_serialization_round_trips_randomized(tmp_path):
         assert np.array_equal(loaded.keys, idx.keys) and np.array_equal(loaded.counts, idx.counts)
         for q in (d[0], d[d.size - 1][::-1]):
             assert (simple_counts(loaded, q) == simple_counts(idx, q)).all()
-        assert (loaded.length, loaded.mask_size, loaded.min_threshold) == (length, k, z0)
+        assert (loaded.length, loaded.mask_size, loaded.min_threshold, loaded.size) == (
+            length, k, z0, d.size
+        )
 
         sidx = split_build(d, rng.randint(1, d.size), rng.randint(1, d.size))
         save_index(path, sidx)
@@ -541,13 +543,16 @@ def _golden_dictionary() -> Dictionary:
 # sha256 of each file as the row-major code matrix wrote it; the layout of
 # Dictionary.codes must not change a byte of any index file.  The
 # byte-order files were recorded on a little-endian host from a build
-# that sorted the void keys themselves
+# that sorted the void keys themselves.  The simple files were re-recorded
+# when kind 5 replaced kind 2: each is the earlier file with the new kind
+# byte and the dictionary size (u4) inserted after z0, and no other byte
+# changed
 GOLDEN_SHA256 = {
     "small": "b9909ec3eb2c0a70fe7628840dcac9b6cb7dd62caf93f7ff1b1991ad1fbbde7b",
-    "simple": "1db95e3318d7f7ea16781b417e229eb6913d63f34f528eef83191c3ea9b5008f",
+    "simple": "1062a138bbebe721b75ce47c930843674481f6458b0d490925ce8fb30c8d6075",
     "split": "783828aa8f0ff07cf013b3ab7b58cc674bba5ddc8f9cf84c4a51bad1bababd9d",
-    "simple-byte-order-k1": "0df0d3eeb56abd34a092fd6f2b2cf18e42037d724a945cff22d6d33f4cd328da",
-    "simple-byte-order-k2": "f7831fee571c4abbe6782cb2a88b197e241cea4e8b18e540bda1eebfe7b8562c",
+    "simple-byte-order-k1": "ac76da327db78be14ab5e35074bc2d45f5087c332c7307ba754168700bb00105",
+    "simple-byte-order-k2": "52b99419aa1e46aefb04f5a1284deaf142be7d4d8a3baa61b78f19cb76e0c349",
 }
 
 

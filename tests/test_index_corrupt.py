@@ -74,12 +74,20 @@ def simple_file(
     length: int = 2,
     bits: tuple[int, ...] = (0b01, 0b10),
     keys: str = "ba",
+    z0: int = 1,
+    size: int = 1,
+    counts: tuple[int, ...] | None = None,
+    kind: int = 5,
 ) -> bytes:
     """The k=1 simple index of ["ab"], items in build order: mask {1} keeps
-    "b", mask {2} keeps "a".  The header's item count, mask size and length,
-    the items' masks and the key blob are replaceable; every count is 1."""
-    header = struct.pack("<BIIIQ", 2, length, mask_size, 1, len(bits) if n is None else n)
-    return b"PMDM2" + header + _u8(*bits) + _u8(*[1] * len(bits)) + _str(keys)
+    "b", mask {2} keeps "a".  The kind byte, the header's item count, mask
+    size, length, z0 and dictionary size, the items' masks, their counts
+    (1 each by default) and the key blob are replaceable."""
+    header = struct.pack(
+        "<BIIIIQ", kind, length, mask_size, z0, size, len(bits) if n is None else n
+    )
+    counts = (1,) * len(bits) if counts is None else counts
+    return b"PMDM2" + header + _u8(*bits) + _u8(*counts) + _str(keys)
 
 
 def dictionary_file(declared: int | None = None, magic: bytes = b"PMDM2") -> bytes:
@@ -164,6 +172,9 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
         pytest.param(simple_file(bits=(0b10, 0b01), keys="ab"), id="simple-masks-out-of-order"),
         pytest.param(simple_file(bits=(0b01, 0b01), keys="bb"), id="simple-items-repeated"),
         pytest.param(simple_file(bits=(0b01, 0b01), keys="ba"), id="simple-keys-out-of-order"),
+        pytest.param(simple_file(z0=2), id="simple-z0-above-size"),
+        pytest.param(simple_file(z0=0, size=0), id="simple-size-zero"),
+        pytest.param(simple_file(counts=(1, 2)), id="simple-count-above-size"),
         pytest.param(dictionary_file(magic=b"PMDM1"), id="old-format"),
     ],
 )
@@ -218,6 +229,18 @@ def test_split_file_of_the_per_mask_pair_layout_asks_for_a_rebuild(tmp_path, cap
     with pytest.raises(ValueError, match="rebuild it with `pmdm index build`"):
         load_index(path)
     code = main(["index", "query", "--index", str(path), "--query", "a", "--z", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rebuild" in captured.err
+
+
+def test_simple_file_without_the_dictionary_size_asks_for_a_rebuild(tmp_path, capsys):
+    # kind 2 stored no dictionary size; the kind byte alone decides
+    path = tmp_path / "old-simple.bin"
+    path.write_bytes(simple_file(kind=2))
+    with pytest.raises(ValueError, match="rebuild it with `pmdm index build`"):
+        load_index(path)
+    code = main(["index", "query", "--index", str(path), "--query", "ab", "--z", "1"])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "rebuild" in captured.err

@@ -11,17 +11,24 @@ from pmdm import (
     MaskSet,
     MuInstance,
     PmdmInstance,
-    bruteforce_pmdm,
     clique_to_pmdm,
     decide_k_pmdm,
     extract_mu_solution,
-    mu_bruteforce,
     mu_to_pmdm,
     pmdm_to_mu,
+    solve_pmdm,
 )
 from pmdm.cli import main
 
-from support import has_clique, random_graph, random_instance, t1
+from support import (
+    has_clique,
+    oracle_mpmdm,
+    oracle_optimum_size,
+    random_graph,
+    random_instance,
+    reference_mu,
+    t1,
+)
 
 WORKED_MU_SETS = [{1}, {1, 2, 3}, {1, 3, 5}, {3}, {3, 4, 5}, {4}, {4, 5}, {5}]
 
@@ -45,7 +52,7 @@ def test_clique_triangle_with_tail():
     graph = Graph(5, [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     inst3 = clique_to_pmdm(graph, 3)
     assert decide_k_pmdm(inst3, 3)
-    assert bruteforce_pmdm(inst3) == MaskSet([1, 2, 3])
+    assert solve_pmdm(inst3) == MaskSet([1, 2, 3])
     inst4 = clique_to_pmdm(graph, 4)
     assert inst4.threshold == 6
     assert not decide_k_pmdm(inst4, 4)
@@ -95,16 +102,16 @@ def test_pmdm_to_mu_all_exact():
     d = Dictionary(["ab", "ab", "ab"])
     mu = pmdm_to_mu(PmdmInstance(d, "ab", 3))
     assert all(not s for s in mu.sets)
-    assert mu_bruteforce(mu).union == frozenset()
+    assert reference_mu(mu).union == frozenset()
 
 
 def test_mu_worked_instance():
     mu = MuInstance(5, WORKED_MU_SETS, 4)
-    solution = mu_bruteforce(mu)
+    solution = reference_mu(mu)
     assert len(solution.union) == 3
     inst = mu_to_pmdm(mu)
     assert inst.query == "aaaaa"
-    assert len(bruteforce_pmdm(inst)) == 3
+    assert len(solve_pmdm(inst)) == 3
     # the documented optimal pick is recoverable from its union
     assert extract_mu_solution(mu, MaskSet([3, 4, 5])) == [3, 4, 5, 6]
 
@@ -136,7 +143,7 @@ def test_mu_instance_accepts_numpy_integers():
 
 def test_mu_to_pmdm_single_empty_set():
     inst = mu_to_pmdm(MuInstance(0, [()], 1))
-    assert bruteforce_pmdm(inst) == MaskSet()
+    assert solve_pmdm(inst) == MaskSet()
 
 
 def test_mu_to_pmdm_rank_compression():
@@ -151,7 +158,9 @@ def test_round_trip_pmdm_mu_pmdm():
     for _ in range(50):
         inst = random_instance(rng, max_length=8, max_size=12, max_sigma=3)
         mu = pmdm_to_mu(inst)
-        assert len(mu_bruteforce(mu).union) == len(bruteforce_pmdm(inst))
+        assert len(reference_mu(mu).union) == oracle_optimum_size(
+            inst.dictionary, inst.query, inst.threshold
+        )
 
 
 def test_round_trip_mu_pmdm_mu():
@@ -164,9 +173,15 @@ def test_round_trip_mu_pmdm_mu():
             for _ in range(d)
         ]
         mu = MuInstance(universe, sets, rng.randint(1, d))
-        optimum = mu_bruteforce(mu)
+        optimum = reference_mu(mu)
         inst = mu_to_pmdm(mu)
-        assert len(bruteforce_pmdm(inst)) == len(optimum.union)
+        mask = solve_pmdm(inst)
+        assert len(mask) == len(optimum.union)
+        assert mask == oracle_mpmdm(inst.dictionary, [inst.query], inst.threshold)
+        # mask positions are ranks among the used elements
+        used = sorted(set().union(*mu.sets))
+        chosen = extract_mu_solution(mu, MaskSet(used[p - 1] for p in mask.positions))
+        assert len(frozenset().union(*(mu.sets[i] for i in chosen))) == len(optimum.union)
 
 
 def test_extract_solution_examples():
@@ -182,23 +197,17 @@ def test_extract_matches_optimal_union():
     for _ in range(40):
         inst = random_instance(rng, max_length=7, max_size=10, max_sigma=3)
         mu = pmdm_to_mu(inst)
-        best = bruteforce_pmdm(inst)
+        best = oracle_mpmdm(inst.dictionary, [inst.query], inst.threshold)
         chosen = extract_mu_solution(mu, best)
         assert len(chosen) == inst.threshold
         union = frozenset().union(*(mu.sets[i] for i in chosen))
         assert union <= set(best.positions)
 
 
-def test_mu_bruteforce_budget_and_ties(monkeypatch):
-    mu = MuInstance(3, [{1}, {1}, {2, 3}], 2)
-    solution = mu_bruteforce(mu)
+def test_reference_mu_ties():
+    # the first smallest union in index order wins
+    solution = reference_mu(MuInstance(3, [{1}, {1}, {2, 3}, {1}], 2))
     assert solution.indices == [0, 1] and solution.union == frozenset({1})
-    with pytest.raises(CapacityError):
-        mu_bruteforce(MuInstance(2, [{1}] * 30, 15))
-    # the budget is read at call time: C(3, 2) = 3 subsets exceed a budget of 2
-    monkeypatch.setattr(pmdm.reductions, "MU_ENUMERATION_BUDGET", 2)
-    with pytest.raises(CapacityError):
-        mu_bruteforce(mu)
 
 
 def test_graph_file_parsing(tmp_path):
