@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .bench import GenConfig, generate, run_experiment
+from .bench import GenConfig, generate
 from .core import (
     CapacityError,
     Dictionary,
@@ -279,31 +279,6 @@ def _cmd_bench_gen(args) -> int:
     return 0
 
 
-def _cmd_bench_run(args) -> int:
-    dictionary = Dictionary.from_file(args.dict, wildcard=args.wildcard)
-    algorithms = [a.strip() for a in args.algos.split(",") if a.strip()]
-    _note(args, f"running {algorithms} on {dictionary.size} strings, "
-                f"{args.queries} queries")
-    report = run_experiment(
-        dictionary, algorithms, args.z, args.queries, seed=args.seed
-    )
-    if args.csv:
-        report.write_csv(args.csv)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(indent=2))
-        _emit(
-            {
-                "out": str(args.out),
-                "aggregates": report.to_dict()["aggregates"],
-            },
-            args.format,
-        )
-    else:
-        print(report.to_json())
-    return 0
-
-
 def _glyph(text: str) -> str:
     """``--wildcard``'s type: one character, so a masked string keeps the
     query's length."""
@@ -419,7 +394,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_reduce_from_mu)
 
-    p_bench = sub.add_parser("bench", help="synthetic data and experiment runs")
+    p_bench = sub.add_parser("bench", help="seeded synthetic dictionaries")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
     p = bench_sub.add_parser("gen")
     p.add_argument("--d", type=int, required=True)
@@ -432,20 +407,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_bench_gen)
-    p = bench_sub.add_parser("run")
-    p.add_argument("--dict", required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument(
-        "--algos", default="bf,ba,gr3",
-        help="comma-separated: bf the exact optimum, ba the baseline, "
-             "grN the greedy with tau=N (default bf,ba,gr3)",
-    )
-    p.add_argument("--queries", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--csv")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bench_run)
 
     return parser
 

@@ -33,11 +33,11 @@ position list (``core.lex_smaller``).  Thresholds are checked by
 queries and the CLI share.
 
 ``solve_pmdm`` is the only exact answer path of the package: ``pmdm
-solve``, ``pmdm index query`` on a small (dictionary) index and the
-harness's ``bf`` in ``bench.run_experiment`` all call it.  The exhaustive
-enumeration it is checked against lives with the tests, outside the
-package, and ``solve_khv`` solves the paper's vector-domination
-subproblem on its own.
+solve`` and ``pmdm index query`` on a small (dictionary) index call it,
+and the acceptance suite measures the heuristics against it.  The
+exhaustive enumeration it is checked against lives with the tests,
+outside the package, and ``solve_khv`` solves the paper's
+vector-domination subproblem on its own.
 """
 
 from __future__ import annotations

@@ -117,20 +117,27 @@ def pmdm_to_mu(inst: PmdmInstance) -> MuInstance:
 
 
 def mu_to_pmdm(inst: MuInstance) -> PmdmInstance:
-    """Rank-compress the used elements; sets become 'b' positions.
+    """One all-'a' query; per set a string with 'b' at its elements.
 
-    The optimal mask size of the result equals the optimal union size of
-    the input.  With no used elements at all the strings are padded to
-    length one so a dictionary exists; the correspondence is unaffected.
+    Position p stands for element p, so a mask of the result names the
+    elements of a union and ``extract_mu_solution`` reads it directly.
+    The strings end at the largest used element (length one when no
+    element is used, so a dictionary exists).  Positions of unused
+    elements are 'a' everywhere, and a minimum mask is exactly the union
+    of the sets it matches, so it never holds one: the optimal mask size
+    equals the optimal union size.
     """
-    used = sorted(set().union(*inst.sets)) if inst.sets else []
-    rank = {e: i + 1 for i, e in enumerate(used)}
-    length = max(1, len(used))
+    length = max((max(s) for s in inst.sets if s), default=1)
+    if length > MAX_LENGTH:
+        # refused before any of the per-set strings of that length exists
+        raise CapacityError(
+            f"element {length} exceeds the supported string length {MAX_LENGTH}"
+        )
     entries = []
     for s in inst.sets:
         row = ["a"] * length
         for e in s:
-            row[rank[e] - 1] = "b"
+            row[e - 1] = "b"
         entries.append("".join(row))
     return PmdmInstance(Dictionary(entries), "a" * length, inst.threshold)
 

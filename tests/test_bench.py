@@ -1,33 +1,25 @@
-import json
 import random
 
-import jsonschema
 import numpy as np
 import pytest
 
 import pmdm.bench
-import pmdm.exact
 from pmdm import (
     CapacityError,
     Dictionary,
     GenConfig,
+    GreedyConfig,
     InfeasibleThresholdError,
     PmdmInstance,
+    baseline_pmdm,
     generate,
+    greedy_pmdm,
     mismatch_set,
-    run_experiment,
     solve_pmdm,
 )
 from pmdm.cli import main
 
-from support import t1
-
-
-def load_schema(name):
-    import importlib.resources as resources
-
-    with resources.files("pmdm.schemas").joinpath(name).open("r") as fh:
-        return json.load(fh)
+from support import oracle_count, t1
 
 
 def test_generate_deterministic():
@@ -81,6 +73,13 @@ def test_generate_validation():
             size=5, length=4, alphabet_size=2, mode="clustered", centers=2,
             mutation_rate=1.5,
         )
+    # codes are written from 'a' up; one more code would fall in the
+    # surrogate range, which has no UTF-8 encoding
+    GenConfig(size=5, length=4, alphabet_size=0xD800 - ord("a"))
+    assert pmdm.bench._to_strings(np.array([[0, 0xD800 - ord("a") - 1]])) == ["a\ud7ff"]
+    for sigma in (0xD800 - ord("a") + 1, 60_000, 2_000_000):
+        with pytest.raises(ValueError, match="surrogate"):
+            GenConfig(size=5, length=4, alphabet_size=sigma)
 
 
 def test_generate_refuses_a_length_above_the_maximum_before_drawing(monkeypatch, tmp_path, capsys):
@@ -104,83 +103,46 @@ def _small_clustered():
 
 
 def test_run_experiment_basic_invariants():
+    # on small optima the greedy with budget 3 is exact, and neither
+    # heuristic returns an infeasible mask or beats the optimum
     d = _small_clustered()
-    report = run_experiment(d, ["bf", "ba", "gr3"], z=6, query_count=12, seed=4)
-    assert report.schema == "pmdm-report/1"
-    # bf is solve_pmdm on the records the run samples as queries
-    picks = np.random.default_rng(4).integers(0, d.size, size=12)
-    assert [r.mask_size for r in report.records if r.algorithm == "bf"] == [
-        len(solve_pmdm(PmdmInstance(d, d[int(p)], 6))) for p in picks
-    ]
-    bf = report.aggregates["bf"]
-    assert bf.avg_relative_error in (0.0, None)
-    for name in ("ba", "gr3"):
-        stats = report.aggregates[name]
-        assert stats.completed == 12
-        assert stats.avg_solution_size >= bf.avg_solution_size
-    # exactness regime: optima here are tiny, so greedy with budget 3 is exact
-    assert report.aggregates["gr3"].avg_relative_error == 0.0
-
-
-def test_run_experiment_deterministic_modulo_timing():
-    d = _small_clustered()
-    a = run_experiment(d, ["bf", "gr3"], z=6, query_count=8, seed=9)
-    b = run_experiment(d, ["bf", "gr3"], z=6, query_count=8, seed=9)
-    assert [(r.query_index, r.algorithm, r.mask_size, r.skipped) for r in a.records] == [
-        (r.query_index, r.algorithm, r.mask_size, r.skipped) for r in b.records
-    ]
-
-
-def test_run_experiment_bf_budget_marks_skipped(monkeypatch):
-    # above l = 20 the exact engine is the kept-set search, whose visit
-    # budget is the only reason bf skips a query
-    d = generate(
-        GenConfig(
-            size=300, length=24, alphabet_size=6, seed=21, mode="clustered",
-            centers=8, mutation_rate=0.12,
-        )
-    )
-    assert run_experiment(d, ["bf"], z=30, query_count=3, seed=2).aggregates["bf"].completed == 3
-    monkeypatch.setattr(pmdm.exact, "KEPT_SET_VISIT_BUDGET", 5)
-    report = run_experiment(d, ["bf", "gr3"], z=30, query_count=3, seed=2)
-    bf_rows = [r for r in report.records if r.algorithm == "bf"]
-    assert all(r.skipped and r.mask_size is None for r in bf_rows)
-    assert report.aggregates["bf"].completed == 0
-    assert report.aggregates["gr3"].completed == 3
+    for pick in np.random.default_rng(4).integers(0, d.size, size=12):
+        inst = PmdmInstance(d, d[int(pick)], 6)
+        optimum = len(solve_pmdm(inst))
+        greedy = greedy_pmdm(inst, GreedyConfig(tau=3)).mask
+        baseline = baseline_pmdm(inst).mask
+        for mask in (greedy, baseline):
+            assert oracle_count(d, inst.query, mask.bits) >= 6
+        assert len(greedy) == optimum <= len(baseline)
 
 
 def test_run_experiment_avg_ss_non_decreasing_in_z():
+    # a larger threshold never lets the optimum, or the greedy, mask fewer
+    # positions on average over the same records
     d = _small_clustered()
+    picks = np.random.default_rng(5).integers(0, d.size, size=10)
     sizes_bf = []
     sizes_gr = []
     for z in (4, 30, 90):
-        report = run_experiment(d, ["bf", "gr3"], z=z, query_count=10, seed=5)
-        sizes_bf.append(report.aggregates["bf"].avg_solution_size)
-        sizes_gr.append(report.aggregates["gr3"].avg_solution_size)
+        optimal = []
+        greedy = []
+        for pick in picks:
+            inst = PmdmInstance(d, d[int(pick)], z)
+            for mask, sizes in (
+                (solve_pmdm(inst), optimal),
+                (greedy_pmdm(inst, GreedyConfig(tau=3)).mask, greedy),
+            ):
+                assert oracle_count(d, inst.query, mask.bits) >= z
+                sizes.append(len(mask))
+        sizes_bf.append(sum(optimal) / len(optimal))
+        sizes_gr.append(sum(greedy) / len(greedy))
     assert sizes_bf == sorted(sizes_bf)
     assert sizes_gr == sorted(sizes_gr)
 
 
 def test_run_experiment_infeasible_threshold():
     with pytest.raises(InfeasibleThresholdError):
-        run_experiment(t1(), ["gr3"], z=9, query_count=2, seed=0)
-
-
-def test_run_experiment_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        run_experiment(t1(), ["quantum"], z=1, query_count=1, seed=0)
-
-
-def test_report_json_matches_schema(tmp_path):
-    d = _small_clustered()
-    report = run_experiment(d, ["bf", "ba", "gr3", "gr4"], z=6, query_count=5, seed=6)
-    payload = json.loads(report.to_json())
-    jsonschema.validate(payload, load_schema("report.schema.json"))
-    csv_path = tmp_path / "report.csv"
-    report.write_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "query_index,algorithm,k,time_us,skipped"
-    assert len(lines) == 1 + len(report.records)
+        greedy_pmdm(PmdmInstance(t1(), "abab", 9), GreedyConfig(tau=3))
 
 
 def test_generated_dictionary_round_trips_through_files(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import pmdm.exact
 import pmdm.hypergraph
 import pmdm.index
-from pmdm import GenConfig, generate
+from pmdm import Dictionary, GenConfig, generate
 from pmdm.cli import main
 
 from support import T1_ENTRIES
@@ -338,6 +338,23 @@ def test_reduce_mu_round_trip(capsys, t1_file, tmp_path):
     assert code == 0 and code2 == 0 and solved["k"] == original["k"]
 
 
+def test_reduce_from_mu_answer_names_the_elements(capsys, tmp_path):
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(
+        '{"universe": 9, "sets": [[3, 7], [7], [3, 7, 9], [2, 5]], "z": 2}', encoding="utf-8"
+    )
+    back = tmp_path / "back.txt"
+    code, data = run_json(
+        capsys, "reduce", "from-mu", "--mu", str(mu_path), "--out-dict", str(back)
+    )
+    assert code == 0 and data["query"] == "a" * 9
+    code, solved = run_json(
+        capsys, "solve", "--dict", str(back), "--query", data["query"], "--z", "2"
+    )
+    # the smallest union is {3, 7}, of the sets [3, 7] and [7]
+    assert code == 0 and solved["positions"] == [3, 7]
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -372,14 +389,12 @@ def test_bench_gen_and_run(capsys, tmp_path):
         "--out", str(dict_path),
     )
     assert code == 0
-    report_path = tmp_path / "report.json"
-    csv_path = tmp_path / "report.csv"
-    code, summary = run_json(
-        capsys, "bench", "run", "--dict", str(dict_path), "--z", "6",
-        "--algos", "bf,ba,gr3", "--queries", "4", "--seed", "1",
-        "--out", str(report_path), "--csv", str(csv_path),
+    assert Dictionary.from_file(dict_path) == generate(
+        GenConfig(size=80, length=7, alphabet_size=4, seed=5, mode="clustered",
+                  centers=6, mutation_rate=0.1)
     )
-    assert code == 0 and set(summary["aggregates"]) == {"bf", "ba", "gr3"}
-    payload = json.loads(report_path.read_text())
-    jsonschema.validate(payload, load_schema("report.schema.json"))
-    assert csv_path.read_text().startswith("query_index,algorithm,k,time_us,skipped")
+    # gen is bench's only subcommand; argparse refuses any other
+    code = main(["bench", "run", "--dict", str(dict_path), "--z", "6", "--queries", "4"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'run'" in captured.err

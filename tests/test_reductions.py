@@ -146,11 +146,27 @@ def test_mu_to_pmdm_single_empty_set():
     assert solve_pmdm(inst) == MaskSet()
 
 
-def test_mu_to_pmdm_rank_compression():
+def test_mu_to_pmdm_positions_are_elements():
     mu = MuInstance(10, [{2, 9}, {9}], 1)
     inst = mu_to_pmdm(mu)
-    assert inst.dictionary.length == 2
-    assert inst.dictionary.entries == ("bb", "ab")
+    assert inst.dictionary.entries == ("abaaaaaab", "aaaaaaaab")
+    mu = MuInstance(3, [{3}, {3}], 2)
+    mask = solve_pmdm(mu_to_pmdm(mu))
+    assert mask == MaskSet([3]) and extract_mu_solution(mu, mask) == [0, 1]
+
+
+def test_mu_element_above_the_length_limit_is_refused_before_any_entry(monkeypatch, capsys, tmp_path):
+    def no_dictionary(*args):
+        raise AssertionError("entries built for an element above the length limit")
+
+    monkeypatch.setattr(pmdm.reductions, "Dictionary", no_dictionary)
+    with pytest.raises(CapacityError, match="element 65"):
+        mu_to_pmdm(MuInstance(100, [{1, 65}, {2}], 1))
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text('{"universe": 20000000, "sets": [[20000000], [1]], "z": 1}', encoding="utf-8")
+    out = tmp_path / "out.txt"
+    assert main(["reduce", "from-mu", "--mu", str(mu_path), "--out-dict", str(out)]) == 3
+    assert capsys.readouterr().out == "" and not out.exists()
 
 
 def test_round_trip_pmdm_mu_pmdm():
@@ -166,22 +182,20 @@ def test_round_trip_pmdm_mu_pmdm():
 def test_round_trip_mu_pmdm_mu():
     rng = random.Random(92)
     for _ in range(50):
-        universe = rng.randint(1, 8)
+        universe = rng.randint(1, 12)
+        # a few elements of a wider universe, so positions often stand for
+        # elements no set uses
+        elements = rng.sample(range(1, universe + 1), rng.randint(1, min(universe, 6)))
         d = rng.randint(1, 12)
-        sets = [
-            {e for e in range(1, universe + 1) if rng.random() < 0.3}
-            for _ in range(d)
-        ]
+        sets = [{e for e in elements if rng.random() < 0.4} for _ in range(d)]
         mu = MuInstance(universe, sets, rng.randint(1, d))
         optimum = reference_mu(mu)
         inst = mu_to_pmdm(mu)
         mask = solve_pmdm(inst)
         assert len(mask) == len(optimum.union)
         assert mask == oracle_mpmdm(inst.dictionary, [inst.query], inst.threshold)
-        # mask positions are ranks among the used elements
-        used = sorted(set().union(*mu.sets))
-        chosen = extract_mu_solution(mu, MaskSet(used[p - 1] for p in mask.positions))
-        assert len(frozenset().union(*(mu.sets[i] for i in chosen))) == len(optimum.union)
+        chosen = extract_mu_solution(mu, mask)
+        assert frozenset().union(*(mu.sets[i] for i in chosen)) == set(mask.positions)
 
 
 def test_extract_solution_examples():
