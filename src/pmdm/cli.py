@@ -1,8 +1,9 @@
 """Command-line front end: solve/greedy/baseline/mask/count/index/reduce/bench.
 
-Results go to stdout as JSON (``--format`` switches to csv or plain);
+Every result goes to stdout through ``_emit``, as JSON (``--format``
+switches to csv or plain, where nested values are compact JSON cells);
 diagnostics go to stderr.  Exit codes: 0 success, 1 infeasible threshold,
-2 input/format error, 3 capacity guard.
+2 input/format error, 3 capacity guard or failed allocation.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ def _cmd_solve(args) -> int:
     _note(args, f"loaded {dictionary.size} strings of length {dictionary.length}; "
                 f"{len(queries)} quer{'y' if len(queries) == 1 else 'ies'}")
     if args.dump_hypergraph:
-        h = build_hypergraph(dictionary, queries[0])
-        print(json.dumps(dump_hypergraph(h)))
+        _emit(dump_hypergraph(build_hypergraph(dictionary, queries[0])), args.format)
         return 0
     if len(queries) == 1:
         _emit(_exact_answer(dictionary, queries[0], args), args.format)
@@ -195,9 +195,9 @@ def _cmd_index_query(args) -> int:
     return 0
 
 
-def _cmd_reduce_clique(args) -> int:
-    graph = Graph.from_file(args.graph)
-    inst = clique_to_pmdm(graph, args.k)
+def _emit_reduction(inst: PmdmInstance, args) -> int:
+    """Save a reduction's dictionary to ``--out-dict`` and print its record:
+    query, z, d and out_dict, in that order."""
     inst.dictionary.save(args.out_dict)
     _emit(
         {
@@ -209,6 +209,10 @@ def _cmd_reduce_clique(args) -> int:
         args.format,
     )
     return 0
+
+
+def _cmd_reduce_clique(args) -> int:
+    return _emit_reduction(clique_to_pmdm(Graph.from_file(args.graph), args.k), args)
 
 
 def _cmd_reduce_to_mu(args) -> int:
@@ -225,7 +229,7 @@ def _cmd_reduce_to_mu(args) -> int:
             json.dump(payload, fh)
         _emit({"out": str(args.out), "d": len(mu.sets)}, args.format)
     else:
-        print(json.dumps(payload))
+        _emit(payload, args.format)
     return 0
 
 
@@ -250,18 +254,7 @@ def _cmd_reduce_from_mu(args) -> int:
         payload = json.load(fh)
     _check_mu_payload(payload)
     mu = MuInstance(payload["universe"], payload["sets"], payload["z"])
-    inst = mu_to_pmdm(mu)
-    inst.dictionary.save(args.out_dict)
-    _emit(
-        {
-            "query": inst.query,
-            "z": inst.threshold,
-            "d": inst.dictionary.size,
-            "out_dict": str(args.out_dict),
-        },
-        args.format,
-    )
-    return 0
+    return _emit_reduction(mu_to_pmdm(mu), args)
 
 
 def _cmd_bench_gen(args) -> int:
@@ -422,8 +415,9 @@ def main(argv=None) -> int:
     except InfeasibleThresholdError as exc:
         print(f"error: infeasible threshold: {exc}", file=sys.stderr)
         return 1
-    except CapacityError as exc:
-        print(f"error: capacity guard: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        # a failed allocation is a capacity limit too, met without a guard
+        print(f"error: capacity guard: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -157,6 +157,17 @@ def _best_in_table(tables: Sequence[np.ndarray], threshold: int, length: int) ->
     return MaskSet.from_bits(best)
 
 
+def _check_queries(queries: Sequence[str], length: int, threshold: int = 1) -> None:
+    """Refuse a query whose length is not ``length``, the string length of
+    the dictionary (or of the dictionary an index holds), and a threshold
+    below 1."""
+    for q in queries:
+        if len(q) != length:
+            raise ValueError(f"query length {len(q)} differs from dictionary length {length}")
+    if threshold < 1:
+        raise ValueError("threshold must be positive")
+
+
 @dataclass(frozen=True)
 class PmdmInstance:
     """A dictionary, a query of the same length, and a match threshold.
@@ -170,13 +181,7 @@ class PmdmInstance:
     threshold: int
 
     def __post_init__(self):
-        if len(self.query) != self.dictionary.length:
-            raise ValueError(
-                f"query length {len(self.query)} differs from dictionary "
-                f"length {self.dictionary.length}"
-            )
-        if self.threshold < 1:
-            raise ValueError("threshold must be positive")
+        _check_queries([self.query], self.dictionary.length, self.threshold)
 
 
 @dataclass(frozen=True)
@@ -193,14 +198,7 @@ class MpmdmInstance:
         object.__setattr__(self, "threshold", threshold)
         if not self.queries:
             raise ValueError("at least one query is required")
-        for q in self.queries:
-            if len(q) != dictionary.length:
-                raise ValueError(
-                    f"query length {len(q)} differs from dictionary "
-                    f"length {dictionary.length}"
-                )
-        if threshold < 1:
-            raise ValueError("threshold must be positive")
+        _check_queries(self.queries, dictionary.length, threshold)
 
 
 @dataclass(frozen=True)

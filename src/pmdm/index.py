@@ -47,10 +47,12 @@ from .core import (
     mismatch_masks,
     pack_bits,
 )
-from .exact import _best_in_table, _check_threshold, subset_counts
+from .exact import _best_in_table, _check_queries, _check_threshold, subset_counts
 
-#: Cap on the workspace of a build: C(length, k) * d for the fixed-size
-#: tables, pair entries plus members for the half-split tables.
+#: Cap on the workspace of a build or a load, checked before it allocates:
+#: C(length, k) * max(d, length) for the fixed-size tables (d ids per mask,
+#: and ``_combinations``'s mask tables of length cells per mask); pair
+#: entries plus members for the half-split tables.
 DEFAULT_WORKSPACE_LIMIT = 1 << 26
 
 _MAGIC = b"PMDM2"
@@ -70,16 +72,23 @@ class SmallEllTable:
     size: int
 
 
+def _check_table_length(length: int) -> None:
+    """Refuse a structure over all 2^length masks past the table limit."""
+    limit = exact.DEFAULT_TABLE_LIMIT
+    if length > limit:
+        raise CapacityError(f"length {length} exceeds the table limit {limit} (2^{length} masks)")
+
+
+def _check_parameter(name: str, value: int, upper: int) -> None:
+    if not 1 <= value <= upper:
+        raise ValueError(f"{name} must be in [1, {upper}]")
+
+
 def small_ell_build(dictionary: Dictionary, q: str) -> SmallEllTable:
     """Histogram the mismatch bitmasks, then run the subset-sum pass."""
-    length = dictionary.length
-    if length > exact.DEFAULT_TABLE_LIMIT:
-        raise CapacityError(
-            f"length {length} exceeds the table limit {exact.DEFAULT_TABLE_LIMIT} "
-            f"(2^{length} counters)"
-        )
-    counts = subset_counts(mismatch_masks(dictionary, q), length)
-    return SmallEllTable(counts, length, dictionary.size)
+    _check_table_length(dictionary.length)
+    counts = subset_counts(mismatch_masks(dictionary, q), dictionary.length)
+    return SmallEllTable(counts, dictionary.length, dictionary.size)
 
 
 def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
@@ -122,6 +131,15 @@ def _combinations(length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     kept = np.nonzero(~masked)[1].reshape(len(masked), length - k)
     bits.flags.writeable = kept.flags.writeable = False
     return bits, kept
+
+
+def _check_simple_workspace(length: int, k: int, d: int) -> None:
+    """Refuse fixed-size tables of d entries whose C(length, k) masks times
+    max(d, length) pass the workspace limit, before any mask is enumerated."""
+    if comb(length, k) * max(d, length) > DEFAULT_WORKSPACE_LIMIT:
+        raise CapacityError(
+            f"workspace C({length},{k})*{max(d, length)} exceeds limit {DEFAULT_WORKSPACE_LIMIT}"
+        )
 
 
 def _key_rows(ranks, codes: np.ndarray) -> np.ndarray:
@@ -191,14 +209,9 @@ def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
     """
     length = dictionary.length
     d = dictionary.size
-    if not 1 <= k <= length:
-        raise ValueError(f"k must be in [1, {length}]")
-    if not 1 <= z0 <= d:
-        raise ValueError(f"z0 must be in [1, {d}]")
-    if comb(length, k) * d > DEFAULT_WORKSPACE_LIMIT:
-        raise CapacityError(
-            f"workspace C({length},{k})*{d} exceeds limit {DEFAULT_WORKSPACE_LIMIT}"
-        )
+    _check_parameter("k", k, length)
+    _check_parameter("z0", z0, d)
+    _check_simple_workspace(length, k, d)
     _, kept = _combinations(length, k)
     codes = dictionary.codes
     sigma, ranks = _byte_ranks(codes)
@@ -236,8 +249,7 @@ def simple_counts(idx: SimpleIndex, q: str) -> np.ndarray:
     """counts[r] = stored count of ``q`` masked by the mask of rank r (in
     ``combinations`` order), or 0 where that masked string is not stored:
     one search of the C(length, k) query keys in the sorted ``keys``."""
-    if len(q) != idx.length:
-        raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
+    _check_queries([q], idx.length)
     _, kept = _combinations(idx.length, idx.mask_size)
     at = _lookup(idx.keys, _key_rows(np.arange(len(kept)), _codes(q)[kept]))
     out = np.zeros(len(kept), dtype=np.int64)
@@ -354,7 +366,11 @@ class SplitIndex:
         return len(self.entries)
 
 
-def _check_split_workspace(pairs: int, members: int) -> None:
+def _check_split_workspace(length: int, d: int, pairs: int = 0) -> None:
+    """Refuse half-split tables of d entries whose members (d per half mask
+    on each side) plus ``pairs`` pair entries pass the workspace limit."""
+    lam = (length + 1) // 2
+    members = ((1 << lam) + (1 << (length - lam))) * d
     if pairs + members > DEFAULT_WORKSPACE_LIMIT:
         raise CapacityError(
             f"{pairs} pair entries and {members} members exceed the limit "
@@ -374,17 +390,11 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     """
     length = dictionary.length
     d = dictionary.size
-    if length > exact.DEFAULT_TABLE_LIMIT:
-        raise CapacityError(
-            f"length {length} exceeds the table limit {exact.DEFAULT_TABLE_LIMIT}"
-        )
-    if not 1 <= tau <= d:
-        raise ValueError(f"tau must be in [1, {d}]")
-    if not 1 <= z0 <= d:
-        raise ValueError(f"z0 must be in [1, {d}]")
+    _check_table_length(length)
+    _check_parameter("tau", tau, d)
+    _check_parameter("z0", z0, d)
+    _check_split_workspace(length, d)
     lam = (length + 1) // 2
-    members = ((1 << lam) + (1 << (length - lam))) * d
-    _check_split_workspace(0, members)
     # row-major, as a loaded index holds them: a query gathers rows
     codes = np.ascontiguousarray(dictionary.codes)
     left, gid_left = _build_half(codes, 0, lam)
@@ -394,7 +404,7 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     frequent_right = right.counts[gid_right] >= tau
     # the pair entries are the sum of frequent_left @ frequent_right.T,
     # which is the product of the two column sums
-    _check_split_workspace(int(frequent_left.sum(axis=0) @ frequent_right.sum(axis=0)), members)
+    _check_split_workspace(length, d, int(frequent_left.sum(axis=0) @ frequent_right.sum(axis=0)))
     # a side of width w has at most 2^w * d groups, so the members guard
     # keeps len(left.keys) + len(right.keys) <= 2^26 and every key < 2^50
     n_right = len(right.keys)
@@ -446,8 +456,7 @@ def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
     exactly, and every mask with a half no entry has as 0.  The masks
     frequent on both sides read their pair counter instead.
     """
-    if len(q) != idx.length:
-        raise ValueError(f"query length {len(q)} differs from index length {idx.length}")
+    _check_queries([q], idx.length)
     left, right = idx.left, idx.right
     rare_below = max(idx.tau, idx.min_threshold)
     q_codes = _codes(q)
@@ -609,8 +618,7 @@ def _load_simple(rd: _Reader) -> SimpleIndex:
     length, mask_size, z0, size, n = rd.fields("IIIIQ")
     if not 1 <= mask_size <= length <= MAX_LENGTH or not 1 <= z0 <= size:
         raise ValueError("corrupt index file: header field out of range")
-    if comb(length, mask_size) > DEFAULT_WORKSPACE_LIMIT:
-        raise CapacityError(f"C({length},{mask_size}) masks exceed the limit {DEFAULT_WORKSPACE_LIMIT}")
+    _check_simple_workspace(length, mask_size, size)
     bits = rd.array("<u8", n)
     counts = rd.array("<u8", n)
     if (counts > size).any():
@@ -666,10 +674,9 @@ def _load_split(rd: _Reader) -> SplitIndex:
     (size,) = rd.fields("I")
     if lam != (length + 1) // 2 or not 1 <= tau <= size or not 1 <= z0 <= size:
         raise ValueError("corrupt index file: header field out of range")
-    if length > exact.DEFAULT_TABLE_LIMIT:
-        raise CapacityError(f"length {length} exceeds the table limit {exact.DEFAULT_TABLE_LIMIT}")
+    _check_table_length(length)
     # the build's guard, which also keeps every pair key below 2^50
-    _check_split_workspace(0, ((1 << lam) + (1 << (length - lam))) * size)
+    _check_split_workspace(length, size)
     entries = tuple(rd.string().split("\n"))
     if len(entries) != size or any(len(entry) != length for entry in entries):
         raise ValueError("index header disagrees with payload")

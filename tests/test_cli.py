@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+import pmdm.cli
 import pmdm.exact
 import pmdm.hypergraph
 import pmdm.index
@@ -240,6 +241,40 @@ def test_output_formats(capsys, t1_file):
     )
     assert code == 0
     assert out.splitlines()[0] == "k,positions,matches,masked"
+    # every payload goes through the one printer: the default output is the
+    # JSON the hypergraph dump and the MU instance printed before, and in
+    # csv and plain their nested values become compact JSON cells
+    edges = '[{"nodes":[1],"w":1},{"nodes":[2,4],"w":1},{"nodes":[3],"w":1},{"nodes":[4],"w":1}]'
+    for command, json_out, csv_out, plain_out in [
+        (
+            ["solve", "--query", "abab", "--z", "4", "--dump-hypergraph"],
+            '{"l": 4, "base": 1, "edges": [{"nodes": [1], "w": 1}, {"nodes": [2, 4], "w": 1}, '
+            '{"nodes": [3], "w": 1}, {"nodes": [4], "w": 1}]}',
+            f"l,base,edges\n4,1,{edges}",
+            f"l=4 base=1 edges={edges}",
+        ),
+        (
+            ["reduce", "to-mu", "--query", "abab", "--z", "2"],
+            '{"universe": 4, "sets": [[], [3], [2, 4], [1], [4]], "z": 2}',
+            "universe,sets,z\n4,[[],[3],[2,4],[1],[4]],2",
+            "universe=4 sets=[[],[3],[2,4],[1],[4]] z=2",
+        ),
+    ]:
+        argv = [*command, "--dict", t1_file]
+        assert run_cli(capsys, *argv) == (0, json_out)
+        assert run_cli(capsys, *argv, "--format", "csv") == (0, csv_out)
+        assert run_cli(capsys, *argv, "--format", "plain") == (0, plain_out)
+
+
+def test_a_failed_allocation_exits_with_the_capacity_code(capsys, t1_file, monkeypatch):
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pmdm.cli, "solve_pmdm", out_of_memory)
+    code = main(["solve", "--dict", t1_file, "--query", "abab", "--z", "4"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: capacity guard: out of memory\n"
 
 
 def test_custom_wildcard_glyph(capsys, t1_file):

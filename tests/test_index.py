@@ -508,6 +508,14 @@ def test_split_capacity_and_parameter_guards(monkeypatch):
         simple_build(t1(), 2, 1)
     monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 30)
     assert simple_build(t1(), 2, 1).mask_size == 2
+    # fewer entries than positions: the C(6, 2) x 6 mask tables, 90 cells,
+    # outweigh the 15 x 2 ids
+    short = Dictionary(["abcdef", "abcdeg"])
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 89)
+    with pytest.raises(CapacityError, match=r"C\(6,2\)\*6 exceeds limit 89"):
+        simple_build(short, 2, 1)
+    monkeypatch.setattr(pmdm.index, "DEFAULT_WORKSPACE_LIMIT", 90)
+    assert simple_build(short, 2, 1).mask_size == 2
 
 
 def test_split_workspace_guard_counts_pairs_and_members(monkeypatch):

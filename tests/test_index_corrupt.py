@@ -200,19 +200,22 @@ def test_split_file_longer_than_the_table_limit_is_refused(tmp_path, capsys):
 
 
 def test_simple_file_with_too_many_masks_is_refused(tmp_path, capsys, monkeypatch):
-    # C(64, 32) masks would each be searched by every query; the header
-    # alone decides, before any mask is enumerated
+    # C(64, 32) masks would each be searched by every query, and the
+    # C(64, 5) = 7 624 512 masks of the 38-byte header at k=5 need 64-column
+    # mask tables (3.6 GiB) however small the dictionary; the header alone
+    # decides, before any mask is enumerated
     def no_masks(*args):
         raise AssertionError("masks enumerated before the capacity check")
 
     monkeypatch.setattr(pmdm.index, "_combinations", no_masks)
-    path = tmp_path / "wide.bin"
-    path.write_bytes(simple_file(length=64, mask_size=32, bits=(), keys=""))
-    with pytest.raises(CapacityError):
-        load_index(path)
-    code = main(["index", "query", "--index", str(path), "--query", "a" * 64, "--z", "1"])
-    assert code == 3
-    assert capsys.readouterr().out == ""
+    for mask_size in (32, 5):
+        path = tmp_path / f"wide-{mask_size}.bin"
+        path.write_bytes(simple_file(length=64, mask_size=mask_size, bits=(), keys=""))
+        with pytest.raises(CapacityError):
+            load_index(path)
+        code = main(["index", "query", "--index", str(path), "--query", "a" * 64, "--z", "1"])
+        assert code == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_old_format_asks_for_a_rebuild(tmp_path):
