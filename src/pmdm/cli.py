@@ -9,6 +9,7 @@ diagnostics go to stderr.  Exit codes: 0 success, 1 infeasible threshold,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -49,9 +50,10 @@ def _emit(data: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(data))
     elif fmt == "csv":
-        keys = list(data)
-        print(",".join(keys))
-        print(",".join(_cell(data[k]) for k in keys))
+        # quoted where a cell holds a comma, as nested values do
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(data)
+        writer.writerow(_cell(value) for value in data.values())
     else:
         print(" ".join(f"{k}={_cell(data[k])}" for k in data))
 

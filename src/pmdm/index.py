@@ -7,12 +7,13 @@ Three structures, trading construction cost and space for query speed:
   exact number of entries the query matches when masked by K;
 * fixed-size tables: for one mask size k, counts of identical masked
   strings under each of the C(length, k) masks, pruned below a minimum
-  supported threshold, held as one sorted array of (mask rank, kept code
-  points) keys beside one array of counts.  The build costs one uint64
-  sort of d ids per mask: each mask's kept symbols, ranked in the keys'
-  byte order, fold into one integer per entry.  A query searches its
-  C(length, k) keys in one pass and picks the highest count, ties going
-  to the lexicographically smallest position list;
+  supported threshold, held as one sorted array of keys beside one array
+  of counts: a key is the mask rank, then the alphabet ranks of the
+  symbols the mask keeps, folded in radix into uint64 words.  The build
+  costs one uint64 product and one sort of d keys per mask.  A query
+  folds its C(length, k) keys with one product, searches them in one
+  pass and picks the highest count, ties going to the lexicographically
+  smallest position list;
 * half-split tables: per side, one sorted array of (half mask, masked
   half) keys with their counts and member lists, plus one sorted array of
   exact pair counters, keyed by the two halves' group ids, for the half
@@ -50,7 +51,7 @@ from .core import (
 from .exact import _best_in_table, _check_queries, _check_threshold, subset_counts
 
 #: Cap on the workspace of a build or a load, checked before it allocates:
-#: C(length, k) * max(d, length) for the fixed-size tables (d ids per mask,
+#: C(length, k) * max(d, length) for the fixed-size tables (d keys per mask,
 #: and ``_combinations``'s mask tables of length cells per mask); pair
 #: entries plus members for the half-split tables.
 DEFAULT_WORKSPACE_LIMIT = 1 << 26
@@ -60,7 +61,8 @@ _KIND_DICTIONARY = 1
 _KIND_SIMPLE_RETIRED = 2
 _KIND_SPLIT_RETIRED = 3
 _KIND_SPLIT = 4
-_KIND_SIMPLE = 5
+_KIND_SIMPLE_BLOB_RETIRED = 5
+_KIND_SIMPLE = 6
 
 
 @dataclass(frozen=True)
@@ -103,19 +105,26 @@ def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
 class SimpleIndex:
     """Counts of identical masked strings for every mask of one size k.
 
-    Masks are numbered by their rank in ``itertools.combinations`` order.
-    ``counts[i]`` entries share the masked string of ``keys[i]``, a void
-    row of the mask's rank as a big-endian uint32, then the native uint32
-    code points the mask keeps (none when k = length); so the keys, in
-    byte order, are sorted by mask first and hold no repeats.  Items with
-    counts below ``min_threshold`` are dropped, and so are queries below it;
-    queries above ``size``, the number of dictionary entries, are refused.
+    Masks are numbered by their rank in ``itertools.combinations`` order,
+    and ``alphabet`` holds the dictionary's distinct code points, ascending
+    (uint32).  A masked string's key is its mask rank, then the alphabet
+    ranks of the symbols the mask keeps (none when k = length), folded in
+    radix C(length, k), then sigma = len(alphabet), into uint64 words; a
+    new word starts wherever the next symbol would carry a word past 2^64
+    (``_key_layout``).  One-word keys are a uint64 array, wider ones void
+    rows of their big-endian words, so either way the keys sort by mask
+    first, then by the kept symbols in code-point order.  ``counts[i]``
+    (uint32) entries share the masked string of ``keys[i]``; the keys are
+    sorted and hold no repeats.  Items with counts below ``min_threshold``
+    are dropped, and so are queries below it; queries above ``size``, the
+    number of dictionary entries, are refused.
     """
 
     length: int
     mask_size: int
     min_threshold: int
     size: int
+    alphabet: np.ndarray
     keys: np.ndarray
     counts: np.ndarray
 
@@ -142,9 +151,44 @@ def _check_simple_workspace(length: int, k: int, d: int) -> None:
         )
 
 
+@lru_cache(maxsize=8)
+def _key_layout(length: int, k: int, sigma: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """How ``SimpleIndex`` keys fold.  A key's digits are the mask rank
+    (radix C(length, k)), then the length - k kept symbols' alphabet ranks
+    (radix sigma); each word takes the next digits while the product of
+    their radices, ``spans[j]`` for word j, stays within 2^64.  A row of
+    digits times ``place``, a (1 + length - k, words) uint64 matrix of each
+    digit's place value in its own word, is the key's row of words."""
+    radices = [comb(length, k)] + [sigma] * (length - k)
+    word, spans = [], [1]
+    for radix in radices:
+        if spans[-1] * radix > 1 << 64:
+            spans.append(1)
+        spans[-1] *= radix
+        word.append(len(spans) - 1)
+    place = np.zeros((len(radices), len(spans)), dtype=np.uint64)
+    value = 1
+    for i in reversed(range(len(radices))):
+        if i + 1 == len(radices) or word[i + 1] != word[i]:
+            value = 1  # the last digit of its word
+        place[i, word[i]] = value
+        value *= radices[i]
+    place.flags.writeable = False
+    return place, tuple(spans)
+
+
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """``SimpleIndex`` keys from an (n, words) array of uint64 words: the
+    native words when there is one, else void rows of the big-endian
+    words, whose byte order is the words' order."""
+    if words.shape[1] == 1:
+        return words[:, 0].astype(np.uint64, copy=False)
+    return np.ascontiguousarray(words, dtype=">u8").view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+
+
 def _key_rows(ranks, codes: np.ndarray) -> np.ndarray:
-    """``SimpleIndex`` and half keys: each mask rank as a big-endian uint32,
-    then a row of code points, so byte order sorts by mask first."""
+    """Half keys: each mask rank as a big-endian uint32, then a row of code
+    points, so byte order sorts by mask first."""
     rows = np.empty((codes.shape[0], 1 + codes.shape[1]), dtype=np.uint32)
     rows[:, 0] = np.asarray(ranks, dtype=">u4").view(np.uint32)
     rows[:, 1:] = codes
@@ -176,36 +220,18 @@ def _strictly_ascending(keys: np.ndarray) -> bool:
     return bool((later[at, first] > earlier[at, first]).all())
 
 
-def _byte_ranks(codes: np.ndarray) -> tuple[int, np.ndarray]:
-    """The number of distinct code points in ``codes``, and each one's rank
-    among them in the byte order keys sort in (native bytes read as a
-    big-endian integer), as a uint32 matrix of ``codes``'s shape."""
-    # codes.T is C-contiguous for column-major codes: the ranks come out
-    # column-major too, so each position's ranks are contiguous
-    alphabet, inverse = np.unique(codes.T, return_inverse=True)
-    byte_rank = np.empty(len(alphabet), dtype=np.uint32)
-    byte_rank[np.argsort(alphabet.view(">u4"))] = np.arange(len(alphabet), dtype=np.uint32)
-    # the inverse's shape for 2-D input differs across numpy 2.x
-    return len(alphabet), byte_rank[inverse.reshape(codes.T.shape)].T
-
-
 def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
     """Group masked strings per mask of size ``k``; keep counts >= ``z0``.
 
-    The code points are ranked once in the byte order the keys sort in.
-    Per mask, each entry's kept ranks fold into one uint64 id in radix
-    sigma (the number of distinct code points), so the ids sort as the
-    keys would; where the next symbol would carry the id past 2^64, the
-    ids are first replaced by their dense ranks, which only keys wider
-    than 64 bits need.  One argsort of the d ids then yields the mask's
-    groups in key order, and each kept group's key is written from one
-    member's code points.  So the cost is one uint64 sort of d ids per
-    mask, and the items come out exactly as a sort of the keys themselves
-    would give them.  Peak traced memory is the result, one int64 row
-    index and one count per item, and one mask's workspace: 128 MiB, 88
-    of them the result, at d = 1e5, l = 15, k = 1, z0 = 1 (clustered
-    ``bench.generate`` data, 1.36e6 items), where a void-key sort per
-    mask peaked at 193 MiB.
+    ``np.unique`` ranks the code points once, in code-point order.  Each
+    entry's row of digits (a 1 for the mask rank, then its ranks) times a
+    weight matrix, the key layout's place values scattered to the mask's
+    kept columns and the rank's place value times the rank, is the row of
+    the entry's key words under that mask.  One sort of the d keys (a
+    lexsort of the word columns when a key takes several words) yields
+    the mask's groups in key order, and each kept group's key is one of
+    its sorted keys.  So the cost is one uint64 product and one sort of d
+    keys per mask, and the masks' keys, rank first, come out in order.
     """
     length = dictionary.length
     d = dictionary.size
@@ -213,45 +239,57 @@ def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
     _check_parameter("z0", z0, d)
     _check_simple_workspace(length, k, d)
     _, kept = _combinations(length, k)
-    codes = dictionary.codes
-    sigma, ranks = _byte_ranks(codes)
-    reps, counts = [], []
+    # codes.T is C-contiguous for column-major codes; the inverse's shape
+    # for 2-D input differs across numpy 2.x
+    alphabet, inverse = np.unique(dictionary.codes.T, return_inverse=True)
+    place, spans = _key_layout(length, k, len(alphabet))
+    digits = np.ones((d, 1 + length), dtype=np.uint64)
+    digits[:, 1:] = inverse.reshape(length, d).T
+    weights = np.zeros((1 + length, len(spans)), dtype=np.uint64)
+    keys, counts = [], []
     edge = np.ones(d + 1, dtype=bool)  # edge[i]: a group starts at sorted row i
-    for cols in kept:
-        # the kept columns in radix sigma: ids sort as the keys do
-        ids, span = np.zeros(d, dtype=np.uint64), 1
-        for col in cols:
-            if span * sigma > 1 << 64:
-                # keys wider than 64 bits: dense ids, in the same order
-                uniq, dense = np.unique(ids, return_inverse=True)
-                ids, span = dense.astype(np.uint64), len(uniq)
-            ids *= np.uint64(sigma)
-            ids += ranks[:, col]
-            span *= sigma
-        order = np.argsort(ids)
-        ids = ids[order]
-        np.not_equal(ids[1:], ids[:-1], out=edge[1:d])
+    for rank, cols in enumerate(kept):
+        weights[0] = rank * place[0]
+        weights[1:] = 0
+        weights[1 + cols] = place[1:]
+        words = digits @ weights
+        if len(spans) == 1:
+            words = np.sort(words[:, 0])
+            np.not_equal(words[1:], words[:-1], out=edge[1:d])
+        else:
+            words = words[np.lexsort(words.T[::-1])]
+            np.any(words[1:] != words[:-1], axis=1, out=edge[1:d])
         bounds = np.flatnonzero(edge)  # group starts, then d
         sizes = bounds[1:] - bounds[:-1]
         kept_groups = sizes >= z0
-        reps.append(order[bounds[:-1][kept_groups]])
+        keys.append(words[bounds[:-1][kept_groups]])
         counts.append(sizes[kept_groups])
-    # one group's key from one member's code points, written in place
-    keys = np.empty(sum(map(len, reps)), dtype=np.dtype((np.void, 4 * (1 + length - k))))
-    at = 0
-    for rank, (cols, rows) in enumerate(zip(kept, reps)):
-        keys[at : at + len(rows)] = _key_rows(np.full(len(rows), rank), codes[:, cols][rows])
-        at += len(rows)
-    return SimpleIndex(length, k, z0, d, keys, np.concatenate(counts).astype(np.int64))
+    keys = _as_keys(np.concatenate(keys).reshape(-1, len(spans)))
+    return SimpleIndex(
+        length, k, z0, d, alphabet.astype(np.uint32), keys, np.concatenate(counts).astype(np.uint32)
+    )
 
 
 def simple_counts(idx: SimpleIndex, q: str) -> np.ndarray:
     """counts[r] = stored count of ``q`` masked by the mask of rank r (in
     ``combinations`` order), or 0 where that masked string is not stored:
-    one search of the C(length, k) query keys in the sorted ``keys``."""
+    one product folds the C(length, k) query keys, and one search finds
+    them in the sorted ``keys``.  A mask that keeps a symbol missing from
+    the alphabet reads 0."""
     _check_queries([q], idx.length)
     _, kept = _combinations(idx.length, idx.mask_size)
-    at = _lookup(idx.keys, _key_rows(np.arange(len(kept)), _codes(q)[kept]))
+    codes = _codes(q)
+    # searching all but the last code point keeps every rank below sigma;
+    # a code point past the last one lands on it and is found missing
+    ranks = np.searchsorted(idx.alphabet[:-1], codes)
+    missing = idx.alphabet[ranks] != codes
+    place, _ = _key_layout(idx.length, idx.mask_size, len(idx.alphabet))
+    digits = np.empty((len(kept), place.shape[0]), dtype=np.uint64)
+    digits[:, 0] = np.arange(len(kept))
+    digits[:, 1:] = ranks[kept]
+    at = _lookup(idx.keys, _as_keys(digits @ place))
+    if missing.any():
+        at[missing[kept].any(axis=1)] = -1
     out = np.zeros(len(kept), dtype=np.int64)
     out[at >= 0] = idx.counts[at[at >= 0]]
     return out
@@ -497,16 +535,17 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
 
 # ---------------------------------------------------------------------------
 # Binary serialization.  A file is the magic "PMDM2", a kind byte, then
-# little-endian fields; every table is written as a few whole arrays, and
-# keys as one UTF-8 blob (u8 byte count, then the keys back to back, each
-# exactly as long as its mask leaves unmasked):
+# little-endian fields unless a field says otherwise; every table is
+# written as a few whole arrays, and text (entries, half keys) as one
+# UTF-8 blob (u8 byte count, then the strings back to back):
 #
 # * dictionary (kind 1): length u4, size u4, then the entries joined by
 #   "\n" as a blob;
-# * simple (kind 5): length u4, mask_size u4, z0 u4, size u4, n u8, then
-#   bits u8[n], counts u8[n] and the keys, length - mask_size characters
-#   each; items in the byte order of the in-memory keys (mask rank, then
-#   code points);
+# * simple (kind 6): length u4, mask_size u4, z0 u4, size u4, sigma u4,
+#   n u8, then alphabet u4[sigma], the keys' words as big-endian u8[n * W]
+#   (W words a key, as ``_key_layout`` fixes from the header) and counts
+#   u4[n]: the in-memory arrays themselves, in key order, which the loader
+#   reads and checks without rebuilding a key;
 # * split (kind 4): length u4, half_split u1, tau u4, z0 u4, size u4 and
 #   the entries as for a dictionary; then per side of width w: groups per
 #   mask u4[2^w], group sizes u8[total groups], members u4[size * 2^w]
@@ -515,9 +554,10 @@ def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:
 #   then the pair counters: n u8, keys u8[n], counts u8[n], as in memory.
 #
 # Files of the older one-field-per-item layout (magic "PMDM1"), split
-# files of kind 3, which stored the pair counters per full mask, and simple
-# files of kind 2, which stored no dictionary size, are refused and must be
-# rebuilt.
+# files of kind 3, which stored the pair counters per full mask, simple
+# files of kind 2, which stored no dictionary size, and simple files of
+# kind 5, which stored each item's mask bits and a UTF-8 blob of its kept
+# symbols, are refused and must be rebuilt.
 
 
 def _w(fh, fmt: str, *values) -> None:
@@ -569,7 +609,7 @@ class _Reader:
         return self.read(n).decode("utf-8")
 
 
-_STRUCTS = {fmt: struct.Struct("<" + fmt) for fmt in ("B", "I", "II", "Q", "IIIIQ", "IBII")}
+_STRUCTS = {fmt: struct.Struct("<" + fmt) for fmt in ("B", "I", "II", "Q", "IIIIIQ", "IBII")}
 
 
 def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
@@ -580,13 +620,15 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
             _w(fh, "II", obj.length, obj.size)
             _w_str(fh, "\n".join(obj.entries))
         elif isinstance(obj, SimpleIndex):
-            bits, _ = _combinations(obj.length, obj.mask_size)
-            ranks, codes = _key_table(obj.keys)
             _w(fh, "B", _KIND_SIMPLE)
-            _w(fh, "IIIIQ", obj.length, obj.mask_size, obj.min_threshold, obj.size, len(ranks))
-            _w_array(fh, bits[ranks], "<u8")
-            _w_array(fh, obj.counts, "<u8")
-            _w_str(fh, codes.astype("<u4").tobytes().decode("utf-32-le"))
+            _w(
+                fh, "IIIIIQ", obj.length, obj.mask_size, obj.min_threshold, obj.size,
+                len(obj.alphabet), len(obj.keys),
+            )
+            _w_array(fh, obj.alphabet, "<u4")
+            # wide keys already hold their big-endian words
+            _w_array(fh, obj.keys.view(">u8") if obj.keys.dtype.kind == "V" else obj.keys, ">u8")
+            _w_array(fh, obj.counts, "<u4")
         elif isinstance(obj, SplitIndex):
             _w(fh, "B", _KIND_SPLIT)
             _w(fh, "IBII", obj.length, obj.half_split, obj.tau, obj.min_threshold)
@@ -615,30 +657,30 @@ def _load_dictionary(rd: _Reader) -> Dictionary:
 
 
 def _load_simple(rd: _Reader) -> SimpleIndex:
-    length, mask_size, z0, size, n = rd.fields("IIIIQ")
-    if not 1 <= mask_size <= length <= MAX_LENGTH or not 1 <= z0 <= size:
+    length, mask_size, z0, size, sigma, n = rd.fields("IIIIIQ")
+    if not 1 <= mask_size <= length <= MAX_LENGTH or not 1 <= z0 <= size or not sigma:
         raise ValueError("corrupt index file: header field out of range")
     _check_simple_workspace(length, mask_size, size)
-    bits = rd.array("<u8", n)
-    counts = rd.array("<u8", n)
-    if (counts > size).any():
-        raise ValueError("corrupt index file: an item's count exceeds the dictionary size")
-    text = rd.string()
-    width = length - mask_size
-    if len(text) != n * width:
-        raise ValueError("corrupt index file: key blob length disagrees with its key counts")
-    # items come mask by mask in combinations order: find each item's rank
-    all_bits, _ = _combinations(length, mask_size)
-    order = np.argsort(all_bits)
-    rank = order[np.searchsorted(all_bits, bits, sorter=order).clip(max=len(order) - 1)]
-    if (all_bits[rank] != bits).any():
+    alphabet = rd.array("<u4", sigma)
+    if (alphabet[1:] <= alphabet[:-1]).any() or alphabet[-1] > 0x10FFFF:
+        raise ValueError("corrupt index file: alphabet out of order, repeated or past U+10FFFF")
+    _, spans = _key_layout(length, mask_size, sigma)
+    words = rd.array(">u8", n * len(spans)).reshape(n, len(spans))
+    counts = rd.array("<u4", n)
+    # a word's leading digit, the mask rank or a symbol, stays below its
+    # radix exactly when the word stays below its span
+    if any((words[:, j] >= span).any() for j, span in enumerate(spans) if span < 1 << 64):
         raise ValueError(
-            f"corrupt index file: an item's mask is not {mask_size} of the {length} positions"
+            f"corrupt index file: a key is not a mask of {mask_size} of the {length} positions "
+            f"over {sigma} symbols"
         )
-    keys = _key_rows(rank, _codes(text).reshape(n, width))
-    if not _strictly_ascending(keys):
+    keys = _as_keys(words)
+    ascending = (keys[1:] > keys[:-1]).all() if len(spans) == 1 else _strictly_ascending(keys)
+    if not ascending:
         raise ValueError("corrupt index file: simple index items out of order or repeated")
-    return SimpleIndex(length, mask_size, z0, size, keys, counts.astype(np.int64))
+    if (counts < z0).any() or (counts > size).any():
+        raise ValueError("corrupt index file: an item's count is below z0 or above the dictionary size")
+    return SimpleIndex(length, mask_size, z0, size, alphabet, keys, counts)
 
 
 def _load_half(rd: _Reader, offset: int, width: int, size: int) -> _HalfMaps:
@@ -697,6 +739,7 @@ def _load_split(rd: _Reader) -> SplitIndex:
 
 _RETIRED_KINDS = {
     _KIND_SIMPLE_RETIRED: "simple index file has the retired layout without the dictionary size",
+    _KIND_SIMPLE_BLOB_RETIRED: "simple index file has the retired layout of mask bits and key blobs",
     _KIND_SPLIT_RETIRED: "split index file has the retired per-mask pair layout",
 }
 

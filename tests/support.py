@@ -13,8 +13,6 @@ the dictionary.
 
 from __future__ import annotations
 
-import struct
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -94,7 +92,7 @@ def reference_subset_counts(masks: np.ndarray, length: int) -> np.ndarray:
 
 def combination_bits(length: int, k: int) -> np.ndarray:
     """Bitmask of every set of ``k`` positions, in ``combinations`` order."""
-    return np.array([sum(1 << p for p in c) for c in combinations(range(length), k)], dtype=np.int64)
+    return np.array([sum(1 << p for p in c) for c in combinations(range(length), k)], dtype=np.uint64)
 
 
 def reference_simple_query(dictionary: Dictionary, k: int, z0: int, q: str, z: int):
@@ -119,18 +117,49 @@ def reference_simple_query(dictionary: Dictionary, k: int, z0: int, q: str, z: i
 def reference_simple_items(dictionary: Dictionary, k: int, z0: int) -> dict[tuple[int, str], int]:
     """The fixed-size index's items by counting strings: (mask rank in
     ``combinations`` order, the symbols the mask keeps) -> number of
-    entries, for counts >= ``z0``, in the order of the bytes of their
-    keys: the rank as a big-endian uint32, then each kept code point as a
-    native uint32."""
-    native = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+    entries, for counts >= ``z0``, in the order of their keys: by rank,
+    then by the kept symbols in code-point order."""
     items = {}
     for rank, masked in enumerate(combinations(range(dictionary.length), k)):
         keep = [p for p in range(dictionary.length) if p not in masked]
         for kept, n in Counter("".join(e[p] for p in keep) for e in dictionary.entries).items():
             if n >= z0:
                 items[rank, kept] = n
-    order = sorted(items, key=lambda item: struct.pack(">I", item[0]) + item[1].encode(native))
-    return {item: items[item] for item in order}
+    return {item: items[item] for item in sorted(items)}
+
+
+def unfold_simple_keys(idx) -> list[tuple[int, str]]:
+    """Each key of a fixed-size index, in stored order, as (mask rank, kept
+    symbols), unfolded in Python integers.  A key's digits are the rank
+    (radix C(l, k)), then the kept symbols' ranks in ``idx.alphabet``
+    (radix sigma); each word holds the next digits while their radices
+    multiply to at most 2^64, and every word must unfold completely."""
+    length, k, alphabet = idx.length, idx.mask_size, idx.alphabet.tolist()
+    groups, span = [[]], 1
+    for radix in [comb(length, k)] + [len(alphabet)] * (length - k):
+        if span * radix > 1 << 64:
+            groups.append([])
+            span = 1
+        span *= radix
+        groups[-1].append(radix)
+    if idx.keys.dtype.kind == "V":
+        rows = idx.keys.view(">u8").reshape(len(idx.keys), len(groups)).tolist()
+    else:
+        assert len(groups) == 1
+        rows = [[word] for word in idx.keys.tolist()]
+    items = []
+    for row in rows:
+        digits = []
+        for word, radices in zip(row, groups):
+            part = []
+            for radix in reversed(radices):
+                word, digit = divmod(word, radix)
+                part.append(digit)
+            assert word == 0, "a key word past its span"
+            digits += reversed(part)
+        rank, *symbols = digits
+        items.append((rank, "".join(chr(alphabet[s]) for s in symbols)))
+    return items
 
 
 def oracle_optimum_size(dictionary: Dictionary, q: str, z: int) -> int:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import jsonschema
@@ -243,20 +244,22 @@ def test_output_formats(capsys, t1_file):
     assert out.splitlines()[0] == "k,positions,matches,masked"
     # every payload goes through the one printer: the default output is the
     # JSON the hypergraph dump and the MU instance printed before, and in
-    # csv and plain their nested values become compact JSON cells
+    # csv and plain their nested values become compact JSON cells, quoted
+    # in csv with their quotes doubled
     edges = '[{"nodes":[1],"w":1},{"nodes":[2,4],"w":1},{"nodes":[3],"w":1},{"nodes":[4],"w":1}]'
+    quoted = '"' + edges.replace('"', '""') + '"'
     for command, json_out, csv_out, plain_out in [
         (
             ["solve", "--query", "abab", "--z", "4", "--dump-hypergraph"],
             '{"l": 4, "base": 1, "edges": [{"nodes": [1], "w": 1}, {"nodes": [2, 4], "w": 1}, '
             '{"nodes": [3], "w": 1}, {"nodes": [4], "w": 1}]}',
-            f"l,base,edges\n4,1,{edges}",
+            f"l,base,edges\n4,1,{quoted}",
             f"l=4 base=1 edges={edges}",
         ),
         (
             ["reduce", "to-mu", "--query", "abab", "--z", "2"],
             '{"universe": 4, "sets": [[], [3], [2, 4], [1], [4]], "z": 2}',
-            "universe,sets,z\n4,[[],[3],[2,4],[1],[4]],2",
+            'universe,sets,z\n4,"[[],[3],[2,4],[1],[4]]",2',
             "universe=4 sets=[[],[3],[2,4],[1],[4]] z=2",
         ),
     ]:
@@ -264,6 +267,20 @@ def test_output_formats(capsys, t1_file):
         assert run_cli(capsys, *argv) == (0, json_out)
         assert run_cli(capsys, *argv, "--format", "csv") == (0, csv_out)
         assert run_cli(capsys, *argv, "--format", "plain") == (0, plain_out)
+
+
+def test_csv_rows_parse_into_as_many_fields_as_the_header(capsys, t1_file):
+    # a nested cell holds commas; csv.reader must still see one field per
+    # header name, and the cell must read back as the JSON value
+    for argv, name, value in [
+        (["solve", "--query", "abab", "--z", "4"], "positions", [1, 2, 4]),
+        (["reduce", "to-mu", "--query", "abab", "--z", "2"], "sets", [[], [3], [2, 4], [1], [4]]),
+    ]:
+        code, out = run_cli(capsys, *argv, "--dict", t1_file, "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(out.splitlines())
+        assert len(header) == len(row)
+        assert json.loads(row[header.index(name)]) == value
 
 
 def test_a_failed_allocation_exits_with_the_capacity_code(capsys, t1_file, monkeypatch):

@@ -28,7 +28,7 @@ from pmdm import (
     split_query,
 )
 from pmdm.core import _codes
-from pmdm.index import _key_rows, _key_table, _lookup
+from pmdm.index import _key_rows, _lookup
 
 from support import (
     combination_bits,
@@ -38,6 +38,7 @@ from support import (
     reference_simple_items,
     reference_simple_query,
     t1,
+    unfold_simple_keys,
 )
 
 
@@ -119,9 +120,9 @@ def test_simple_query_examples():
 
 def test_simple_build_matches_the_reference_items_randomized():
     # lengths up to 64, alphabets of 2 to 300 symbols with code points past
-    # 255 and astral ones (whose byte order differs from their code-point
-    # order), duplicate entries, z0 > 1 and k = l; keys wider than 64 bits
-    # take the build's re-ranking of its ids
+    # 255 and astral ones (whose uint32 byte order differs from their
+    # code-point order, which the keys follow), duplicate entries, z0 > 1
+    # and k = l; keys wider than 64 bits fold into several words
     rng = random.Random(41)
     symbols = (
         [chr(c) for c in range(0x21, 0x7F)]
@@ -139,12 +140,12 @@ def test_simple_build_matches_the_reference_items_randomized():
         k = rng.choice([k for k in sizes if 1 <= k <= length and math.comb(length, k) <= 700])
         z0 = rng.randint(1, min(3, d.size))
         idx = simple_build(d, k, z0)
-        ranks, codes = _key_table(idx.keys)
-        built = {(int(r), "".join(map(chr, row))): int(n) for r, row, n in zip(ranks, codes.tolist(), idx.counts)}
+        assert idx.alphabet.tolist() == sorted(map(ord, d.alphabet()))
+        built = list(zip(unfold_simple_keys(idx), idx.counts.tolist()))
         expected = reference_simple_items(d, k, z0)
-        assert list(built.items()) == list(expected.items()), (d.entries, k, z0)
+        assert built == list(expected.items()), (d.entries, k, z0)
         sigma = len(set("".join(d.entries)))
-        seen["wide"] += sigma ** (length - k) > 1 << 64
+        seen["wide"] += idx.keys.dtype.kind == "V"
         seen["k=l"] += k == length
         seen["z0>1"] += z0 > 1
         seen["sigma>=100"] += sigma >= 100
@@ -164,22 +165,31 @@ def test_simple_counts_match_oracle_per_query():
 def test_simple_query_matches_the_reference_randomized(tmp_path):
     # non-ASCII alphabets, duplicate entries, k = l (empty keys), z0 > 1,
     # tied counts, query symbols no entry has, wrong lengths, z below z0 or
-    # above d; built and loaded indexes answer and refuse alike
+    # above d; the last rounds at lengths 40 to 64 over astral symbols, so
+    # keys of several words; built and loaded indexes answer and refuse alike
     rng = random.Random(31)
     path = tmp_path / "simple.bin"
-    seen = {"none": 0, "tie": 0, "k=l": 0, "z0>1": 0, "raises": 0}
-    for _ in range(80):
-        letters = rng.choice(["ab", "abc", "αβγ", "a日😀"])
-        length = rng.randint(1, 6)
+    seen = {"none": 0, "tie": 0, "k=l": 0, "z0>1": 0, "raises": 0, "wide": 0}
+    for turn in range(120):
+        if turn < 80:
+            letters = rng.choice(["ab", "abc", "αβγ", "a日😀"])
+            length = rng.randint(1, 6)
+        else:
+            letters = rng.choice(["a日😀", "😀😁😂🙃", "ab😀é"])
+            length = rng.randint(40, 64)
         pool = ["".join(rng.choice(letters) for _ in range(length)) for _ in range(rng.randint(1, 6))]
         d = Dictionary(rng.choice(pool) for _ in range(rng.randint(1, 30)))
-        k = rng.choice([rng.randint(1, length), length])
+        if turn < 80:
+            k = rng.choice([rng.randint(1, length), length])
+        else:
+            k = rng.choice([1, 1, length - 1, length])
         z0 = rng.randint(1, min(3, d.size))
         built = simple_build(d, k, z0)
         save_index(path, built)
         loaded = load_index(path)
         seen["k=l"] += k == length
         seen["z0>1"] += z0 > 1
+        seen["wide"] += built.keys.dtype.kind == "V"
         queries = [rng.choice(pool), "".join(rng.choice(letters + "x") for _ in range(length))]
         for q in queries + [queries[0] + "a", queries[0][1:]]:
             for z in sorted({1, z0, rng.randint(1, d.size), d.size, d.size + 1}):
@@ -446,7 +456,8 @@ def test_serialization_round_trips(tmp_path):
 
 
 def test_serialization_round_trips_randomized(tmp_path):
-    # non-ASCII symbols, odd lengths and length 1 exercise the key blobs
+    # non-ASCII symbols, odd lengths and length 1 exercise the alphabets
+    # and the split index's key blobs
     rng = random.Random(23)
     path = tmp_path / "index.bin"
     for _ in range(12):
@@ -536,31 +547,30 @@ def test_split_workspace_guard_counts_pairs_and_members(monkeypatch):
 def _byte_order_dictionary() -> Dictionary:
     """60 seeded entries of length 5 over "aĀb😀".  As little-endian uint32
     bytes, Ā (00 01 00 00) and 😀 (00 F6 01 00) sort before a and b, so
-    the items' byte order differs from their code-point order."""
+    code-point order, which the keys sort in, differs from the byte order
+    of the code points."""
     rng = random.Random(2026)
     return Dictionary("".join(rng.choice("aĀb😀") for _ in range(5)) for _ in range(60))
 
 
 def _golden_dictionary() -> Dictionary:
     """40 seeded entries of length 9 over a four-symbol alphabet with one
-    non-ASCII symbol, so every key blob holds multi-byte UTF-8."""
+    non-ASCII symbol, so every split key blob holds multi-byte UTF-8."""
     rng = random.Random(2024)
     return Dictionary("".join(rng.choice("acgé") for _ in range(9)) for _ in range(40))
 
 
 # sha256 of each file as the row-major code matrix wrote it; the layout of
-# Dictionary.codes must not change a byte of any index file.  The
-# byte-order files were recorded on a little-endian host from a build
-# that sorted the void keys themselves.  The simple files were re-recorded
-# when kind 5 replaced kind 2: each is the earlier file with the new kind
-# byte and the dictionary size (u4) inserted after z0, and no other byte
-# changed
+# Dictionary.codes must not change a byte of any index file.  The simple
+# files were re-recorded when kind 6 (folded keys) replaced kind 5 (mask
+# bits and a key blob), each after checking that it decodes to exactly
+# the (mask, masked string, count) items of the kind-5 file
 GOLDEN_SHA256 = {
     "small": "b9909ec3eb2c0a70fe7628840dcac9b6cb7dd62caf93f7ff1b1991ad1fbbde7b",
-    "simple": "1062a138bbebe721b75ce47c930843674481f6458b0d490925ce8fb30c8d6075",
+    "simple": "3fc89b7485fcea9445c870665df6752ab6e6a7e21c72bef37b80afbd4b9155a9",
     "split": "783828aa8f0ff07cf013b3ab7b58cc674bba5ddc8f9cf84c4a51bad1bababd9d",
-    "simple-byte-order-k1": "ac76da327db78be14ab5e35074bc2d45f5087c332c7307ba754168700bb00105",
-    "simple-byte-order-k2": "52b99419aa1e46aefb04f5a1284deaf142be7d4d8a3baa61b78f19cb76e0c349",
+    "simple-byte-order-k1": "241f1a494ef5d62f3e74afa2a02385dcb49508d5711dda4be4f0ba852108c001",
+    "simple-byte-order-k2": "d74b94fe38dbaa56a90352a4a3789ac51d94df6ec3233d6ab0df7a8f14757e1a",
 }
 
 

@@ -41,6 +41,10 @@ def _u8(*values: int) -> bytes:
     return np.array(values, dtype="<u8").tobytes()
 
 
+def _be8(*values: int) -> bytes:
+    return np.array(values, dtype=">u8").tobytes()
+
+
 def split_file(
     tau: int = 1,
     half_split: int = 1,
@@ -72,22 +76,55 @@ def simple_file(
     n: int | None = None,
     mask_size: int = 1,
     length: int = 2,
-    bits: tuple[int, ...] = (0b01, 0b10),
-    keys: str = "ba",
+    alphabet: str | tuple[int, ...] = "ab",
+    keys: tuple[int, ...] = (1, 2),
     z0: int = 1,
     size: int = 1,
     counts: tuple[int, ...] | None = None,
-    kind: int = 5,
+    kind: int = 6,
 ) -> bytes:
-    """The k=1 simple index of ["ab"], items in build order: mask {1} keeps
-    "b", mask {2} keeps "a".  The kind byte, the header's item count, mask
-    size, length, z0 and dictionary size, the items' masks, their counts
-    (1 each by default) and the key blob are replaceable."""
+    """The k=1 simple index of ["ab"], items in build order: mask {1} (rank
+    0) keeps "b" (alphabet rank 1), key 0 * 2 + 1, and mask {2} (rank 1)
+    keeps "a", key 1 * 2 + 0.  The kind byte, the header's item count, mask
+    size, length, z0 and dictionary size, the alphabet (a string or code
+    points), the one-word keys and their counts (1 each by default) are
+    replaceable."""
+    codes = [ord(c) for c in alphabet] if isinstance(alphabet, str) else list(alphabet)
     header = struct.pack(
-        "<BIIIIQ", kind, length, mask_size, z0, size, len(bits) if n is None else n
+        "<BIIIIIQ", kind, length, mask_size, z0, size, len(codes), len(keys) if n is None else n
     )
-    counts = (1,) * len(bits) if counts is None else counts
-    return b"PMDM2" + header + _u8(*bits) + _u8(*counts) + _str(keys)
+    counts = (1,) * len(keys) if counts is None else counts
+    return b"PMDM2" + header + _u4(*codes) + _be8(*keys) + _u4(*counts)
+
+
+#: 20 distinct symbols at length 20 and k=1: 20 * 20^19 key values pass
+#: 2^64, so each key takes two words, the rank and 13 symbols (20^14
+#: values), then 6 symbols (20^6 values)
+WIDE_ENTRIES = ["abcdefghijklmnopqrst", "abcdefghijklmnopqrss"]
+
+
+def wide_simple_file(
+    word: tuple[int, int] | None = None, value: int = 0, swap: bool = False, repeat: bool = False
+) -> bytes:
+    """The file ``save_index`` writes for the k=1 simple index of
+    ``WIDE_ENTRIES``, with word ``word`` (key, word) set to ``value``, its
+    first two keys swapped, or its first key written over its second."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wide.bin"
+        idx = simple_build(Dictionary(WIDE_ENTRIES), 1, 1)
+        assert idx.keys.dtype.itemsize == 16
+        save_index(path, idx)
+        raw = bytearray(path.read_bytes())
+    n = len(idx.keys)
+    start = len(raw) - 20 * n  # then n keys of two words, then n u4 counts
+    if word is not None:
+        at = start + 16 * word[0] + 8 * word[1]
+        raw[at:at + 8] = _be8(value)
+    if swap:
+        raw[start:start + 32] = raw[start + 16:start + 32] + raw[start:start + 16]
+    if repeat:
+        raw[start + 16:start + 32] = raw[start:start + 16]
+    return bytes(raw)
 
 
 def dictionary_file(declared: int | None = None, magic: bytes = b"PMDM2") -> bytes:
@@ -166,15 +203,29 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
         pytest.param(simple_file(n=3), id="simple-count"),
         pytest.param(simple_file(n=1 << 61), id="simple-count-huge"),
         pytest.param(simple_file(mask_size=0), id="simple-mask-size"),
-        pytest.param(simple_file(length=65, mask_size=65, bits=(), keys=""), id="simple-length"),
-        pytest.param(simple_file(bits=(0b01, 0b100)), id="simple-mask-out-of-range"),
-        pytest.param(simple_file(bits=(0b01, 0b11)), id="simple-mask-wrong-size"),
-        pytest.param(simple_file(bits=(0b10, 0b01), keys="ab"), id="simple-masks-out-of-order"),
-        pytest.param(simple_file(bits=(0b01, 0b01), keys="bb"), id="simple-items-repeated"),
-        pytest.param(simple_file(bits=(0b01, 0b01), keys="ba"), id="simple-keys-out-of-order"),
+        pytest.param(simple_file(length=65, mask_size=65, keys=()), id="simple-length"),
+        # the first key at its span, 2 * 2: mask rank 2 of C(2, 1) = 2
+        pytest.param(simple_file(keys=(1, 4)), id="simple-mask-out-of-range"),
+        # at k=2 there is one mask and no symbol, so a key's span is 1
+        pytest.param(simple_file(mask_size=2), id="simple-mask-wrong-size"),
+        pytest.param(simple_file(keys=(2, 1)), id="simple-masks-out-of-order"),
+        pytest.param(simple_file(keys=(1, 1)), id="simple-items-repeated"),
+        pytest.param(simple_file(keys=(1, 0)), id="simple-keys-out-of-order"),
         pytest.param(simple_file(z0=2), id="simple-z0-above-size"),
         pytest.param(simple_file(z0=0, size=0), id="simple-size-zero"),
         pytest.param(simple_file(counts=(1, 2)), id="simple-count-above-size"),
+        pytest.param(simple_file(counts=(1, 0)), id="simple-count-zero"),
+        pytest.param(simple_file(z0=2, size=2, counts=(2, 1)), id="simple-count-below-z0"),
+        pytest.param(simple_file(alphabet="ba"), id="simple-alphabet-out-of-order"),
+        pytest.param(simple_file(alphabet="aa"), id="simple-alphabet-repeated"),
+        pytest.param(simple_file(alphabet=(0x61, 0x110000)), id="simple-alphabet-past-unicode"),
+        pytest.param(simple_file(alphabet="", keys=()), id="simple-alphabet-empty"),
+        pytest.param(simple_file()[:-12], id="simple-keys-truncated"),
+        pytest.param(simple_file() + b"\0", id="simple-trailing-bytes"),
+        pytest.param(wide_simple_file((0, 1), 20**6), id="simple-wide-word-past-span"),
+        pytest.param(wide_simple_file((0, 0), 20**14), id="simple-wide-rank-past-span"),
+        pytest.param(wide_simple_file(swap=True), id="simple-wide-keys-out-of-order"),
+        pytest.param(wide_simple_file(repeat=True), id="simple-wide-keys-repeated"),
         pytest.param(dictionary_file(magic=b"PMDM1"), id="old-format"),
     ],
 )
@@ -210,7 +261,7 @@ def test_simple_file_with_too_many_masks_is_refused(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(pmdm.index, "_combinations", no_masks)
     for mask_size in (32, 5):
         path = tmp_path / f"wide-{mask_size}.bin"
-        path.write_bytes(simple_file(length=64, mask_size=mask_size, bits=(), keys=""))
+        path.write_bytes(simple_file(length=64, mask_size=mask_size, keys=()))
         with pytest.raises(CapacityError):
             load_index(path)
         code = main(["index", "query", "--index", str(path), "--query", "a" * 64, "--z", "1"])
@@ -247,6 +298,31 @@ def test_simple_file_without_the_dictionary_size_asks_for_a_rebuild(tmp_path, ca
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "rebuild" in captured.err
+
+
+def test_simple_file_of_mask_bits_and_key_blobs_asks_for_a_rebuild(tmp_path, capsys):
+    # kind 5 stored each item's mask bits and a UTF-8 blob of the kept
+    # symbols; the kind byte alone decides
+    path = tmp_path / "old-simple.bin"
+    path.write_bytes(simple_file(kind=5))
+    with pytest.raises(ValueError, match="rebuild it with `pmdm index build`"):
+        load_index(path)
+    code = main(["index", "query", "--index", str(path), "--query", "ab", "--z", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rebuild" in captured.err
+
+
+def test_intact_crafted_wide_simple_file_loads():
+    # the crafted cases above change one thing of this file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wide.bin"
+        path.write_bytes(wide_simple_file())
+        loaded = load_index(path)
+    d = Dictionary(WIDE_ENTRIES)
+    for q in (WIDE_ENTRIES[0], "a" * 20):
+        expected = oracle_counts_all_masks(d, q)[combination_bits(20, 1)]
+        assert (simple_counts(loaded, q) == expected).all()
 
 
 def test_intact_crafted_dictionary_file_loads(tmp_path):
