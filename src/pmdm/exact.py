@@ -267,61 +267,27 @@ def solve_khv(inst: KhvInstance) -> Optional[list[int]]:
     """Indices of ``count`` vectors dominating the target, or None.
 
     Dynamic program over (picked so far, prefix coordinate sums capped at
-    the target); the last coordinate is maximized and parents are kept for
-    reconstruction.
+    the target); each state keeps the largest last-coordinate sum and the
+    indices picked to reach it, the first such list in the sorted walk
+    over the states.  Since prefixes are capped, the answer is the one
+    state that picked ``count`` vectors and whose prefix is the target's.
     """
-    m = len(inst.target)
     caps = inst.target[:-1]
-    goal_last = inst.target[-1]
-    zero_prefix = (0,) * (m - 1)
-
-    # state: (picked, prefix) -> best last-coordinate sum
-    layer: dict[tuple[int, tuple[int, ...]], int] = {(0, zero_prefix): 0}
-    parents: list[dict[tuple[int, tuple[int, ...]], tuple[tuple[int, tuple[int, ...]], bool]]] = []
-
-    for vec in inst.vectors:
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        par: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, tuple[int, ...]], bool]] = {}
-        for state in sorted(layer):
+    # state: (picked, prefix) -> (best last-coordinate sum, picked indices)
+    layer = {(0, (0,) * len(caps)): (0, [])}
+    for i, vec in enumerate(inst.vectors):
+        nxt: dict[tuple[int, tuple[int, ...]], tuple[int, list[int]]] = {}
+        for state, (last, chosen) in sorted(layer.items()):
+            if state not in nxt or last > nxt[state][0]:
+                nxt[state] = (last, chosen)
             picked, prefix = state
-            a = layer[state]
-            if state not in nxt or a > nxt[state]:
-                nxt[state] = a
-                par[state] = (state, False)
             if picked < inst.count:
-                taken = (
-                    picked + 1,
-                    tuple(min(c, p + v) for c, p, v in zip(caps, prefix, vec)),
-                )
-                a2 = a + vec[-1]
-                if taken not in nxt or a2 > nxt[taken]:
-                    nxt[taken] = a2
-                    par[taken] = (state, True)
-        parents.append(par)
+                taken = (picked + 1, tuple(min(c, p + v) for c, p, v in zip(caps, prefix, vec)))
+                if taken not in nxt or last + vec[-1] > nxt[taken][0]:
+                    nxt[taken] = (last + vec[-1], chosen + [i])
         layer = nxt
-
-    final = None
-    for state in sorted(layer):
-        picked, prefix = state
-        if picked != inst.count:
-            continue
-        if any(p < c for p, c in zip(prefix, caps)):
-            continue
-        if layer[state] < goal_last:
-            continue
-        if final is None or layer[state] > layer[final]:
-            final = state
-    if final is None:
-        return None
-
-    chosen: list[int] = []
-    state = final
-    for i in range(len(inst.vectors) - 1, -1, -1):
-        state, took = parents[i][state]
-        if took:
-            chosen.append(i)
-    chosen.reverse()
-    return chosen
+    last, chosen = layer.get((inst.count, caps), (-1, None))
+    return chosen if last >= inst.target[-1] else None
 
 
 def _smallest_mask(

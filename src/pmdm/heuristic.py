@@ -16,7 +16,9 @@ vector M, which is computed once per answer: the distinct non-zero masks
 (uint64), their multiplicities (int64) and the base weight of entries
 already matched.  A greedy iteration's partial hypergraph is the grouping
 of ``M & ~solved``; deleting a node clears its bit in every edge and
-merges the edges that collide; a match count is the base weight.  The
+regroups the result through the same ``edge_arrays``, which merges the
+edges that collide by summing their weights and moves the emptied ones'
+weight into the base; a match count is the base weight.  The
 per-node aggregates a score needs (edge count, weight sum, size sum) come
 from numpy, through one integer product with an (edges x positions) bit
 matrix.  The winning node is then picked over at most 64 nodes by
@@ -84,13 +86,8 @@ def _delete_node(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Drop a node from every edge; emptied edges feed the base weight,
     colliding edges merge by summing."""
-    reduced = values & ~np.uint64(1 << (node - 1))
-    empty = reduced == 0
-    base += int(weights[empty].sum())
-    values, inverse = np.unique(reduced[~empty], return_inverse=True)
-    merged = np.zeros(values.size, dtype=np.int64)
-    np.add.at(merged, inverse, weights[~empty])
-    return values, merged, base
+    values, weights, emptied = edge_arrays(values & ~np.uint64(1 << (node - 1)), weights)
+    return values, weights, base + emptied
 
 
 def _reduce(

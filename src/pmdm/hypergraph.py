@@ -10,7 +10,9 @@ becomes "find the heaviest k-node section".
 
 A hypergraph holds the arrays that ``edge_arrays`` groups the per-entry
 mismatch bitmasks into: the distinct edges in ascending order (uint64)
-and their weights (int64).
+and their weights (int64).  The greedy heuristics regroup through it too
+when a node deletion makes edges collide, passing the colliding edges'
+weights.
 
 Solvers: one enumeration of the k-subsets of the nodes, which weighs
 each by looking up its subsets in the sorted edges and answers every k
@@ -104,17 +106,24 @@ class SectionResult(NamedTuple):
     weight: int
 
 
-def edge_arrays(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def edge_arrays(masks: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray, int]:
     """Group a mismatch bitmask vector into a hypergraph's edges.
 
     Returns the distinct non-zero masks in ascending order (uint64), the
-    number of entries carrying each (int64), and the number of all-zero
-    masks, which is the base weight.
+    total weight carrying each (int64), and the weight of the all-zero
+    masks, which is the base weight.  Each mask weighs one entry unless
+    ``weights`` gives one weight per mask.
     """
-    values, weights = np.unique(masks, return_counts=True)
+    if weights is None:
+        values, totals = np.unique(masks, return_counts=True)
+    else:
+        values, inverse = np.unique(masks, return_inverse=True)
+        # bincount sums in float64, exact while totals stay below 2^53, as
+        # entry counts (at most the dictionary size) do
+        totals = np.bincount(inverse, weights).astype(np.int64)
     if values.size and values[0] == 0:
-        return values[1:], weights[1:], int(weights[0])
-    return values, weights, 0
+        return values[1:], totals[1:], int(totals[0])
+    return values, totals, 0
 
 
 def build_hypergraph(dictionary: Dictionary, q: str | MaskedString) -> WeightedHypergraph:

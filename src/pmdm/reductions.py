@@ -70,10 +70,8 @@ class MuInstance:
     threshold: int
 
     def __init__(self, universe_size: int, sets: Sequence[Iterable[int]], threshold: int):
-        sets = tuple(frozenset(s) for s in sets)
-        object.__setattr__(self, "universe_size", universe_size)
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "threshold", threshold)
+        # checked before hashing, so a list inside a set is a ValueError too
+        sets = [tuple(s) for s in sets]
         if not _is_integer(universe_size) or universe_size < 0:
             raise ValueError(f"universe size must be a non-negative integer, got {universe_size!r}")
         for i, s in enumerate(sets):
@@ -86,6 +84,14 @@ class MuInstance:
             raise ValueError(f"threshold must be an integer, got {threshold!r}")
         if not 1 <= threshold <= len(sets):
             raise ValueError(f"threshold must be in [1, {len(sets)}]")
+        object.__setattr__(self, "universe_size", universe_size)
+        object.__setattr__(self, "sets", tuple(frozenset(s) for s in sets))
+        object.__setattr__(self, "threshold", threshold)
+
+
+def _marked(length: int, sets: Iterable[Iterable[int]]) -> list[str]:
+    """Per position set, in order, ``length`` 'a's with 'b' at its positions."""
+    return ["".join("b" if p in s else "a" for p in range(1, length + 1)) for s in sets]
 
 
 def clique_to_pmdm(graph: Graph, k: int) -> PmdmInstance:
@@ -103,9 +109,7 @@ def clique_to_pmdm(graph: Graph, k: int) -> PmdmInstance:
     if n > MAX_LENGTH:
         # refused before any of the per-edge strings of n characters exists
         raise CapacityError(f"{n} nodes exceed the supported string length {MAX_LENGTH}")
-    entries = []
-    for u, v in sorted(graph.edges):
-        entries.append("a" * (u - 1) + "b" + "a" * (v - u - 1) + "b" + "a" * (n - v))
+    entries = _marked(n, sorted(graph.edges))
     return PmdmInstance(Dictionary(entries), "a" * n, k * (k - 1) // 2)
 
 
@@ -133,12 +137,7 @@ def mu_to_pmdm(inst: MuInstance) -> PmdmInstance:
         raise CapacityError(
             f"element {length} exceeds the supported string length {MAX_LENGTH}"
         )
-    entries = []
-    for s in inst.sets:
-        row = ["a"] * length
-        for e in s:
-            row[e - 1] = "b"
-        entries.append("".join(row))
+    entries = _marked(length, inst.sets)
     return PmdmInstance(Dictionary(entries), "a" * length, inst.threshold)
 
 

@@ -418,13 +418,39 @@ def test_reduce_from_mu_answer_names_the_elements(capsys, tmp_path):
         {"universe": 3, "sets": [[1.5]], "z": 1},
         {"universe": 3, "sets": [[True]], "z": 1},
         {"universe": 3, "sets": [[1]], "z": True},
+        None,
+        {"universe": -1, "sets": [[1]], "z": 1},
+        {"universe": 3, "sets": [[0]], "z": 1},
+        {"universe": 3, "sets": [[[1]]], "z": 1},
+        {"universe": 3, "sets": [[1]], "z": 0},
     ],
     ids=["array", "sets-int", "universe-str", "universe-bool", "set-int", "element-float",
-         "element-bool", "z-bool"],
+         "element-bool", "z-bool", "null", "universe-negative", "element-zero", "element-list",
+         "z-zero"],
 )
 def test_reduce_from_mu_refuses_payloads_outside_the_schema(capsys, tmp_path, payload):
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(payload, load_schema("mu-instance.schema.json"))
+    mu_path = tmp_path / "mu.json"
+    mu_path.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out.txt"
+    code = main(["reduce", "from-mu", "--mu", str(mu_path), "--out-dict", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"universe": 3.0, "sets": [[1]], "z": 1},
+        {"universe": 3, "sets": [[2.0]], "z": 1},
+        {"universe": 3, "sets": [[1]], "z": 1.0},
+    ],
+    ids=["universe", "element", "z"],
+)
+def test_reduce_from_mu_refuses_integral_floats_the_schema_accepts(capsys, tmp_path, payload):
+    # draft-07 counts 1.0 as an integer; MuInstance does not
+    jsonschema.validate(payload, load_schema("mu-instance.schema.json"))
     mu_path = tmp_path / "mu.json"
     mu_path.write_text(json.dumps(payload), encoding="utf-8")
     out = tmp_path / "out.txt"

@@ -95,6 +95,33 @@ def test_khv_examples():
     assert solve_khv(KhvInstance([(1, 0), (1, 0)], (0, 1), 2)) is None
 
 
+@pytest.mark.parametrize(
+    "vectors, target, count, picks",
+    [
+        ([(1, 0), (0, 1), (1, 1), (1, 1)], (1, 1), 1, [3]),
+        ([(1, 0), (0, 1), (1, 1), (1, 1)], (1, 1), 2, [1, 3]),
+        ([(2, 1), (1, 2), (2, 2), (0, 3), (3, 0)], (3, 3), 2, [1, 2]),
+        ([(1, 1), (1, 1), (1, 1), (1, 1)], (2, 2), 2, [2, 3]),
+        ([(0, 0), (1, 1)], (0, 0), 0, []),
+        ([(5,), (3,), (4,), (5,)], (5,), 1, [3]),
+        ([(1,), (2,), (3,), (1,), (2,)], (4,), 2, [2, 4]),
+        ([(2,), (2,), (2,)], (0,), 3, [0, 1, 2]),
+        ([(1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 1, 1), (2, 2, 2)], (2, 2, 2), 2, [1, 4]),
+        ([(1, 0, 3), (0, 1, 3), (1, 1, 0), (1, 1, 5)], (1, 1, 3), 1, [3]),
+        ([(3, 1), (1, 3), (2, 2), (2, 2), (3, 3)], (4, 4), 2, [1, 4]),
+        ([(0, 5), (5, 0), (1, 4), (4, 1)], (5, 5), 3, [0, 2, 3]),
+        ([(1, 1), (2, 2)], (5, 5), 2, None),
+        ([(2, 2), (1, 1)], (0, 0), 1, [0]),
+        ([(1,), (1,), (1,), (1,)], (2,), 2, [2, 3]),
+        ([(0, 3, 1), (3, 0, 1), (1, 1, 1), (2, 2, 2), (3, 3, 0)], (3, 3, 1), 2, [2, 3]),
+    ],
+)
+def test_khv_picks_are_pinned(vectors, target, count, picks):
+    # most of these have several valid picks; the DP's sorted walk and strict
+    # updates choose the listed one
+    assert solve_khv(KhvInstance(vectors, target, count)) == picks
+
+
 def test_khv_validation():
     with pytest.raises(ValueError):
         KhvInstance([(1, 0)], (1,), 1)

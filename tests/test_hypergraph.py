@@ -275,3 +275,26 @@ def test_zero_weight_edges_are_dropped():
     assert h.edges.dtype == np.uint64 and h.weights.dtype == np.int64
     assert edge_dict(h) == {1 << 63: 2} and h.base_weight == 5
     assert heaviest_k_section(h, 1) == (MaskSet([64]), 7)
+
+
+def test_edge_arrays_matches_a_dict_grouping():
+    rng = np.random.default_rng(25)
+    cases = [np.zeros(0, dtype=np.uint64), np.zeros(3, dtype=np.uint64)]
+    for _ in range(60):
+        # few distinct masks, so repeats are common; zeros and bit 63 included
+        pool = rng.integers(0, 1 << 63, size=int(rng.integers(1, 8)), dtype=np.uint64)
+        pool[0] = 0
+        pool[-1] |= np.uint64(1 << 63)
+        cases.append(pool[rng.integers(0, pool.size, size=int(rng.integers(1, 50)))])
+    for masks in cases:
+        for weights in (None, rng.integers(0, 1000, size=masks.size)):
+            expected: dict[int, int] = {}
+            for i, mask in enumerate(masks.tolist()):
+                expected[mask] = expected.get(mask, 0) + (1 if weights is None else int(weights[i]))
+            values, totals, base = pmdm.hypergraph.edge_arrays(masks, weights)
+            assert values.dtype == np.uint64 and totals.dtype == np.int64
+            assert (values[1:] > values[:-1]).all() and 0 not in values.tolist()
+            assert dict(zip(values.tolist(), totals.tolist())) == {
+                m: w for m, w in expected.items() if m
+            }
+            assert type(base) is int and base == expected.get(0, 0)

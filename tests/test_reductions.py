@@ -92,6 +92,37 @@ def test_clique_equivalence_randomized():
             assert decide_k_pmdm(inst, k) == has_clique(graph, k)
 
 
+def bit_string(bits: int, length: int) -> str:
+    """'a' per position, 'b' where ``bits`` has the position's bit."""
+    return "".join("ab"[bits >> p & 1] for p in range(length))
+
+
+def test_reduction_entries_equal_strings_built_from_bitmasks():
+    rng = random.Random(2506)
+    for _ in range(60):
+        graph = random_graph(rng, max_nodes=12, p=rng.random())
+        inst = clique_to_pmdm(graph, rng.randint(2, 4))
+        n = graph.node_count
+        assert inst.query == "a" * n
+        # one entry per edge, in ascending edge order
+        assert list(inst.dictionary.entries) == [
+            bit_string(1 << (u - 1) | 1 << (v - 1), n) for u, v in sorted(graph.edges)
+        ]
+    for _ in range(120):
+        universe = rng.randint(0, 64)
+        density = rng.random()
+        masks = [
+            sum(1 << (e - 1) for e in range(1, universe + 1) if rng.random() < density)
+            if rng.random() < 0.8 else 0
+            for _ in range(rng.randint(1, 8))
+        ]
+        sets = [MaskSet.from_bits(bits).positions for bits in masks]
+        inst = mu_to_pmdm(MuInstance(universe, sets, rng.randint(1, len(sets))))
+        length = max(max(masks).bit_length(), 1)
+        assert inst.query == "a" * length
+        assert list(inst.dictionary.entries) == [bit_string(bits, length) for bits in masks]
+
+
 def test_pmdm_to_mu_example():
     mu = pmdm_to_mu(PmdmInstance(t1(), "abab", 2))
     assert mu.universe_size == 4 and mu.threshold == 2
