@@ -79,6 +79,13 @@ def oracle_mismatch_bits(dictionary: Dictionary, x: str | MaskedString) -> list[
     ]
 
 
+def reference_to_strings(codes: np.ndarray) -> list[str]:
+    """``bench._to_strings`` as one decoded text sliced per row."""
+    d, length = codes.shape
+    text = (codes + ord("a")).astype(np.uint32).tobytes().decode("utf-32-le")
+    return [text[i * length : (i + 1) * length] for i in range(d)]
+
+
 def reference_subset_counts(masks: np.ndarray, length: int) -> np.ndarray:
     """``exact.subset_counts`` as a plain per-bit sum-over-subsets fold of
     the whole table: after folding bit b, counts[K] covers every mask that

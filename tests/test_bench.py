@@ -19,7 +19,7 @@ from pmdm import (
 )
 from pmdm.cli import main
 
-from support import oracle_count, t1
+from support import oracle_count, reference_to_strings, t1
 
 
 def test_generate_deterministic():
@@ -27,6 +27,21 @@ def test_generate_deterministic():
     assert generate(cfg) == generate(cfg)
     other = GenConfig(size=5, length=4, alphabet_size=2, seed=8)
     assert generate(other) != generate(cfg)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "clustered"])
+@pytest.mark.parametrize("length", [1, 15, 64])
+@pytest.mark.parametrize("sigma", [1, 10, 0xD800 - ord("a")])
+def test_generated_strings_match_the_slicing_loop(monkeypatch, mode, length, sigma):
+    """The same draws written as strings by the reference loop give the
+    same dictionary, up to the last symbol below the surrogate range."""
+    cfg = GenConfig(size=300, length=length, alphabet_size=sigma, seed=length + sigma,
+                    mode=mode, centers=7, mutation_rate=0.3)
+    fast = generate(cfg)
+    monkeypatch.setattr(pmdm.bench, "_to_strings", reference_to_strings)
+    assert generate(cfg).entries == fast.entries
+    if sigma > 10:
+        assert max(max(entry) for entry in fast) > chr(0x8000)
 
 
 def test_generate_shapes_and_alphabet():

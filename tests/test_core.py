@@ -16,7 +16,8 @@ from pmdm import (
     mismatch_set,
 )
 
-from pmdm.core import COPY_BLOCK, lex_smaller
+import pmdm.core
+from pmdm.core import COPY_BLOCK, SymbolPlanes, bit_sliced_scan, lex_smaller
 
 from support import oracle_mismatch_bits, t1
 
@@ -209,12 +210,33 @@ def test_mismatch_masks_excludes_masked_positions():
     assert [int(b) for b in bits] == [0, 0b0100, 0b0010, 0b0001, 0]
 
 
+def _check_scans(d, queries):
+    """Every query's masks equal the per-character oracle's."""
+    for x in queries:
+        bits = mismatch_masks(d, x)
+        assert bits.dtype == np.uint64 and bits.shape == (d.size,)
+        assert [int(b) for b in bits] == oracle_mismatch_bits(d, x), x
+
+
+def _check_both_kernels(entries, queries, monkeypatch):
+    """The oracle's masks from each kernel, forced by patching the rule on
+    a fresh dictionary."""
+    for forced in (True, False):
+        with monkeypatch.context() as patch:
+            patch.setattr(pmdm.core, "bit_sliced_scan", lambda length, sigma: forced)
+            d = Dictionary(entries)
+            _check_scans(d, queries)
+            assert bool(d.planes) == forced
+
+
 @pytest.mark.parametrize("length", [1, 8, 23, 24, 25, 47, 48, 49, 63, 64])
-def test_mismatch_masks_match_a_per_character_scan(length):
-    """Every length at and around the 24-position product boundaries, over
-    a non-ASCII alphabet, with duplicates, an entry equal to the query, an
-    entry differing everywhere (bit length - 1 set, bit 63 at l = 64), and
-    masked queries."""
+def test_mismatch_masks_match_a_per_character_scan(length, monkeypatch):
+    """Both kernels, at every length at and around the 24-position product
+    boundaries, over a non-ASCII alphabet, with duplicates, an entry equal
+    to the query, an entry differing everywhere (bit length - 1 set, bit
+    63 at l = 64), masked queries, and query symbols that no entry has:
+    below, between and above the alphabet's code points, at position 1
+    and at position l (bit 63 at l = 64), masked and not."""
     rng = random.Random(length)
     letters = "aβ日😀"
     query = "".join(rng.choice(letters) for _ in range(length))
@@ -226,12 +248,79 @@ def test_mismatch_masks_match_a_per_character_scan(length):
     d = Dictionary(entries)
     some = MaskSet(rng.sample(range(1, length + 1), rng.randint(1, length)))
     masked = [MaskSet(), MaskSet([1]), MaskSet([length]), some]
-    for mask in masked:
-        x = MaskedString(query, mask) if mask else query
-        bits = mismatch_masks(d, x)
-        assert bits.dtype == np.uint64 and bits.shape == (len(entries),)
-        assert [int(b) for b in bits] == oracle_mismatch_bits(d, x)
+    first = "!" + query[1:]  # below every symbol of the dictionary
+    last = query[:-1] + "🚀"  # above every symbol
+    both = "c" + query[1:-1] + "🚀" if length > 1 else "c"  # "c" lies between "a" and "β"
+    queries = [MaskedString(x, mask) if mask else x for x in (query, first, last, both) for mask in masked]
+    _check_both_kernels(entries, queries, monkeypatch)
     assert int(mismatch_masks(d, query).max()) == (1 << length) - 1
+    assert int(mismatch_masks(d, last).min()) >> (length - 1) == 1
+
+
+def _symbols(rng, sigma):
+    """``sigma`` distinct symbols from ASCII, Latin-to-Cyrillic, CJK and
+    astral code points, the wildcard glyph left out."""
+    pool = [c for c in range(0x21, 0x7F) if chr(c) != "?"]
+    pool += list(range(0xA1, 0x500)) + list(range(0x4E00, 0x4F00)) + list(range(0x1F300, 0x1F400))
+    return [chr(c) for c in rng.sample(pool, sigma)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 5, 8, 12, 16])
+@pytest.mark.parametrize("side", ["one symbol", "crossover", "past"])
+def test_mismatch_masks_at_the_rule_crossover(length, side, monkeypatch):
+    """sigma = 1, the largest sigma with 2 * ceil(log2 sigma) <= l, and one
+    more: the rule picks planes, planes and columns, and each kernel,
+    forced, gives the oracle's masks."""
+    sigma = {"one symbol": 1, "crossover": 1 << length // 2, "past": (1 << length // 2) + 1}[side]
+    assert bit_sliced_scan(length, sigma) == (side != "past")
+    rng = random.Random(length * 3 + sigma)
+    symbols = _symbols(rng, sigma)
+    size = max(30, -(-sigma // length) + 5)
+    text = symbols + [rng.choice(symbols) for _ in range(size * length - sigma)]
+    rng.shuffle(text)
+    entries = ["".join(text[i * length:(i + 1) * length]) for i in range(size)]
+    query = entries[0]
+    absent = "".join(rng.choice(symbols) for _ in range(length - 1)) + "\U0001F600"
+    queries = [query, absent, MaskedString(absent, MaskSet([length])),
+               MaskedString(query, MaskSet(rng.sample(range(1, length + 1), (length + 1) // 2)))]
+    d = Dictionary(entries)
+    assert len(d.alphabet()) == sigma
+    _check_scans(d, queries)
+    assert bool(d.planes) == (side != "past")
+    _check_both_kernels(entries, queries, monkeypatch)
+
+
+def test_the_first_scan_builds_the_planes_once(monkeypatch, tmp_path):
+    """A constructed or loaded dictionary holds no planes; its first scan
+    picks the kernel and keeps it, and the planes are read-only."""
+    builds = []
+    build = SymbolPlanes.of
+
+    def counted(codes):
+        builds.append(codes.shape)
+        return build(codes)
+    monkeypatch.setattr(SymbolPlanes, "of", staticmethod(counted))
+    narrow = Dictionary(["abcab", "bbcaa", "cacab", "abcab"])
+    path = tmp_path / "narrow.txt"
+    narrow.save(path)
+    wide = Dictionary(["abc", "def", "ghi"])  # 2 * ceil(log2 9) > 3
+    for d in (narrow, Dictionary.from_file(path), wide):
+        assert d.planes is None
+        _check_scans(d, ["abcab", MaskedString.parse("a?c?b"), "xyzab"] if d.length == 5 else ["abc", "axc"])
+        assert count_matches(d, MaskedString("?" * d.length, MaskSet(range(1, d.length + 1)))) == d.size
+    assert builds == [(4, 5), (4, 5), (3, 3)]
+    assert narrow.planes and wide.planes is False
+    planes = narrow.planes
+    assert planes.bits.shape == (2, 4) and planes.symbols.tolist() == [ord("a"), ord("b"), ord("c"), 2**32 - 1]
+    # bit p of plane b is bit b of the rank of the symbol at position p + 1
+    assert [int(w) for w in planes.bits[0]] == [0b10010, 0b00011, 0b10000, 0b10010]
+    assert [int(w) for w in planes.bits[1]] == [0b00100, 0b00100, 0b00101, 0b00100]
+    for array in (planes.bits, planes.symbols):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    mismatch_masks(narrow, "bbbbb")
+    assert narrow.planes is planes and len(builds) == 3
 
 
 def test_lex_smaller_follows_the_position_list_order():

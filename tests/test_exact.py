@@ -7,6 +7,7 @@ import pmdm.exact
 
 from pmdm import (
     Dictionary,
+    GenConfig,
     InfeasibleThresholdError,
     KhvInstance,
     MaskSet,
@@ -14,6 +15,7 @@ from pmdm import (
     PmdmInstance,
     count_matches,
     decide_k_pmdm,
+    generate,
     mask_apply,
     solve_khv,
     solve_mpmdm,
@@ -357,6 +359,31 @@ def test_multi_query_tables_past_the_table_limit_take_the_kept_set_search(monkey
         calls.clear()
         assert solve_mpmdm(MpmdmInstance(d, queries, z)) == oracle_mpmdm(d, queries, z)
         assert calls == []
+
+
+def test_kept_set_search_matches_the_full_table_in_the_middle_band(monkeypatch):
+    """30 seeded clustered instances at l in {21, 22}, d <= 1 000, sigma in
+    {2, 4, 10} and z drawn log-uniformly from 2 to d/2: the kept-set
+    search, which answers every l above ``TABLE_MAX_LENGTH`` = 20, gives
+    the very mask of the full table of 2^l subset counts, which answers
+    once the limit is patched to 22.  The two share only the mismatch
+    scan and ``lex_smaller``; most optima lie in the band between 4 and
+    l - 4, where the search branches."""
+    rng = random.Random(12)
+    instances, middle = [], 0
+    for i in range(30):
+        size = rng.choice((200, 500, 1000))
+        cfg = GenConfig(size=size, length=(21, 22)[i % 2], alphabet_size=(2, 4, 10)[i % 3],
+                        seed=i, mode="clustered", centers=rng.choice((3, 10, 30)),
+                        mutation_rate=rng.choice((0.2, 0.35, 0.5)))
+        d = generate(cfg)
+        instances.append(PmdmInstance(d, d[rng.randrange(size)], round(2 * (size / 4) ** rng.random())))
+    searched = [solve_pmdm(inst) for inst in instances]
+    monkeypatch.setattr(pmdm.exact, "TABLE_MAX_LENGTH", 22)
+    for inst, mask in zip(instances, searched):
+        assert solve_pmdm(inst) == mask, inst.threshold
+        middle += 4 <= len(mask) <= inst.dictionary.length - 4
+    assert middle >= 15
 
 
 def kernel_masks(rng, length: int, size: int) -> np.ndarray:
