@@ -11,15 +11,10 @@ Masks are stored as integer bitmasks (bit i-1 <-> position i).  Positions
 are 1-based in every public surface; bit indexes are an internal detail.
 
 The per-entry mismatch bitmasks (``mismatch_masks``) are the substrate of
-every solver, and a dictionary scans for them with one of two kernels,
-chosen once, at its first scan, by ``bit_sliced_scan``: 2 * ceil(log2
-sigma) <= l, where sigma is the number of distinct symbols.  On that side
-the scan XORs ceil(log2 sigma) bit-sliced planes of symbol ranks
-(``SymbolPlanes``) with the query's; past it, it compares the column-major
-code matrix with the query symbol by symbol.  At d = 1e4, l = 15 and
-sigma = 10 a warm scan took 46 us on planes and 72 us on columns (2-core
-x86_64 host).  The planes take ceil(log2 sigma) * d * 8 bytes, and the
-first scan builds them: 1.5 ms there, 17-39 ms at d = 2e4, l = 64.
+every solver.  A dictionary scans for them by XOR-ing ceil(log2 sigma)
+bit-sliced planes of its symbol ranks (``SymbolPlanes``, sigma the number
+of distinct symbols) with the query's; its first scan builds the planes.
+README's "Notes on scale" gives the measured costs.
 """
 
 from __future__ import annotations
@@ -191,24 +186,21 @@ class Dictionary:
 
     ``codes`` is a read-only (d, length) uint32 code-point matrix used by
     the vectorized scans; it is derived once at construction and stored
-    column-major, so each position's d symbols are contiguous and the
-    column kernel of ``mismatch_masks`` compares and packs whole columns.
-    That layout costs one transposing copy at construction: about 0.1 of
-    the 1 ms that building a dictionary of 1e4 strings of length 15
-    takes, and 2 of 5 ms at 2e4 strings of length 64.
-    ``index.split_build``, whose scans gather rows, keeps a row-major
-    copy.
+    column-major, so each position's d symbols are contiguous and building
+    the scan planes packs whole columns.  That layout costs one transposing
+    copy at construction: about 0.1 of the 1 ms that building a dictionary
+    of 1e4 strings of length 15 takes, and 2 of 5 ms at 2e4 strings of
+    length 64.  ``index.split_build``, whose scans gather rows, keeps a
+    row-major copy.
 
-    ``planes`` is None until the first ``mismatch_masks`` call, which
-    picks the dictionary's scan kernel by ``bit_sliced_scan`` and keeps
-    the choice: the ``SymbolPlanes`` it builds, or False for the column
-    compare.  Construction builds no plane, so loading a dictionary costs
-    the same whichever kernel its scans will use.  Two threads that scan
-    a fresh dictionary at once may each build the planes; both builds
-    are equal, so either may be kept.
+    Construction builds no scan plane: ``planes`` builds them at its
+    first use and keeps them, so loading a dictionary costs the same
+    whether or not it is ever scanned.  Two threads that scan a fresh
+    dictionary at once may each build the planes; both builds are equal,
+    so either may be kept.
     """
 
-    __slots__ = ("entries", "length", "codes", "planes")
+    __slots__ = ("entries", "length", "codes", "_planes")
 
     def __init__(self, entries: Iterable[str]):
         entries = tuple(entries)
@@ -229,11 +221,19 @@ class Dictionary:
         self.entries = entries
         self.length = length
         self.codes = _column_major(_codes("".join(entries)).reshape(len(entries), length))
-        self.planes: SymbolPlanes | bool | None = None
+        self._planes: SymbolPlanes | None = None
 
     @property
     def size(self) -> int:
         return len(self.entries)
+
+    @property
+    def planes(self) -> "SymbolPlanes":
+        """The bit-sliced symbol ranks that ``mismatch_masks`` scans,
+        built at the first use."""
+        if self._planes is None:
+            self._planes = SymbolPlanes.of(self.codes)
+        return self._planes
 
     def alphabet(self) -> set[str]:
         return set("".join(self.entries))
@@ -341,7 +341,7 @@ def pack_bits(flags: np.ndarray) -> np.ndarray:
     an OR took 10-15 of 90 us at n = 1e4, w = 15).  One to three
     products cover w = 1..64.  Cost: one float32 copy of
     ``flags`` and n * w multiply-adds in BLAS.  Column-major ``flags``
-    (as ``mismatch_masks`` passes) are read column by column, n long; a
+    (as ``SymbolPlanes.of`` passes) are read column by column, n long; a
     row-major array runs the same product over rows only w long, which
     took about twice as long at n = 1e4, w = 15.  numpy has no BLAS
     kernel for integer products, and an int64 product with the powers
@@ -359,20 +359,30 @@ def pack_bits(flags: np.ndarray) -> np.ndarray:
     return out
 
 
-def bit_sliced_scan(length: int, sigma: int) -> bool:
-    """The scan rule: a dictionary of ``sigma`` distinct symbols in strings
-    of ``length`` scans bit-sliced planes when 2 * ceil(log2 sigma) <=
-    ``length``, and compares columns otherwise.
+def rank_symbols(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The alphabet of the code-point matrix ``codes``, its distinct code
+    points in increasing order as uint32, and each code point's rank in
+    it, an array shaped and laid out as ``codes``.
 
-    A plane scan costs two word operations per plane and entry, a column
-    scan a compare per symbol plus the float32 pack.  Warm medians on a
-    2-core x86_64 host, columns against planes: 72 against 46 us at
-    d = 1e4, l = 15, sigma = 10; 470 against 50 us at d = 2e4, l = 32,
-    sigma = 4; 36 against 104 us at d = 1e4, l = 6, sigma = 12 471.
-    Near the rule the two are close: at d = 1e4, l = 15, sigma = 300,
-    just past it, the columns took 92-97 us and the planes 81-84 us.
+    A lookup table over the code points up to the largest one present (at
+    most 0x110000 of them) ranks without a sort.
     """
-    return 2 * (sigma - 1).bit_length() <= length
+    present = np.zeros(int(codes.max()) + 1, dtype=bool)
+    present[codes] = True
+    alphabet = np.flatnonzero(present).astype(np.uint32)
+    rank = np.zeros(len(present), dtype=np.uint32)
+    rank[alphabet] = np.arange(len(alphabet), dtype=np.uint32)
+    return alphabet, rank[codes]
+
+
+def rank_query(alphabet: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranks of the code points ``q`` in the sorted ``alphabet`` and a
+    flag for each code point that ``alphabet`` lacks (its rank is then
+    meaningless but below sigma)."""
+    # searching all but the last code point keeps every rank below sigma;
+    # a code point past the last one lands on it and is found missing
+    ranks = np.searchsorted(alphabet[:-1], q)
+    return ranks, alphabet[ranks] != q
 
 
 #: Weight of each bit position as an int64 (bit 63 wraps to -2^63), so an
@@ -384,66 +394,49 @@ class SymbolPlanes:
     """Bit-sliced symbol ranks of a dictionary (BitWeaving/V: Li and
     Patel, SIGMOD 2013).
 
-    ``symbols`` holds the dictionary's sigma distinct code points in
-    increasing order, so a symbol's rank is its index there, followed by
-    the sentinel 2^32 - 1, which is above every code point.  ``bits`` is
+    ``alphabet`` holds the dictionary's sigma distinct code points in
+    increasing order, so a symbol's rank is its index there.  ``bits`` is
     a read-only (ceil(log2 sigma), d) uint64 array: bit p of ``bits[b,
     e]`` is bit b of the rank of entry e's symbol at position p + 1.  An
     entry differs from the query at p exactly when some plane's bit p
     differs from the same bit of the query symbol's rank, so a scan is
     OR_b(bits[b] XOR query_plane_b): 2 * ceil(log2 sigma) word operations
     per entry, whatever the length.  The planes take ceil(log2 sigma) * d
-    * 8 bytes (320 000 at d = 1e4, sigma = 10).
+    * 8 bytes.
     """
 
-    __slots__ = ("symbols", "bits", "_shifts")
+    __slots__ = ("alphabet", "bits", "_shifts")
 
-    def __init__(self, symbols: np.ndarray, bits: np.ndarray):
-        self.symbols = symbols
+    def __init__(self, alphabet: np.ndarray, bits: np.ndarray):
+        self.alphabet = alphabet
         self.bits = bits
         self._shifts = np.arange(len(bits))[:, None]
 
     @classmethod
-    def of(cls, codes: np.ndarray) -> "SymbolPlanes | bool":
-        """The planes of the (d, l) code matrix ``codes``, or False when
-        ``bit_sliced_scan`` keeps the column compare.
-
-        Symbols are ranked through a lookup table over the code points up
-        to the largest one present (at most 0x110000 of them), and each
-        plane is one ``pack_bits`` of a bit of the ranks: no Python runs
-        per entry.  At d = 1e4, l = 15, sigma = 10 the build took 1.5 ms
-        on a 2-core x86_64 host, 6-7 ms at d = 2e4, l = 32, sigma = 4 and
-        32-39 ms at d = 2e4, l = 64, sigma = 2 000; the column side stops
-        after the lookup table's first pass, 0.2-0.5 ms at d = 1e4.
-        """
-        present = np.zeros(int(codes.max()) + 1, dtype=bool)
-        present[codes] = True
-        symbols = np.flatnonzero(present).astype(np.uint32)
-        if not bit_sliced_scan(codes.shape[1], len(symbols)):
-            return False
-        rank = np.zeros(len(present), dtype=np.uint32)
-        rank[symbols] = np.arange(len(symbols), dtype=np.uint32)
-        ranks = rank[codes]  # column-major, as ``codes`` is
-        bits = np.empty(((len(symbols) - 1).bit_length(), len(codes)), dtype=np.uint64)
+    def of(cls, codes: np.ndarray) -> "SymbolPlanes":
+        """The planes of the (d, l) code matrix ``codes``: ``rank_symbols``
+        ranks it, and each plane is one ``pack_bits`` of a bit of the
+        ranks, so no Python runs per entry."""
+        alphabet, ranks = rank_symbols(codes)
+        bits = np.empty(((len(alphabet) - 1).bit_length(), len(codes)), dtype=np.uint64)
         for b in range(len(bits)):
             bits[b] = pack_bits((ranks >> b) & 1 != 0)
-        symbols = np.append(symbols, np.uint32(0xFFFFFFFF))
-        symbols.flags.writeable = False
+        alphabet.flags.writeable = False
         bits.flags.writeable = False
-        return cls(symbols, bits)
+        return cls(alphabet, bits)
 
     def mismatches(self, q: np.ndarray) -> np.ndarray:
         """Per-entry mismatch bitmasks against the code-point row ``q``.
 
-        One pass over the query ranks it (a binary search in ``symbols``)
-        and transposes the ranks' bits into query planes; positions whose
-        symbol no entry has are mismatches for every entry.  The planes
-        are XOR-ed one at a time, d words each: one (planes, d) XOR and
-        OR-reduce took up to half as long again at d = 2e4 and 11 planes.
+        One pass over the query ranks it (``rank_query``) and transposes
+        the ranks' bits into query planes; positions whose symbol no entry
+        has are mismatches for every entry.  The planes are XOR-ed one at
+        a time, d words each: one (planes, d) XOR and OR-reduce took up to
+        half as long again at d = 2e4 and 11 planes.
         """
         bits, weights = self.bits, _BIT_WEIGHTS[:len(q)]
-        ranks = np.searchsorted(self.symbols, q)
-        absent = np.dot(self.symbols[ranks] != q, weights).view(np.uint64)
+        ranks, missing = rank_query(self.alphabet, q)
+        absent = np.dot(missing, weights).view(np.uint64)
         if not len(bits):  # a single symbol
             return np.full(bits.shape[1], absent)
         query_planes = np.dot((ranks >> self._shifts) & 1, weights).view(np.uint64)
@@ -463,21 +456,9 @@ def mismatch_masks(dictionary: Dictionary, x: str | MaskedString) -> np.ndarray:
     matches ``x`` under an extra mask K exactly when result[i] is a subset
     of K's bits, which is what every counting structure exploits.
 
-    The first call on a dictionary picks its kernel by ``bit_sliced_scan``
-    (2 * ceil(log2 sigma) <= l) and keeps it in ``Dictionary.planes``:
-
-    * planes: ``SymbolPlanes.mismatches``, 2 * ceil(log2 sigma) uint64
-      operations per entry, with ceil(log2 sigma) * d * 8 bytes of
-      planes.  Building them is the first call's extra cost: 1.5 ms at
-      d = 1e4, l = 15, sigma = 10, and 17-19 ms at d = 2e4, l = 64.
-    * columns: one comparison of the column-major (d, l) code matrix with
-      the query gives the mismatch flags, which ``pack_bits`` turns into
-      bits, O(d * l) down columns d symbols long.  The first call adds
-      one pass counting the symbols, 0.2-0.5 ms at d = 1e4.
-
-    Warm medians at d = 1e4, l = 15 on a 2-core x86_64 host: 46 us on
-    planes at sigma = 10, where the columns took 72 us.  Masked positions
-    are cleared last.
+    The scan is ``SymbolPlanes.mismatches`` on ``Dictionary.planes``,
+    which the first call on a dictionary builds; masked positions are
+    cleared last.  README's "Notes on scale" gives the measured costs.
     """
     if isinstance(x, MaskedString):
         base, mask = x.base, x.mask
@@ -487,11 +468,7 @@ def mismatch_masks(dictionary: Dictionary, x: str | MaskedString) -> np.ndarray:
         raise ValueError(
             f"length mismatch: query {len(base)} vs dictionary {dictionary.length}"
         )
-    q = _codes(base)
-    planes = dictionary.planes
-    if planes is None:
-        planes = dictionary.planes = SymbolPlanes.of(dictionary.codes)
-    out = planes.mismatches(q) if planes else pack_bits(dictionary.codes != q)
+    out = dictionary.planes.mismatches(_codes(base))
     if mask:
         out &= ~np.uint64(mask.bits)
     return out

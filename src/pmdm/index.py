@@ -47,6 +47,8 @@ from .core import (
     _codes,
     mismatch_masks,
     pack_bits,
+    rank_query,
+    rank_symbols,
 )
 from .exact import _best_in_table, _check_queries, _check_threshold, subset_counts
 
@@ -223,15 +225,15 @@ def _strictly_ascending(keys: np.ndarray) -> bool:
 def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
     """Group masked strings per mask of size ``k``; keep counts >= ``z0``.
 
-    ``np.unique`` ranks the code points once, in code-point order.  Each
-    entry's row of digits (a 1 for the mask rank, then its ranks) times a
-    weight matrix, the key layout's place values scattered to the mask's
+    ``core.rank_symbols`` ranks the code points once, in code-point order.
+    Each entry's row of digits (a 1 for the mask rank, then its ranks) times
+    a weight matrix, the key layout's place values scattered to the mask's
     kept columns and the rank's place value times the rank, is the row of
-    the entry's key words under that mask.  One sort of the d keys (a
-    lexsort of the word columns when a key takes several words) yields
-    the mask's groups in key order, and each kept group's key is one of
-    its sorted keys.  So the cost is one uint64 product and one sort of d
-    keys per mask, and the masks' keys, rank first, come out in order.
+    the entry's key words under that mask.  One sort of the d keys (a lexsort
+    of the word columns when a key takes several words) yields the mask's
+    groups in key order, and each kept group's key is one of its sorted
+    keys.  So the cost is one uint64 product and one sort of d keys per
+    mask, and the masks' keys, rank first, come out in order.
     """
     length = dictionary.length
     d = dictionary.size
@@ -239,12 +241,10 @@ def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
     _check_parameter("z0", z0, d)
     _check_simple_workspace(length, k, d)
     _, kept = _combinations(length, k)
-    # codes.T is C-contiguous for column-major codes; the inverse's shape
-    # for 2-D input differs across numpy 2.x
-    alphabet, inverse = np.unique(dictionary.codes.T, return_inverse=True)
+    alphabet, ranks = rank_symbols(dictionary.codes)
     place, spans = _key_layout(length, k, len(alphabet))
     digits = np.ones((d, 1 + length), dtype=np.uint64)
-    digits[:, 1:] = inverse.reshape(length, d).T
+    digits[:, 1:] = ranks
     weights = np.zeros((1 + length, len(spans)), dtype=np.uint64)
     keys, counts = [], []
     edge = np.ones(d + 1, dtype=bool)  # edge[i]: a group starts at sorted row i
@@ -266,7 +266,7 @@ def simple_build(dictionary: Dictionary, k: int, z0: int = 1) -> SimpleIndex:
         counts.append(sizes[kept_groups])
     keys = _as_keys(np.concatenate(keys).reshape(-1, len(spans)))
     return SimpleIndex(
-        length, k, z0, d, alphabet.astype(np.uint32), keys, np.concatenate(counts).astype(np.uint32)
+        length, k, z0, d, alphabet, keys, np.concatenate(counts).astype(np.uint32)
     )
 
 
@@ -278,11 +278,7 @@ def simple_counts(idx: SimpleIndex, q: str) -> np.ndarray:
     the alphabet reads 0."""
     _check_queries([q], idx.length)
     _, kept = _combinations(idx.length, idx.mask_size)
-    codes = _codes(q)
-    # searching all but the last code point keeps every rank below sigma;
-    # a code point past the last one lands on it and is found missing
-    ranks = np.searchsorted(idx.alphabet[:-1], codes)
-    missing = idx.alphabet[ranks] != codes
+    ranks, missing = rank_query(idx.alphabet, _codes(q))
     place, _ = _key_layout(idx.length, idx.mask_size, len(idx.alphabet))
     digits = np.empty((len(kept), place.shape[0]), dtype=np.uint64)
     digits[:, 0] = np.arange(len(kept))

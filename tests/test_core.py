@@ -16,8 +16,7 @@ from pmdm import (
     mismatch_set,
 )
 
-import pmdm.core
-from pmdm.core import COPY_BLOCK, SymbolPlanes, bit_sliced_scan, lex_smaller
+from pmdm.core import COPY_BLOCK, SymbolPlanes, lex_smaller, rank_query, rank_symbols
 
 from support import oracle_mismatch_bits, t1
 
@@ -218,21 +217,10 @@ def _check_scans(d, queries):
         assert [int(b) for b in bits] == oracle_mismatch_bits(d, x), x
 
 
-def _check_both_kernels(entries, queries, monkeypatch):
-    """The oracle's masks from each kernel, forced by patching the rule on
-    a fresh dictionary."""
-    for forced in (True, False):
-        with monkeypatch.context() as patch:
-            patch.setattr(pmdm.core, "bit_sliced_scan", lambda length, sigma: forced)
-            d = Dictionary(entries)
-            _check_scans(d, queries)
-            assert bool(d.planes) == forced
-
-
 @pytest.mark.parametrize("length", [1, 8, 23, 24, 25, 47, 48, 49, 63, 64])
-def test_mismatch_masks_match_a_per_character_scan(length, monkeypatch):
-    """Both kernels, at every length at and around the 24-position product
-    boundaries, over a non-ASCII alphabet, with duplicates, an entry equal
+def test_mismatch_masks_match_a_per_character_scan(length):
+    """At every length at and around the 24-position product boundaries,
+    over a non-ASCII alphabet, with duplicates, an entry equal
     to the query, an entry differing everywhere (bit length - 1 set, bit
     63 at l = 64), masked queries, and query symbols that no entry has:
     below, between and above the alphabet's code points, at position 1
@@ -252,7 +240,7 @@ def test_mismatch_masks_match_a_per_character_scan(length, monkeypatch):
     last = query[:-1] + "🚀"  # above every symbol
     both = "c" + query[1:-1] + "🚀" if length > 1 else "c"  # "c" lies between "a" and "β"
     queries = [MaskedString(x, mask) if mask else x for x in (query, first, last, both) for mask in masked]
-    _check_both_kernels(entries, queries, monkeypatch)
+    _check_scans(d, queries)
     assert int(mismatch_masks(d, query).max()) == (1 << length) - 1
     assert int(mismatch_masks(d, last).min()) >> (length - 1) == 1
 
@@ -266,13 +254,13 @@ def _symbols(rng, sigma):
 
 
 @pytest.mark.parametrize("length", [1, 2, 5, 8, 12, 16])
-@pytest.mark.parametrize("side", ["one symbol", "crossover", "past"])
-def test_mismatch_masks_at_the_rule_crossover(length, side, monkeypatch):
-    """sigma = 1, the largest sigma with 2 * ceil(log2 sigma) <= l, and one
-    more: the rule picks planes, planes and columns, and each kernel,
-    forced, gives the oracle's masks."""
-    sigma = {"one symbol": 1, "crossover": 1 << length // 2, "past": (1 << length // 2) + 1}[side]
-    assert bit_sliced_scan(length, sigma) == (side != "past")
+@pytest.mark.parametrize("side", ["one symbol", "power of two", "one past"])
+def test_mismatch_masks_from_one_symbol_to_wide_alphabets(length, side):
+    """sigma = 1 (no plane), 2^(l // 2) (every rank fills its planes) and
+    one more (a plane holding a single rank's bit), so the alphabets reach
+    257 symbols, wider than 2 * ceil(log2 sigma) <= l allows from l = 2
+    on; the masks equal the oracle's."""
+    sigma = {"one symbol": 1, "power of two": 1 << length // 2, "one past": (1 << length // 2) + 1}[side]
     rng = random.Random(length * 3 + sigma)
     symbols = _symbols(rng, sigma)
     size = max(30, -(-sigma // length) + 5)
@@ -286,13 +274,26 @@ def test_mismatch_masks_at_the_rule_crossover(length, side, monkeypatch):
     d = Dictionary(entries)
     assert len(d.alphabet()) == sigma
     _check_scans(d, queries)
-    assert bool(d.planes) == (side != "past")
-    _check_both_kernels(entries, queries, monkeypatch)
+    assert d.planes.bits.shape == ((sigma - 1).bit_length(), size)
+
+
+def test_rank_symbols_and_rank_query_follow_the_code_point_order():
+    codes = np.asfortranarray(np.array([[0x1F600, 98], [98, 0xE9]], dtype=np.uint32))
+    alphabet, ranks = rank_symbols(codes)
+    assert alphabet.dtype == np.uint32 and alphabet.tolist() == [98, 0xE9, 0x1F600]
+    assert ranks.tolist() == [[2, 0], [0, 1]] and ranks.flags.f_contiguous
+    q = np.array([97, 98, 99, 0xE9, 0x1F600, 0x1F601], dtype=np.uint32)
+    ranks, missing = rank_query(alphabet, q)
+    assert missing.tolist() == [True, False, True, False, False, True]
+    assert ranks[~missing].tolist() == [0, 1, 2] and ranks.max() < len(alphabet)
+    ranks, missing = rank_query(alphabet[:1], q)
+    assert ranks.tolist() == [0] * 6 and missing.tolist() == [True, False, True, True, True, True]
 
 
 def test_the_first_scan_builds_the_planes_once(monkeypatch, tmp_path):
     """A constructed or loaded dictionary holds no planes; its first scan
-    picks the kernel and keeps it, and the planes are read-only."""
+    builds them and later scans reuse them, and the planes are
+    read-only."""
     builds = []
     build = SymbolPlanes.of
 
@@ -303,19 +304,20 @@ def test_the_first_scan_builds_the_planes_once(monkeypatch, tmp_path):
     narrow = Dictionary(["abcab", "bbcaa", "cacab", "abcab"])
     path = tmp_path / "narrow.txt"
     narrow.save(path)
-    wide = Dictionary(["abc", "def", "ghi"])  # 2 * ceil(log2 9) > 3
-    for d in (narrow, Dictionary.from_file(path), wide):
-        assert d.planes is None
+    wide = Dictionary(["abc", "def", "ghi"])  # 4 planes for 3 positions
+    dictionaries = (narrow, Dictionary.from_file(path), wide)
+    assert builds == []
+    for d in dictionaries:
         _check_scans(d, ["abcab", MaskedString.parse("a?c?b"), "xyzab"] if d.length == 5 else ["abc", "axc"])
         assert count_matches(d, MaskedString("?" * d.length, MaskSet(range(1, d.length + 1)))) == d.size
     assert builds == [(4, 5), (4, 5), (3, 3)]
-    assert narrow.planes and wide.planes is False
+    assert wide.planes.bits.shape == (4, 3)
     planes = narrow.planes
-    assert planes.bits.shape == (2, 4) and planes.symbols.tolist() == [ord("a"), ord("b"), ord("c"), 2**32 - 1]
+    assert planes.bits.shape == (2, 4) and planes.alphabet.tolist() == [ord("a"), ord("b"), ord("c")]
     # bit p of plane b is bit b of the rank of the symbol at position p + 1
     assert [int(w) for w in planes.bits[0]] == [0b10010, 0b00011, 0b10000, 0b10010]
     assert [int(w) for w in planes.bits[1]] == [0b00100, 0b00100, 0b00101, 0b00100]
-    for array in (planes.bits, planes.symbols):
+    for array in (planes.bits, planes.alphabet):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
