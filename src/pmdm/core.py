@@ -48,8 +48,9 @@ class MaskSet:
         bits = 0
         for p in positions:
             p = int(p)
-            if p < 1:
-                raise ValueError(f"mask positions are 1-based, got {p}")
+            # checked before the shift, which would allocate p bits
+            if not 1 <= p <= MAX_LENGTH:
+                raise ValueError(f"mask positions are 1-based and at most {MAX_LENGTH}, got {p}")
             bits |= 1 << (p - 1)
         self.bits: int = bits
 
@@ -161,37 +162,12 @@ def _codes(s: str) -> np.ndarray:
     return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
 
 
-#: Code points per block of the row-major to column-major copy.
-COPY_BLOCK = 1 << 16
-
-
-def _column_major(rows: np.ndarray) -> np.ndarray:
-    """A read-only column-major copy of the (d, l) matrix ``rows``.
-
-    The copy goes a block of ``COPY_BLOCK`` code points at a time: numpy's
-    one-shot transposing copy slows down once a row outgrows a cache line
-    and took 280 ms for 2e5 rows of 64 code points, against 34 ms in
-    blocks (one core of a 2-core x86_64 host).
-    """
-    out = np.empty(rows.shape, dtype=rows.dtype, order="F")
-    step = max(1, COPY_BLOCK // rows.shape[1])
-    for start in range(0, len(rows), step):
-        out[start:start + step] = rows[start:start + step]
-    out.flags.writeable = False
-    return out
-
-
 class Dictionary:
     """An ordered collection of equal-length strings (duplicates kept).
 
     ``codes`` is a read-only (d, length) uint32 code-point matrix used by
-    the vectorized scans; it is derived once at construction and stored
-    column-major, so each position's d symbols are contiguous and building
-    the scan planes packs whole columns.  That layout costs one transposing
-    copy at construction: about 0.1 of the 1 ms that building a dictionary
-    of 1e4 strings of length 15 takes, and 2 of 5 ms at 2e4 strings of
-    length 64.  ``index.split_build``, whose scans gather rows, keeps a
-    row-major copy.
+    the vectorized scans: the UTF-32 encoding of the joined entries,
+    reshaped to one row per entry without a copy.
 
     Construction builds no scan plane: ``planes`` builds them at its
     first use and keeps them, so loading a dictionary costs the same
@@ -220,7 +196,7 @@ class Dictionary:
                 )
         self.entries = entries
         self.length = length
-        self.codes = _column_major(_codes("".join(entries)).reshape(len(entries), length))
+        self.codes = _codes("".join(entries)).reshape(len(entries), length)
         self._planes: SymbolPlanes | None = None
 
     @property
@@ -340,12 +316,9 @@ def pack_bits(flags: np.ndarray) -> np.ndarray:
     which is the first run's product itself (a zeroed result, a shift and
     an OR took 10-15 of 90 us at n = 1e4, w = 15).  One to three
     products cover w = 1..64.  Cost: one float32 copy of
-    ``flags`` and n * w multiply-adds in BLAS.  Column-major ``flags``
-    (as ``SymbolPlanes.of`` passes) are read column by column, n long; a
-    row-major array runs the same product over rows only w long, which
-    took about twice as long at n = 1e4, w = 15.  numpy has no BLAS
-    kernel for integer products, and an int64 product with the powers
-    took about twice as long at w = 15.
+    ``flags`` and n * w multiply-adds in BLAS.  numpy has no BLAS kernel
+    for integer products, and an int64 product with the powers took about
+    twice as long at w = 15.
     """
     def product(start):
         block = flags[:, start:start + PACK_WIDTH]
@@ -362,17 +335,21 @@ def pack_bits(flags: np.ndarray) -> np.ndarray:
 def rank_symbols(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The alphabet of the code-point matrix ``codes``, its distinct code
     points in increasing order as uint32, and each code point's rank in
-    it, an array shaped and laid out as ``codes``.
+    it, a uint32 array of the shape of ``codes``.
 
     A lookup table over the code points up to the largest one present (at
-    most 0x110000 of them) ranks without a sort.
+    most 0x110000 of them) ranks without a sort.  Both lookups read one
+    intp copy of ``codes``: lookups by the uint32 codes themselves, which
+    numpy converts on the fly, took 1.3 to 2 times as long at d = 1e4,
+    l = 15 and d = 2e4, l = 64.
     """
+    index = codes.astype(np.intp)
     present = np.zeros(int(codes.max()) + 1, dtype=bool)
-    present[codes] = True
+    present[index] = True
     alphabet = np.flatnonzero(present).astype(np.uint32)
     rank = np.zeros(len(present), dtype=np.uint32)
     rank[alphabet] = np.arange(len(alphabet), dtype=np.uint32)
-    return alphabet, rank[codes]
+    return alphabet, rank.take(index)
 
 
 def rank_query(alphabet: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -420,7 +397,7 @@ class SymbolPlanes:
         alphabet, ranks = rank_symbols(codes)
         bits = np.empty(((len(alphabet) - 1).bit_length(), len(codes)), dtype=np.uint64)
         for b in range(len(bits)):
-            bits[b] = pack_bits((ranks >> b) & 1 != 0)
+            bits[b] = pack_bits(ranks & (1 << b) != 0)
         alphabet.flags.writeable = False
         bits.flags.writeable = False
         return cls(alphabet, bits)

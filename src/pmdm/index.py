@@ -374,9 +374,9 @@ class SplitIndex:
     ``left group id * len(right.keys) + right group id`` of every pair of
     halves, both frequent, that some entry has under some full mask, and
     ``pair_counts`` the number of such entries; a group id names its half
-    mask, so a key names its full mask too.  ``codes`` is the entries'
-    row-major (size, length) uint32 code-point matrix, whose rows the
-    query gathers for the members of its rare halves.
+    mask, so a key names its full mask too.  ``dictionary`` is the
+    dictionary the index was built from, whose code-point rows the query
+    gathers for the members of its rare halves.
 
     A query (``split_counts``) costs one search of each side's 2^(l/2)
     query keys, one subset-count table over at most 2^(l/2 + 1) *
@@ -384,20 +384,22 @@ class SplitIndex:
     ascending pair keys.
     """
 
-    length: int
     half_split: int
     tau: int
     min_threshold: int
-    entries: tuple[str, ...]
-    codes: np.ndarray
+    dictionary: Dictionary
     left: _HalfMaps
     right: _HalfMaps
     pair_keys: np.ndarray
     pair_counts: np.ndarray
 
     @property
+    def length(self) -> int:
+        return self.dictionary.length
+
+    @property
     def size(self) -> int:
-        return len(self.entries)
+        return self.dictionary.size
 
 
 def _check_split_workspace(length: int, d: int, pairs: int = 0) -> None:
@@ -429,10 +431,8 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
     _check_parameter("z0", z0, d)
     _check_split_workspace(length, d)
     lam = (length + 1) // 2
-    # row-major, as a loaded index holds them: a query gathers rows
-    codes = np.ascontiguousarray(dictionary.codes)
-    left, gid_left = _build_half(codes, 0, lam)
-    right, gid_right = _build_half(codes, lam, length - lam)
+    left, gid_left = _build_half(dictionary.codes, 0, lam)
+    right, gid_right = _build_half(dictionary.codes, lam, length - lam)
     # frequent_*[m, e]: entry e's half under half mask m occurs >= tau times
     frequent_left = left.counts[gid_left] >= tau
     frequent_right = right.counts[gid_right] >= tau
@@ -452,8 +452,7 @@ def split_build(dictionary: Dictionary, tau: int, z0: int = 1) -> SplitIndex:
         keys.append(pair_keys)
         counts.append(pair_counts)
     return SplitIndex(
-        length, lam, tau, z0, dictionary.entries, codes, left, right,
-        np.concatenate(keys), np.concatenate(counts),
+        lam, tau, z0, dictionary, left, right, np.concatenate(keys), np.concatenate(counts)
     )
 
 
@@ -498,7 +497,7 @@ def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
     gid_r, rare_r, frequent_r = _half_lookup(right, q_codes, rare_below)
     # an entry in rare groups of both sides, or of several half masks, once
     rare = np.unique(np.concatenate([_members(left, gid_l[rare_l]), _members(right, gid_r[rare_r])]))
-    out = subset_counts(pack_bits(idx.codes[rare] != q_codes), idx.length)
+    out = subset_counts(pack_bits(idx.dictionary.codes[rare] != q_codes), idx.length)
     grid = out.reshape(1 << right.width, 1 << left.width)  # grid[m_r, m_l] is out[bits]
     rows_f = np.flatnonzero(frequent_r)
     cols_f = np.flatnonzero(frequent_l)
@@ -628,8 +627,8 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
         elif isinstance(obj, SplitIndex):
             _w(fh, "B", _KIND_SPLIT)
             _w(fh, "IBII", obj.length, obj.half_split, obj.tau, obj.min_threshold)
-            _w(fh, "I", len(obj.entries))
-            _w_str(fh, "\n".join(obj.entries))
+            _w(fh, "I", obj.size)
+            _w_str(fh, "\n".join(obj.dictionary.entries))
             for side in (obj.left, obj.right):
                 ranks, codes = _key_table(side.keys)
                 _w_array(fh, np.bincount(ranks, minlength=1 << side.width), "<u4")
@@ -644,12 +643,17 @@ def save_index(path, obj: Dictionary | SimpleIndex | SplitIndex) -> None:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _load_dictionary(rd: _Reader) -> Dictionary:
-    length, size = rd.fields("II")
+def _read_dictionary(rd: _Reader, length: int, size: int) -> Dictionary:
+    """The entries blob, checked against the header's ``length`` and
+    ``size``; ``Dictionary`` refuses empty or unequal strings."""
     dictionary = Dictionary(rd.string().split("\n"))
     if dictionary.length != length or dictionary.size != size:
         raise ValueError("index header disagrees with payload")
     return dictionary
+
+
+def _load_dictionary(rd: _Reader) -> Dictionary:
+    return _read_dictionary(rd, *rd.fields("II"))
 
 
 def _load_simple(rd: _Reader) -> SimpleIndex:
@@ -715,9 +719,7 @@ def _load_split(rd: _Reader) -> SplitIndex:
     _check_table_length(length)
     # the build's guard, which also keeps every pair key below 2^50
     _check_split_workspace(length, size)
-    entries = tuple(rd.string().split("\n"))
-    if len(entries) != size or any(len(entry) != length for entry in entries):
-        raise ValueError("index header disagrees with payload")
+    dictionary = _read_dictionary(rd, length, size)
     left = _load_half(rd, 0, lam, size)
     right = _load_half(rd, lam, length - lam, size)
     (n,) = rd.fields("Q")
@@ -727,10 +729,7 @@ def _load_split(rd: _Reader) -> SplitIndex:
         raise ValueError("corrupt index file: pair key out of range")
     if (keys[1:] <= keys[:-1]).any():
         raise ValueError("corrupt index file: pair keys out of order or repeated")
-    codes = _codes("".join(entries)).reshape(size, length)
-    return SplitIndex(
-        length, lam, tau, z0, entries, codes, left, right, keys.view(np.int64), counts.view(np.int64)
-    )
+    return SplitIndex(lam, tau, z0, dictionary, left, right, keys.view(np.int64), counts.view(np.int64))
 
 
 _RETIRED_KINDS = {

@@ -116,6 +116,14 @@ def test_mask_count_round_trip(capsys, t1_file):
     assert code == 0 and counted["matches"] == solved["matches"]
 
 
+def test_mask_refuses_a_position_past_the_length_cap(capsys):
+    # refused by MaskSet before the shift that would allocate 10^9 bits
+    code = main(["mask", "--query", "abc", "--positions", "[1000000000]"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "at most 64, got 1000000000" in captured.err
+
+
 @pytest.mark.parametrize("positions", ["[1.5]", "[true]", '["1"]'])
 def test_mask_refuses_positions_that_are_not_json_integers(capsys, positions):
     code, out = run_cli(capsys, "mask", "--query", "abab", "--positions", positions)

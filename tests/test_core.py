@@ -16,7 +16,7 @@ from pmdm import (
     mismatch_set,
 )
 
-from pmdm.core import COPY_BLOCK, SymbolPlanes, lex_smaller, rank_query, rank_symbols
+from pmdm.core import MAX_LENGTH, SymbolPlanes, lex_smaller, rank_query, rank_symbols
 
 from support import oracle_mismatch_bits, t1
 
@@ -124,6 +124,15 @@ def test_mask_set_basics():
         MaskSet([0])
 
 
+def test_mask_set_refuses_positions_past_the_length_cap():
+    """A position is checked before its bit is shifted into place, so a
+    huge one is refused at once instead of allocating its bits."""
+    assert MaskSet([MAX_LENGTH]).bits == 1 << (MAX_LENGTH - 1)
+    for position in (MAX_LENGTH + 1, 10**6, -1):
+        with pytest.raises(ValueError, match=f"at most {MAX_LENGTH}"):
+            MaskSet([1, position])
+
+
 def test_masked_string_parse_render_custom_glyph():
     x = MaskedString.parse("a*b", wildcard="*")
     assert x.mask == MaskSet([2])
@@ -181,14 +190,13 @@ def test_count_monotone_under_mask_growth(data):
 
 
 @pytest.mark.parametrize("length", [1, 15, 64])
-def test_dictionary_codes_are_a_read_only_column_major_matrix(length):
-    """The rows span two whole blocks of the column-major copy and three
-    rows of a third."""
+def test_dictionary_codes_are_a_read_only_row_major_matrix(length):
+    """``codes`` is the entries' UTF-32 buffer itself: one C-contiguous row
+    per entry, which no one may write."""
     rng = random.Random(length)
-    rows = 2 * (COPY_BLOCK // length) + 3
-    entries = ["".join(rng.choice("aβ日😀") for _ in range(length)) for _ in range(rows)]
+    entries = ["".join(rng.choice("aβ日😀") for _ in range(length)) for _ in range(300)]
     d = Dictionary(entries)
-    assert d.codes.flags.f_contiguous and not d.codes.flags.writeable
+    assert d.codes.flags.c_contiguous and not d.codes.flags.writeable
     assert np.array_equal(d.codes, np.array([[ord(c) for c in e] for e in entries], dtype=np.uint32))
     with pytest.raises(ValueError):
         d.codes[0, 0] = 0
@@ -278,10 +286,10 @@ def test_mismatch_masks_from_one_symbol_to_wide_alphabets(length, side):
 
 
 def test_rank_symbols_and_rank_query_follow_the_code_point_order():
-    codes = np.asfortranarray(np.array([[0x1F600, 98], [98, 0xE9]], dtype=np.uint32))
+    codes = np.array([[0x1F600, 98], [98, 0xE9]], dtype=np.uint32)
     alphabet, ranks = rank_symbols(codes)
     assert alphabet.dtype == np.uint32 and alphabet.tolist() == [98, 0xE9, 0x1F600]
-    assert ranks.tolist() == [[2, 0], [0, 1]] and ranks.flags.f_contiguous
+    assert ranks.dtype == np.uint32 and ranks.tolist() == [[2, 0], [0, 1]]
     q = np.array([97, 98, 99, 0xE9, 0x1F600, 0x1F601], dtype=np.uint32)
     ranks, missing = rank_query(alphabet, q)
     assert missing.tolist() == [True, False, True, False, False, True]

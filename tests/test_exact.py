@@ -386,6 +386,70 @@ def test_kept_set_search_matches_the_full_table_in_the_middle_band(monkeypatch):
     assert middle >= 15
 
 
+def relabel_columns(strings: list[str], rng: random.Random) -> list[str]:
+    """``strings`` with each column's symbols mapped one to one onto
+    symbols drawn at random from ASCII, Greek and astral code points, so
+    the code-point order of a column changes too."""
+    pool = [chr(c) for c in (*range(0x61, 0x7B), *range(0x3B1, 0x3CA), *range(0x1F600, 0x1F620))]
+    columns = []
+    for column in zip(*strings):
+        symbols = sorted(set(column))
+        image = dict(zip(symbols, rng.sample(pool, len(symbols))))
+        columns.append([image[c] for c in column])
+    return ["".join(row) for row in zip(*columns)]
+
+
+def test_metamorphic_relations_hold_above_the_table_band(monkeypatch):
+    """ROADMAP 12(b), which needs no oracle: 10 seeded clustered instances
+    at each l in {28, 40, 64}, d <= 300 and z in {2, 5, d/10}, all
+    answered by the kept-set search.  Permuting the columns keeps the
+    optimal size and its count; relabelling each column's symbols keeps
+    the identical mask; ``decide_k_pmdm`` holds at the optimal size and
+    fails one below.  With ``KEPT_SET_VISIT_BUDGET`` patched down, an
+    instance whose search passes it in any of its five calls is refused.
+    Every instance is drawn before any is solved, and none is re-seeded
+    away: the visits do not depend on the host, so the answered counts
+    are fixed, and they may only grow (10, 9 and 5 of 10 when written)."""
+    monkeypatch.setattr(pmdm.exact, "KEPT_SET_VISIT_BUDGET", 20_000)
+    rng = random.Random(27)
+    instances = []
+    for length in (28, 40, 64):
+        for i in range(10):
+            size = rng.choice((100, 200, 300))
+            cfg = GenConfig(size=size, length=length, alphabet_size=rng.choice((2, 4, 10)),
+                            seed=1000 * length + i, mode="clustered", centers=rng.choice((3, 10, 30)),
+                            mutation_rate=rng.choice((0.1, 0.2, 0.35)))
+            d = generate(cfg)
+            z = (2, 5, size // 10)[i % 3]
+            query = d[rng.randrange(size)]
+            perm = rng.sample(range(length), length)
+            permuted = ["".join(s[p] for p in perm) for s in (*d, query)]
+            relabelled = relabel_columns([*d, query], rng)
+            instances.append((
+                PmdmInstance(d, query, z),
+                PmdmInstance(Dictionary(permuted[:-1]), permuted[-1], z),
+                PmdmInstance(Dictionary(relabelled[:-1]), relabelled[-1], z),
+            ))
+    answered = {28: 0, 40: 0, 64: 0}
+    middle = 0
+    for inst, permuted, relabelled in instances:
+        try:
+            mask = solve_pmdm(inst)
+            k = len(mask)
+            count = count_matches(inst.dictionary, mask_apply(inst.query, mask))
+            moved = solve_pmdm(permuted)
+            assert len(moved) == k
+            assert count_matches(permuted.dictionary, mask_apply(permuted.query, moved)) == count
+            assert solve_pmdm(relabelled) == mask
+            assert decide_k_pmdm(inst, k) and not (k and decide_k_pmdm(inst, k - 1))
+        except CapacityError:
+            continue
+        answered[inst.dictionary.length] += 1
+        middle += 4 <= k <= inst.dictionary.length - 4
+    assert answered[28] >= 10 and answered[40] >= 9 and answered[64] >= 5, answered
+    assert middle >= 15, middle
+
+
 def kernel_masks(rng, length: int, size: int) -> np.ndarray:
     """About 1.5 * ``size`` + 3 masks below 2^length: random ones, repeats
     of them, the zero mask and the full mask twice."""

@@ -245,6 +245,13 @@ def test_split_query_matches_small_ell():
         split_query(idx, "abab", 6)
 
 
+def test_split_index_holds_the_codes_of_its_dictionary():
+    d = t1()
+    idx = split_build(d, 2)
+    assert idx.dictionary is d and np.shares_memory(idx.dictionary.codes, d.codes)
+    assert (idx.length, idx.size) == (d.length, d.size)
+
+
 def test_split_single_entry_dictionary():
     d = Dictionary(["ab"])
     idx = split_build(d, 1)
@@ -447,7 +454,7 @@ def test_serialization_round_trips(tmp_path):
     sidx = split_build(d, 2)
     save_index(path, sidx)
     loaded = load_index(path)
-    assert loaded.tau == 2 and loaded.entries == d.entries
+    assert loaded.tau == 2 and loaded.dictionary == d
     for q in ("abab", "bbbb"):
         for bits in range(16):
             assert count_for_mask(loaded, q, bits) == count_for_mask(sidx, q, bits)
@@ -488,8 +495,9 @@ def test_serialization_round_trips_randomized(tmp_path):
         for side, stored in ((sidx.left, loaded.left), (sidx.right, loaded.right)):
             for name in ("keys", "counts", "members", "starts"):
                 assert np.array_equal(getattr(stored, name), getattr(side, name)), name
-        for name in ("pair_keys", "pair_counts", "codes"):
+        for name in ("pair_keys", "pair_counts"):
             assert np.array_equal(getattr(loaded, name), getattr(sidx, name)), name
+        assert loaded.dictionary == d and np.array_equal(loaded.dictionary.codes, d.codes)
         q = d[rng.randrange(d.size)]
         assert (split_counts(loaded, q) == split_counts(sidx, q)).all()
         mask = split_query(sidx, q, sidx.min_threshold)

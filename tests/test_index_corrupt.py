@@ -131,6 +131,17 @@ def dictionary_file(declared: int | None = None, magic: bytes = b"PMDM2") -> byt
     return magic + struct.pack("<BII", 1, 1, 2) + _str("a\nb", declared)
 
 
+def zero_length_split_file() -> bytes:
+    """A split file of one empty entry: header length and half split 0, an
+    empty entries blob, two sides of width 0 with one group of size 1
+    each, and no pair counters.  Every count agrees, so only the refusal
+    of an empty dictionary string stops it."""
+    out = b"PMDM2" + struct.pack("<BIBII", 4, 0, 0, 1, 1) + struct.pack("<I", 1) + _str("")
+    for _ in range(2):
+        out += _u4(1) + _u8(1) + _u4(0) + _str("")
+    return out + _u8(0)
+
+
 def built_split_file(entries: list[str]) -> bytes:
     """The file ``save_index`` writes for the tau=1 split index of ``entries``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -200,6 +211,7 @@ def test_crafted_simple_file_matches_the_real_one(tmp_path):
         pytest.param(split_file(pair_keys=(1, 1)), id="pair-keys-repeated"),
         pytest.param(split_file_pairs_swapped(), id="pair-keys-out-of-order"),
         pytest.param(split_file_half_key_repeated(), id="half-key-repeated"),
+        pytest.param(zero_length_split_file(), id="zero-length"),
         pytest.param(simple_file(n=3), id="simple-count"),
         pytest.param(simple_file(n=1 << 61), id="simple-count-huge"),
         pytest.param(simple_file(mask_size=0), id="simple-mask-size"),
