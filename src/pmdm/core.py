@@ -174,9 +174,19 @@ class Dictionary:
     whether or not it is ever scanned.  Two threads that scan a fresh
     dictionary at once may each build the planes; both builds are equal,
     so either may be kept.
+
+    ``_table_memo`` keeps the subset-count table of the last query an
+    exact answer built one for, as one ``(query, table)`` tuple, so a z
+    sweep over one query, or a query asked again, builds its table once
+    (``exact._query_table``).  It starts as None and is replaced, whole,
+    by the next query that misses it.  Only tables at l <=
+    ``exact.TABLE_MAX_LENGTH`` are kept: at most 2^20 read-only int32
+    counts, 4 MB.  Two threads may each build a table and either may be
+    kept, but a query is never paired with another's table: the tuple is
+    swapped in one assignment and read once.
     """
 
-    __slots__ = ("entries", "length", "codes", "_planes")
+    __slots__ = ("entries", "length", "codes", "_planes", "_table_memo")
 
     def __init__(self, entries: Iterable[str]):
         entries = tuple(entries)
@@ -198,6 +208,7 @@ class Dictionary:
         self.length = length
         self.codes = _codes("".join(entries)).reshape(len(entries), length)
         self._planes: SymbolPlanes | None = None
+        self._table_memo: tuple[str, np.ndarray] | None = None
 
     @property
     def size(self) -> int:

@@ -17,6 +17,17 @@ number of queries m:
   reaches the threshold in every query's table.  The same kernel fills
   ``index.small_ell_build`` and the split index's one table over the
   members of rare halves.
+
+  No table depends on the threshold, so the dictionary keeps the last
+  one built (``_query_table``): a one-slot memo of one ``(query,
+  table)`` tuple, replaced by the next query that misses it.  A z sweep
+  over one query, ``decide_k_pmdm`` after ``solve_pmdm``, and a
+  multi-query answer whose first query was just asked build that table
+  once; a hit runs neither the scan nor the pass.  The memo holds at
+  most one read-only table of 2^20 int32 counts (4 MB), and nothing on
+  the kept-set path.  Threads sharing a dictionary may each build a
+  table, but the tuple is swapped in one assignment and read once, so a
+  query never gets another query's table.
 * otherwise: the unmasked positions form a maximum frequent itemset.
   Per query and position, the entries agreeing with the query there form
   a set; a depth-first search over frequent extensions (Eclat) grows the
@@ -290,6 +301,20 @@ def solve_khv(inst: KhvInstance) -> Optional[list[int]]:
     return chosen if last >= inst.target[-1] else None
 
 
+def _query_table(dictionary: Dictionary, q: str) -> np.ndarray:
+    """The read-only subset-count table of ``q`` against ``dictionary``,
+    from the dictionary's one-slot memo when ``q`` was the last query it
+    built a table for, else built and put in the memo's place.  A z sweep
+    over one query scans and sums once."""
+    memo = dictionary._table_memo  # read once: another thread may swap it
+    if memo is not None and memo[0] == q:
+        return memo[1]
+    table = subset_counts(mismatch_masks(dictionary, q), dictionary.length)
+    table.flags.writeable = False
+    dictionary._table_memo = (q, table)
+    return table
+
+
 def _smallest_mask(
     dictionary: Dictionary, queries: Sequence[str], threshold: int, limit: int | None = None
 ) -> Optional[MaskSet]:
@@ -299,10 +324,10 @@ def _smallest_mask(
     None when there is none."""
     _check_threshold(threshold, dictionary.size)
     length = dictionary.length
-    masks = [mismatch_masks(dictionary, q) for q in queries]
-    if length <= TABLE_MAX_LENGTH and len(masks) << length <= 1 << DEFAULT_TABLE_LIMIT:
-        best = _best_in_table([subset_counts(m, length) for m in masks], threshold, length)
+    if length <= TABLE_MAX_LENGTH and len(queries) << length <= 1 << DEFAULT_TABLE_LIMIT:
+        best = _best_in_table([_query_table(dictionary, q) for q in queries], threshold, length)
         return best if limit is None or len(best) <= limit else None
+    masks = [mismatch_masks(dictionary, q) for q in queries]
     # every query matches its ``threshold`` fewest-mismatch entries once
     # all their mismatches are masked, so this union qualifies
     union = 0

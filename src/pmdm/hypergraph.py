@@ -58,7 +58,9 @@ class WeightedHypergraph:
     ``edges`` are ascending, distinct, non-empty uint64 position sets
     inside ``nodes`` (ascending positions, all of 1..node_count by
     default) and ``weights`` their non-negative int64 weights; edges of
-    weight 0 are dropped.
+    weight 0 are dropped.  The weights must total below 2^53: node
+    deletion and the branching search sum them in float64, which is
+    exact only up to there.
     """
 
     __slots__ = ("node_count", "nodes", "edges", "weights", "base_weight")
@@ -92,6 +94,10 @@ class WeightedHypergraph:
             if weights.min() < 0:
                 raise ValueError("edge weights must be non-negative")
             edges, weights = edges[weights != 0], weights[weights != 0]
+        # a float64 sum of non-negative weights reaches 2^53 exactly when
+        # the true total does, and cannot overflow as an int64 sum can
+        if weights.sum(dtype=np.float64) >= 2**53:
+            raise ValueError("edge weights must total below 2^53")
         self.edges, self.weights, self.base_weight = edges, weights, base_weight
 
     def __repr__(self) -> str:

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from pmdm import (
     MaskSet,
     MpmdmInstance,
     PmdmInstance,
+    baseline_pmdm,
     count_matches,
     decide_k_pmdm,
     generate,
+    greedy_pmdm,
     mask_apply,
     solve_khv,
     solve_mpmdm,
@@ -404,9 +408,11 @@ def test_metamorphic_relations_hold_above_the_table_band(monkeypatch):
     at each l in {28, 40, 64}, d <= 300 and z in {2, 5, d/10}, all
     answered by the kept-set search.  Permuting the columns keeps the
     optimal size and its count; relabelling each column's symbols keeps
-    the identical mask; ``decide_k_pmdm`` holds at the optimal size and
-    fails one below.  With ``KEPT_SET_VISIT_BUDGET`` patched down, an
-    instance whose search passes it in any of its five calls is refused.
+    the identical mask, and so does doubling the dictionary and z;
+    ``decide_k_pmdm`` holds at the optimal size and fails one below; the
+    greedy and baseline masks are never smaller than the optimum.  With
+    ``KEPT_SET_VISIT_BUDGET`` patched down, an instance whose search
+    passes it in any of its six calls is refused.
     Every instance is drawn before any is solved, and none is re-seeded
     away: the visits do not depend on the host, so the answered counts
     are fixed, and they may only grow (10, 9 and 5 of 10 when written)."""
@@ -429,10 +435,11 @@ def test_metamorphic_relations_hold_above_the_table_band(monkeypatch):
                 PmdmInstance(d, query, z),
                 PmdmInstance(Dictionary(permuted[:-1]), permuted[-1], z),
                 PmdmInstance(Dictionary(relabelled[:-1]), relabelled[-1], z),
+                PmdmInstance(Dictionary(d.entries * 2), query, 2 * z),
             ))
     answered = {28: 0, 40: 0, 64: 0}
     middle = 0
-    for inst, permuted, relabelled in instances:
+    for inst, permuted, relabelled, doubled in instances:
         try:
             mask = solve_pmdm(inst)
             k = len(mask)
@@ -441,9 +448,11 @@ def test_metamorphic_relations_hold_above_the_table_band(monkeypatch):
             assert len(moved) == k
             assert count_matches(permuted.dictionary, mask_apply(permuted.query, moved)) == count
             assert solve_pmdm(relabelled) == mask
+            assert solve_pmdm(doubled) == mask
             assert decide_k_pmdm(inst, k) and not (k and decide_k_pmdm(inst, k - 1))
         except CapacityError:
             continue
+        assert len(greedy_pmdm(inst).mask) >= k and len(baseline_pmdm(inst).mask) >= k
         answered[inst.dictionary.length] += 1
         middle += 4 <= k <= inst.dictionary.length - 4
     assert answered[28] >= 10 and answered[40] >= 9 and answered[64] >= 5, answered
@@ -592,6 +601,139 @@ def test_single_query_table_agrees_with_the_multi_query_rows(length):
         assert best == solve_mpmdm(MpmdmInstance(d, [query, query], z))
         assert decide_k_pmdm(inst, len(best))
         assert len(best) == 0 or not decide_k_pmdm(inst, len(best) - 1)
+
+
+MEMO_LENGTHS = (1, 4, 12, 20)
+
+
+def memo_case(length: int) -> tuple[Dictionary, str, str, list[int]]:
+    """``table_instance``'s dictionary and query A, a second query B (the
+    first entry that differs from A) and thresholds from 1 to z = d."""
+    d, a = table_instance(length)
+    b = next(e for e in d.entries if e != a)
+    return d, a, b, sorted({1, 2, d.size // 2, d.size - 1, d.size})
+
+
+def count_table_builds(monkeypatch) -> dict[str, int]:
+    """Patch the scan and the sum-over-subsets pass that ``exact`` calls to
+    count their calls."""
+    calls = {"mismatch_masks": 0, "subset_counts": 0}
+    for name in calls:
+        original = getattr(pmdm.exact, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(pmdm.exact, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("length", MEMO_LENGTHS)
+def test_a_z_sweep_builds_each_query_table_once(length, monkeypatch):
+    """Sweeps up and down the thresholds over A, then B, then A again:
+    each sweep builds its query's table once, so the second A misses, and
+    the table is kept read-only; every answer equals a fresh dictionary's
+    and the oracle's."""
+    d, a, b, zs = memo_case(length)
+    expected = {(q, z): table_oracle(d, q, z) for q in (a, b) for z in zs}
+    for q, z in expected:
+        assert solve_pmdm(PmdmInstance(Dictionary(d.entries), q, z)) == expected[q, z]
+    calls = count_table_builds(monkeypatch)
+    for built, q in enumerate((a, b, a), 1):
+        for z in zs + zs[::-1]:
+            assert solve_pmdm(PmdmInstance(d, q, z)) == expected[q, z]
+        assert calls == {"mismatch_masks": built, "subset_counts": built}
+        query, table = d._table_memo
+        assert query == q and table.dtype == np.int32 and table.shape == (1 << length,)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+@pytest.mark.parametrize("length", MEMO_LENGTHS)
+def test_decide_k_after_solve_reads_the_memoized_table(length, monkeypatch):
+    d, a, _, zs = memo_case(length)
+    expected = {z: len(table_oracle(d, a, z)) for z in zs}
+
+    def decisions(inst, k):  # at k - 1, when k > 0, and at k
+        return [decide_k_pmdm(inst, size) for size in range(max(k - 1, 0), k + 1)]
+    fresh = {z: decisions(PmdmInstance(Dictionary(d.entries), a, z), expected[z]) for z in zs}
+    calls = count_table_builds(monkeypatch)
+    for z in zs:
+        inst = PmdmInstance(d, a, z)
+        k = len(solve_pmdm(inst))
+        assert k == expected[z]
+        assert decisions(inst, k) == fresh[z] == [False] * (k > 0) + [True]
+    assert calls == {"mismatch_masks": 1, "subset_counts": 1}
+
+
+@pytest.mark.parametrize("length", MEMO_LENGTHS)
+def test_multi_query_answers_share_the_memoized_table(length, monkeypatch):
+    """After A is answered alone, [A, B] builds only B's table, [B, B]
+    none and [A, A] one; every mask equals a fresh dictionary's and the
+    oracle's."""
+    d, a, b, zs = memo_case(length)
+    groups = ([a, b], [b, b], [a, a])
+    expected = {(z, i): oracle_mpmdm(d, group, z) for z in zs for i, group in enumerate(groups)}
+    for z, i in expected:
+        assert solve_mpmdm(MpmdmInstance(Dictionary(d.entries), groups[i], z)) == expected[z, i]
+    calls = count_table_builds(monkeypatch)
+    for z in zs:
+        shared = Dictionary(d.entries)
+        calls.update(mismatch_masks=0, subset_counts=0)
+        # A alone takes the mask of [A, A]
+        assert solve_pmdm(PmdmInstance(shared, a, z)) == expected[z, 2]
+        for i, (group, built) in enumerate(zip(groups, (2, 2, 3))):
+            assert solve_mpmdm(MpmdmInstance(shared, group, z)) == expected[z, i]
+            assert calls == {"mismatch_masks": built, "subset_counts": built}
+            assert shared._table_memo[0] == group[-1]
+
+
+def test_no_table_is_kept_on_the_kept_set_path(monkeypatch):
+    """Above ``TABLE_MAX_LENGTH``, and for queries whose tables together
+    pass 2^``DEFAULT_TABLE_LIMIT`` counters, nothing is memoized."""
+    d, a = table_instance(pmdm.exact.TABLE_MAX_LENGTH + 1)
+    b = next(e for e in d.entries if e != a)
+    inst = PmdmInstance(d, a, 5)
+    k = len(solve_pmdm(inst))
+    assert decide_k_pmdm(inst, k) and not (k and decide_k_pmdm(inst, k - 1))
+    solve_mpmdm(MpmdmInstance(d, [a, b], 5))
+    assert d._table_memo is None
+    d, a = table_instance(12)
+    monkeypatch.setattr(pmdm.exact, "DEFAULT_TABLE_LIMIT", 12)
+    assert solve_mpmdm(MpmdmInstance(d, [a, a], 5)) == table_oracle(d, a, 5)
+    assert d._table_memo is None
+    assert solve_pmdm(PmdmInstance(d, a, 5)) == table_oracle(d, a, 5)
+    assert d._table_memo[0] == a
+
+
+def test_threads_sharing_a_dictionary_get_their_own_query_tables():
+    """Eight threads, four times the cores of a small host, answer A and B
+    in turn over one dictionary with a short switch interval, so the memo
+    is swapped under them; a query paired with the other's table would
+    change some answer."""
+    d, a, b, zs = memo_case(12)
+    expected = {(q, z): table_oracle(d, q, z) for q in (a, b) for z in zs}
+    wrong = []
+
+    def answer(offset):
+        for i in range(40):
+            q, z = (a, b)[(i + offset) % 2], zs[i % len(zs)]
+            if solve_pmdm(PmdmInstance(d, q, z)) != expected[q, z]:
+                wrong.append((q, z))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=answer, args=(t,)) for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_kept_set_search_stops_at_its_visit_budget(monkeypatch, tmp_path, capsys):

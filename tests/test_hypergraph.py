@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import pmdm.heuristic
 import pmdm.hypergraph
 from pmdm import (
     CapacityError,
@@ -265,6 +266,7 @@ def test_zero_weight_edges_are_dropped():
         (3, [0b1000], [1], None, "outside"),
         (3, [0b100], [1], (1, 2), "outside"),
         (3, [0b001, 0b010], [1, -1], None, "non-negative"),
+        (3, [0b001, 0b010], [2**52, 2**52], None, "2\\^53"),
         (3, [0b001], [1, 1], None, "one length"),
         (3, [], [], (2, 1), "nodes"),
         (3, [], [], (1, 4), "nodes"),
@@ -275,6 +277,17 @@ def test_zero_weight_edges_are_dropped():
     assert h.edges.dtype == np.uint64 and h.weights.dtype == np.int64
     assert edge_dict(h) == {1 << 63: 2} and h.base_weight == 5
     assert heaviest_k_section(h, 1) == (MaskSet([64]), 7)
+
+
+def test_edge_weights_total_below_2_to_the_53():
+    """Deleting node 2 merges the two edges below into {1}, summing their
+    weights in float64: a total of 2^53 would round, so it is refused,
+    and the largest accepted total merges exactly."""
+    with pytest.raises(ValueError, match="2\\^53"):
+        WeightedHypergraph(2, [0b001, 0b011], [1, 2**53])
+    h = WeightedHypergraph(2, [0b001, 0b011], [1, 2**53 - 2])
+    values, weights, base = pmdm.heuristic._delete_node(h.edges, h.weights, h.base_weight, 2)
+    assert values.tolist() == [0b001] and weights.tolist() == [2**53 - 1] and base == 0
 
 
 def test_edge_arrays_matches_a_dict_grouping():
