@@ -204,9 +204,14 @@ class Dictionary:
                 raise ValueError(
                     f"entry {i} has length {len(entry)}, expected {length}"
                 )
+        joined = "".join(entries)
+        if "\n" in joined:
+            # a line feed would split the entry in two in a saved file
+            i = joined.index("\n") // length
+            raise ValueError(f"entry {i} ({entries[i]!r}) contains a line feed")
         self.entries = entries
         self.length = length
-        self.codes = _codes("".join(entries)).reshape(len(entries), length)
+        self.codes = _codes(joined).reshape(len(entries), length)
         self._planes: SymbolPlanes | None = None
         self._table_memo: tuple[str, np.ndarray] | None = None
 
@@ -249,16 +254,12 @@ class Dictionary:
 
         Lines are split on line feeds only, and a line holding a carriage
         return (as every line of a CRLF file does) is refused rather than
-        read with the return as a symbol or as a line break.
+        read with the return as a symbol or as a line break.  So is a line
+        holding the wildcard glyph.
         """
-        lines = _read_lines(path)
+        lines = _read_lines(path, wildcard)
         if lines and lines[-1] == "":
             lines.pop()
-        for i, line in enumerate(lines):
-            if wildcard in line:
-                raise ValueError(
-                    f"line {i + 1} contains the wildcard glyph {wildcard!r}"
-                )
         return cls(lines)
 
     def save(self, path) -> None:
@@ -267,14 +268,20 @@ class Dictionary:
             fh.write("\n")
 
 
-def _read_lines(path) -> list[str]:
-    """The text of ``path`` split at line feeds only; a carriage return
-    anywhere is refused, naming its line."""
+def _read_lines(path, wildcard: str | None = None) -> list[str]:
+    """The text of ``path`` split at line feeds only.  A carriage return
+    anywhere is refused, and so is ``wildcard`` when given, naming the
+    first line that holds it; each is one search over the whole text.
+    A line-feed wildcard is in no line, so it is never refused."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
-    if "\r" in text:
-        line = text.count("\n", 0, text.index("\r")) + 1
-        raise ValueError(f"line {line} contains a carriage return")
+    refused = [("\r", "a carriage return")]
+    if wildcard not in (None, "\n"):
+        refused.append((wildcard, f"the wildcard glyph {wildcard!r}"))
+    for glyph, name in refused:
+        if glyph in text:
+            line = text.count("\n", 0, text.index(glyph)) + 1
+            raise ValueError(f"line {line} contains {name}")
     return text.split("\n")
 
 
@@ -309,38 +316,26 @@ def count_matches(dictionary: Dictionary, x: MaskedString) -> int:
     return int(np.count_nonzero(mismatch_masks(dictionary, x) == 0))
 
 
-#: Bits packed per float32 product.  A sum of distinct powers of two below
-#: 2^24 fits float32's 24-bit significand, so every partial sum is exact
-#: whatever order the BLAS kernel adds in.
-PACK_WIDTH = 24
-
-_POWERS = (1 << np.arange(PACK_WIDTH)).astype(np.float32)
-
-
 def pack_bits(flags: np.ndarray) -> np.ndarray:
-    """Row i of an (n, w) boolean array, w <= 64, as a uint64 whose bit j
-    is flags[i, j].
+    """Row i of an (n, w) 0/1 array, w <= 64, as a uint64 whose bit j is
+    flags[i, j]: one ``np.packbits`` in little bit order over the rows
+    padded with zero columns to 8, 16, 32 or 64, read as little-endian
+    words of that width.  ``unpack_bits`` is its inverse."""
+    n, w = flags.shape
+    width = max(8, 1 << (w - 1).bit_length())
+    if w < width:
+        padded = np.zeros((n, width), dtype=flags.dtype)
+        padded[:, :w] = flags
+        flags = padded
+    packed = np.packbits(flags, bitorder="little")  # flattened: rows end on a byte
+    return packed.view(f"<u{width // 8}").astype(np.uint64)
 
-    Each run of at most ``PACK_WIDTH`` columns is one float32
-    matrix-vector product with the run's powers of two, an exact BLAS
-    call; the product is shifted into place and OR-ed into the result,
-    which is the first run's product itself (a zeroed result, a shift and
-    an OR took 10-15 of 90 us at n = 1e4, w = 15).  One to three
-    products cover w = 1..64.  Cost: one float32 copy of
-    ``flags`` and n * w multiply-adds in BLAS.  numpy has no BLAS kernel
-    for integer products, and an int64 product with the powers took about
-    twice as long at w = 15.
-    """
-    def product(start):
-        block = flags[:, start:start + PACK_WIDTH]
-        return (block.astype(np.float32) @ _POWERS[:block.shape[1]]).astype(np.uint64)
 
-    out = product(0)  # all zeros when w = 0
-    for start in range(PACK_WIDTH, flags.shape[1], PACK_WIDTH):
-        part = product(start)
-        part <<= np.uint64(start)
-        out |= part
-    return out
+def unpack_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """The (n, width) uint8 0/1 array whose row i holds bits 0..width-1 of
+    values[i]; the inverse of ``pack_bits``."""
+    data = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(data, axis=1, count=width, bitorder="little")
 
 
 def rank_symbols(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -374,7 +369,11 @@ def rank_query(alphabet: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 #: Weight of each bit position as an int64 (bit 63 wraps to -2^63), so an
-#: integer dot product of 0/1 flags with it is the flags' bitmask.
+#: integer dot product of 0/1 flags with it is the flags' bitmask.  Each
+#: scan packs its ceil(log2 sigma) query planes and its absent-symbol word
+#: this way, not by ``pack_bits``: on those few rows the two products took
+#: 3.4 us against 7.5 us through ``pack_bits``, while a whole scan at
+#: d = 2 500, l = 12 takes 14 us (timeit minima, one BLAS thread).
 _BIT_WEIGHTS = (np.uint64(1) << np.arange(64, dtype=np.uint64)).view(np.int64)
 
 

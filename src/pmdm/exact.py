@@ -97,9 +97,8 @@ BLOCK_BITS = 4
 
 #: Most masks one ``subset_counts`` call sums in float32: every partial sum
 #: is a count of at most that many masks, and an integer up to 2^24 fits
-#: float32's 24-bit significand (the argument of ``core.PACK_WIDTH``), so
-#: every sum is exact whatever order the BLAS kernel adds in.  More masks
-#: are summed in float64.
+#: float32's 24-bit significand, so every sum is exact whatever order the
+#: BLAS kernel adds in.  More masks are summed in float64.
 FLOAT32_EXACT_COUNT = 1 << 24
 
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MaskSet, mismatch_masks
+from .core import MaskSet, mismatch_masks, unpack_bits
 from .exact import PmdmInstance, _check_threshold
 from .hypergraph import WeightedHypergraph, edge_arrays, heaviest_k_section
 
@@ -61,8 +61,7 @@ class HeuristicResult(NamedTuple):
 
 def _scores(values: np.ndarray, weights: np.ndarray, length: int) -> list[tuple[int, int, int]]:
     """(position, numerator, denominator) of the score of every node in some edge."""
-    bits = (values[:, None] >> np.arange(length, dtype=np.uint64)) & np.uint64(1)
-    bits = bits.astype(np.int64)
+    bits = unpack_bits(values, length).astype(np.int64)
     sizes = np.bitwise_count(values).astype(np.int64)
     count = bits.sum(axis=0).tolist()
     weight_sum, size_sum = (np.stack([weights, sizes]) @ bits).tolist()

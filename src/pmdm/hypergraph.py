@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import MAX_LENGTH, CapacityError, Dictionary, MaskSet, MaskedString
-from .core import lex_smaller, mismatch_masks
+from .core import lex_smaller, mismatch_masks, unpack_bits
 
 #: Dispatcher prefers exhaustive enumeration while C(n, k) * 2^k stays below this.
 DEFAULT_BRUTE_BUDGET = 1 << 20
@@ -187,7 +187,6 @@ def _enumerate(h: WeightedHypergraph, k: int) -> SectionResult:
     subsets = combinations(bits, k)
     width = 1 << min(k, 16)
     chunk = (1 << 16) // width
-    powers = np.arange(k, dtype=np.uint64)[:, None]
     best_bits, best_weight = 0, -1
     for _ in range(0, comb(len(bits), k), chunk):
         columns = np.fromiter(chain.from_iterable(islice(subsets, chunk)), dtype=np.uint64)
@@ -195,7 +194,7 @@ def _enumerate(h: WeightedHypergraph, k: int) -> SectionResult:
         totals = 0
         for low in range(0, 1 << k, width):
             # probes[:, s] is the union of the columns picked by the bits of low + s
-            picks = (np.arange(low, low + width, dtype=np.uint64) >> powers) & np.uint64(1)
+            picks = unpack_bits(np.arange(low, low + width), k).T
             probes = columns @ picks
             # a probe above every edge finds the last one, which it does not equal
             found = h.edges.searchsorted(probes)

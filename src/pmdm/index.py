@@ -49,6 +49,7 @@ from .core import (
     pack_bits,
     rank_query,
     rank_symbols,
+    unpack_bits,
 )
 from .exact import _best_in_table, _check_queries, _check_threshold, subset_counts
 
@@ -138,7 +139,7 @@ def _combinations(length: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     (C(length, k), length - k) array."""
     masked = np.zeros((comb(length, k), length), dtype=bool)
     masked[np.arange(len(masked))[:, None], list(combinations(range(length), k))] = True
-    bits = masked @ (np.uint64(1) << np.arange(length, dtype=np.uint64))
+    bits = pack_bits(masked)
     kept = np.nonzero(~masked)[1].reshape(len(masked), length - k)
     bits.flags.writeable = kept.flags.writeable = False
     return bits, kept
@@ -308,7 +309,7 @@ def simple_query(idx: SimpleIndex, q: str, z: int) -> tuple[MaskSet, int] | None
 @lru_cache(maxsize=8)
 def _half_masks(width: int) -> np.ndarray:
     """masked[m, j]: half mask m masks the half's position j."""
-    masked = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(bool)
+    masked = unpack_bits(np.arange(1 << width), width).view(bool)
     masked.flags.writeable = False
     return masked
 

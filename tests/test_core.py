@@ -10,13 +10,23 @@ from pmdm import (
     MaskSet,
     MaskedString,
     count_matches,
+    load_index,
     mask_apply,
     matches,
     mismatch_masks,
     mismatch_set,
+    save_index,
 )
 
-from pmdm.core import MAX_LENGTH, SymbolPlanes, lex_smaller, rank_query, rank_symbols
+from pmdm.core import (
+    MAX_LENGTH,
+    SymbolPlanes,
+    lex_smaller,
+    pack_bits,
+    rank_query,
+    rank_symbols,
+    unpack_bits,
+)
 
 from support import oracle_mismatch_bits, t1
 
@@ -98,9 +108,31 @@ def test_dictionary_file_round_trip(tmp_path):
 
 def test_dictionary_file_rejects_wildcard(tmp_path):
     path = tmp_path / "dict.txt"
-    path.write_text("ab\na?\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        Dictionary.from_file(path)
+    for text, line in [("ab\na?\n", 2), ("?b\nab\n", 1), ("ab\nba\nb?", 3), ("ab\na?\n?b\n", 2)]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line {line} contains the wildcard glyph '\\?'"):
+            Dictionary.from_file(path)
+    path.write_text("ab\na#\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2 contains the wildcard glyph '#'"):
+        Dictionary.from_file(path, wildcard="#")
+    assert Dictionary.from_file(path).entries == ("ab", "a#")
+    # no line holds a line feed, so a line-feed wildcard refuses none
+    assert Dictionary.from_file(path, wildcard="\n").entries == ("ab", "a#")
+
+
+def test_dictionary_refuses_line_feeds(tmp_path):
+    """An entry holding a line feed would be saved as two lines and never
+    read back, so construction refuses it, naming it; entries holding other
+    line-breaking characters round-trip through both file formats."""
+    with pytest.raises(ValueError, match=r"entry 0 \('a\\nb'\) contains a line feed"):
+        Dictionary(["a\nb", "cde"])
+    with pytest.raises(ValueError, match="entry 2 .* contains a line feed"):
+        Dictionary(["abc", "cde", "xy\n"])
+    d = Dictionary(["a\u2028b", "c\x85d", "e\tf", "g\x0bh", "i\x1cj"])
+    d.save(tmp_path / "dict.txt")
+    assert Dictionary.from_file(tmp_path / "dict.txt") == d
+    save_index(tmp_path / "dict.idx", d)
+    assert load_index(tmp_path / "dict.idx") == d
 
 
 @pytest.mark.parametrize("data,line", [(b"ab\r\nba\r\n", 1), (b"ab\nb\ra\n", 2), (b"ab\nba\r", 2)])
@@ -109,6 +141,29 @@ def test_dictionary_file_rejects_carriage_returns(tmp_path, data, line):
     path.write_bytes(data)
     with pytest.raises(ValueError, match=f"line {line} contains a carriage return"):
         Dictionary.from_file(path)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+def test_pack_bits_and_unpack_bits_are_inverse(width):
+    rng = np.random.default_rng(width)
+    for rows in (0, 1, 3, 257):
+        flags = rng.integers(0, 2, size=(rows, width))
+        flags[:1, -1] = 1  # the top bit, bit 63 at width 64
+        for given in (flags.astype(bool), flags, flags.astype(np.uint8)):
+            packed = pack_bits(given)
+            assert packed.dtype == np.uint64 and packed.shape == (rows,)
+            assert packed.tolist() == [
+                sum(1 << j for j in range(width) if row[j]) for row in flags.tolist()
+            ]
+            assert np.array_equal(unpack_bits(packed, width), flags)
+    # bits at width and above are ignored
+    high = np.array([2**64 - 1, 1 << (width - 1), 0], dtype=np.uint64)
+    expected = np.zeros((3, width), dtype=np.uint8)
+    expected[0] = expected[1, width - 1] = 1
+    unpacked = unpack_bits(high, width)
+    assert unpacked.dtype == np.uint8 and np.array_equal(unpacked, expected)
+    if width < 64:
+        assert not unpack_bits(high << np.uint64(width), width).any()
 
 
 def test_mask_set_basics():
