@@ -7,13 +7,13 @@ import math
 
 from pmdm import (
     GenConfig,
-    count_for_mask,
     generate,
     simple_build,
     simple_query,
     small_ell_build,
     small_ell_query,
     split_build,
+    split_counts,
     split_query,
 )
 
@@ -25,12 +25,13 @@ query = dictionary[0]
 print(f"{dictionary.size} strings of length {dictionary.length}; query {query}")
 print()
 
-# Full table: one counter per position subset, filled by a subset-sum pass.
+# Full table: one counter per position subset, filled by a subset-sum pass;
+# it is the table solve_pmdm answers from, kept on the dictionary.
 table = small_ell_build(dictionary, query)
 for z in (2, 20, 120):
     mask = small_ell_query(table, z)
     print(f"full table  z={z:4}: mask {list(mask.positions)} "
-          f"(count {int(table.counts[mask.bits])})")
+          f"(count {int(table[mask.bits])})")
 print()
 
 # Fixed-size tables: all masks of one size, counts of identical masked
@@ -49,6 +50,6 @@ for z in (2, 20, 120):
     assert split_query(split, query, z) == small_ell_query(table, z)
 mask = split_query(split, query, 20)
 print(f"half-split agrees with the full table; z=20 -> {list(mask.positions)}"
-      f" (count {count_for_mask(split, query, mask)})")
+      f" (count {int(split_counts(split, query)[mask.bits])})")
 print("pair counters kept:", len(split.pair_keys), "for",
       2 ** dictionary.length, "masks")

@@ -65,9 +65,7 @@ from .hypergraph import (
 )
 from .index import (
     SimpleIndex,
-    SmallEllTable,
     SplitIndex,
-    count_for_mask,
     load_index,
     save_index,
     simple_build,
@@ -107,13 +105,11 @@ __all__ = [
     "PmdmInstance",
     "SectionResult",
     "SimpleIndex",
-    "SmallEllTable",
     "SplitIndex",
     "WeightedHypergraph",
     "baseline_pmdm",
     "build_hypergraph",
     "clique_to_pmdm",
-    "count_for_mask",
     "count_matches",
     "decide_k_pmdm",
     "dump_hypergraph",

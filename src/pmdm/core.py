@@ -176,14 +176,15 @@ class Dictionary:
     so either may be kept.
 
     ``_table_memo`` keeps the subset-count table of the last query an
-    exact answer built one for, as one ``(query, table)`` tuple, so a z
-    sweep over one query, or a query asked again, builds its table once
-    (``exact._query_table``).  It starts as None and is replaced, whole,
-    by the next query that misses it.  Only tables at l <=
-    ``exact.TABLE_MAX_LENGTH`` are kept: at most 2^20 read-only int32
-    counts, 4 MB.  Two threads may each build a table and either may be
-    kept, but a query is never paired with another's table: the tuple is
-    swapped in one assignment and read once.
+    exact answer or ``index.small_ell_build`` built one for, as one
+    ``(query, table)`` tuple, so a z sweep over one query, or a query
+    asked again, builds its table once.  It starts as None and is
+    replaced, whole, by the next query that misses it.
+    ``exact._query_table``, its one writer, keeps only tables at l <=
+    ``exact.TABLE_MAX_LENGTH``: at most 2^20 read-only int32 counts, 4
+    MB.  Two threads may each build a table and either may be kept, but
+    a query is never paired with another's table: the tuple is swapped
+    in one assignment and read once.
     """
 
     __slots__ = ("entries", "length", "codes", "_planes", "_table_memo")
@@ -205,10 +206,11 @@ class Dictionary:
                     f"entry {i} has length {len(entry)}, expected {length}"
                 )
         joined = "".join(entries)
-        if "\n" in joined:
-            # a line feed would split the entry in two in a saved file
-            i = joined.index("\n") // length
-            raise ValueError(f"entry {i} ({entries[i]!r}) contains a line feed")
+        for char, name in (("\n", "a line feed"), ("\r", "a carriage return")):
+            # either would end the entry's line early in a saved file
+            if char in joined:
+                i = joined.index(char) // length
+                raise ValueError(f"entry {i} ({entries[i]!r}) contains {name}")
         self.entries = entries
         self.length = length
         self.codes = _codes(joined).reshape(len(entries), length)

@@ -15,17 +15,19 @@ number of queries m:
   counts[K] is the number of entries the query matches when masked at K.
   The optimum size k is the smallest popcount among masks whose count
   reaches the threshold in every query's table.  The same kernel fills
-  ``index.small_ell_build`` and the split index's one table over the
-  members of rare halves.
+  the split index's one table over the members of rare halves.
 
   No table depends on the threshold, so the dictionary keeps the last
   one built (``_query_table``): a one-slot memo of one ``(query,
   table)`` tuple, replaced by the next query that misses it.  A z sweep
   over one query, ``decide_k_pmdm`` after ``solve_pmdm``, and a
   multi-query answer whose first query was just asked build that table
-  once; a hit runs neither the scan nor the pass.  The memo holds at
-  most one read-only table of 2^20 int32 counts (4 MB), and nothing on
-  the kept-set path.  Threads sharing a dictionary may each build a
+  once; a hit runs neither the scan nor the pass.  ``index.small_ell_build``
+  returns the same table, so its queries share the memo too.  The memo
+  holds at most one read-only table of 2^20 int32 counts (4 MB):
+  ``_query_table`` keeps no table above ``TABLE_MAX_LENGTH``, which
+  ``index`` builds up to l = ``DEFAULT_TABLE_LIMIT``, and the kept-set
+  path builds none.  Threads sharing a dictionary may each build a
   table, but the tuple is swapped in one assignment and read once, so a
   query never gets another query's table.
 * otherwise: the unmasked positions form a maximum frequent itemset.
@@ -66,6 +68,7 @@ from .core import (
     MaskSet,
     lex_smaller,
     mismatch_masks,
+    unpack_bits,
 )
 
 # Unused here, but the benchmark's tracer wraps these names on this module.
@@ -303,14 +306,15 @@ def solve_khv(inst: KhvInstance) -> Optional[list[int]]:
 def _query_table(dictionary: Dictionary, q: str) -> np.ndarray:
     """The read-only subset-count table of ``q`` against ``dictionary``,
     from the dictionary's one-slot memo when ``q`` was the last query it
-    built a table for, else built and put in the memo's place.  A z sweep
-    over one query scans and sums once."""
+    built a table for, else built and, at l <= ``TABLE_MAX_LENGTH``, put
+    in the memo's place.  A z sweep over one query scans and sums once."""
     memo = dictionary._table_memo  # read once: another thread may swap it
     if memo is not None and memo[0] == q:
         return memo[1]
     table = subset_counts(mismatch_masks(dictionary, q), dictionary.length)
     table.flags.writeable = False
-    dictionary._table_memo = (q, table)
+    if dictionary.length <= TABLE_MAX_LENGTH:  # the memo holds at most 4 MB
+        dictionary._table_memo = (q, table)
     return table
 
 
@@ -342,10 +346,12 @@ def _smallest_mask(
     # of at most ``limit`` positions, so dropping it changes no count there
     masks = [m[np.bitwise_count(m) <= limit] for m in masks]
     # agree[p][j] as an int: bit e is set when the e-th kept entry of
-    # query j has no mismatch at position p + 1
+    # query j has no mismatch at position p + 1.  The flags are transposed
+    # into a contiguous copy first: np.packbits along the rows of the
+    # strided transpose took three to five times as long at d = 2e4.
     agree = list(zip(*(
-        [int.from_bytes(np.packbits((m >> p & 1) == 0, bitorder="little").tobytes(), "little")
-         for p in range(length)]
+        [int.from_bytes(row.tobytes(), "little") for row in np.packbits(
+            np.ascontiguousarray(unpack_bits(~m, length).T), axis=1, bitorder="little")]
         for m in masks
     )))
     everyone = [(1 << len(m)) - 1 for m in masks]

@@ -2,9 +2,10 @@
 
 Three structures, trading construction cost and space for query speed:
 
-* full-table scan: one counter per position subset, filled from mismatch
-  bitmasks and completed by a sum-over-subsets pass, so entry K holds the
-  exact number of entries the query matches when masked by K;
+* full-table scan: ``small_ell_build`` returns the exact engine's
+  subset-count table of the query (``exact._query_table``), whose entry
+  K holds the exact number of entries the query matches when masked by
+  K, shared through the dictionary's one-slot memo at l <= 20;
 * fixed-size tables: for one mask size k, counts of identical masked
   strings under each of the C(length, k) masks, pruned below a minimum
   supported threshold, held as one sorted array of keys beside one array
@@ -45,13 +46,15 @@ from .core import (
     Dictionary,
     MaskSet,
     _codes,
-    mismatch_masks,
     pack_bits,
     rank_query,
     rank_symbols,
     unpack_bits,
 )
 from .exact import _best_in_table, _check_queries, _check_threshold, subset_counts
+
+# Unused here, but the benchmark's tracer wraps these names on this module.
+from .core import mismatch_masks  # noqa: F401
 
 #: Cap on the workspace of a build or a load, checked before it allocates:
 #: C(length, k) * max(d, length) for the fixed-size tables (d keys per mask,
@@ -68,15 +71,6 @@ _KIND_SIMPLE_BLOB_RETIRED = 5
 _KIND_SIMPLE = 6
 
 
-@dataclass(frozen=True)
-class SmallEllTable:
-    """counts[bits] = entries matched by the query masked at ``bits``."""
-
-    counts: np.ndarray
-    length: int
-    size: int
-
-
 def _check_table_length(length: int) -> None:
     """Refuse a structure over all 2^length masks past the table limit."""
     limit = exact.DEFAULT_TABLE_LIMIT
@@ -89,19 +83,22 @@ def _check_parameter(name: str, value: int, upper: int) -> None:
         raise ValueError(f"{name} must be in [1, {upper}]")
 
 
-def small_ell_build(dictionary: Dictionary, q: str) -> SmallEllTable:
-    """Histogram the mismatch bitmasks, then run the subset-sum pass."""
+def small_ell_build(dictionary: Dictionary, q: str) -> np.ndarray:
+    """The read-only table of 2^l counts, counts[bits] = entries matched by
+    ``q`` masked at ``bits``: ``solve_pmdm``'s own table, from the
+    dictionary's memo at l <= ``exact.TABLE_MAX_LENGTH``."""
     _check_table_length(dictionary.length)
-    counts = subset_counts(mismatch_masks(dictionary, q), dictionary.length)
-    return SmallEllTable(counts, dictionary.length, dictionary.size)
+    return exact._query_table(dictionary, q)
 
 
-def small_ell_query(table: SmallEllTable, z: int) -> MaskSet:
+def small_ell_query(table: np.ndarray, z: int) -> MaskSet:
     """Fewest-position mask reaching ``z`` matches; ties go to the most
     matches, then to the lexicographically smallest position list, as in
     ``solve_pmdm``."""
-    _check_threshold(z, table.size)
-    return _best_in_table([table.counts], z, table.length)
+    length = len(table).bit_length() - 1
+    # every entry matches once all positions are masked
+    _check_threshold(z, int(table[-1]))
+    return _best_in_table([table], z, length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,14 +507,6 @@ def split_counts(idx: SplitIndex, q: str) -> np.ndarray:
         pairs[at >= 0] = idx.pair_counts[at[at >= 0]]
         grid[np.ix_(rows_f, cols_f)] = pairs.reshape(len(cols_f), len(rows_f)).T
     return out
-
-
-def count_for_mask(idx: SplitIndex, q: str, mask: MaskSet | int) -> int:
-    """Exact number of entries matched by ``q`` masked at ``mask``."""
-    bits = mask.bits if isinstance(mask, MaskSet) else mask
-    if bits >> idx.length:
-        raise ValueError("mask position out of range")
-    return int(split_counts(idx, q)[bits])
 
 
 def split_query(idx: SplitIndex, q: str, z: int) -> MaskSet:

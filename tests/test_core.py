@@ -121,13 +121,18 @@ def test_dictionary_file_rejects_wildcard(tmp_path):
 
 
 def test_dictionary_refuses_line_feeds(tmp_path):
-    """An entry holding a line feed would be saved as two lines and never
-    read back, so construction refuses it, naming it; entries holding other
-    line-breaking characters round-trip through both file formats."""
+    """An entry holding a line feed or a carriage return would be saved as
+    a file that no reader loads back, so construction refuses it, naming
+    it; entries holding other line-breaking characters round-trip through
+    both file formats."""
     with pytest.raises(ValueError, match=r"entry 0 \('a\\nb'\) contains a line feed"):
         Dictionary(["a\nb", "cde"])
     with pytest.raises(ValueError, match="entry 2 .* contains a line feed"):
         Dictionary(["abc", "cde", "xy\n"])
+    with pytest.raises(ValueError, match=r"entry 0 \('a\\rb'\) contains a carriage return"):
+        Dictionary(["a\rb", "cde"])
+    with pytest.raises(ValueError, match="entry 1 .* contains a carriage return"):
+        Dictionary(["abc", "\rde", "xyz"])
     d = Dictionary(["a\u2028b", "c\x85d", "e\tf", "g\x0bh", "i\x1cj"])
     d.save(tmp_path / "dict.txt")
     assert Dictionary.from_file(tmp_path / "dict.txt") == d

@@ -21,6 +21,8 @@ from pmdm import (
     generate,
     greedy_pmdm,
     mask_apply,
+    small_ell_build,
+    small_ell_query,
     solve_khv,
     solve_mpmdm,
     solve_pmdm,
@@ -573,14 +575,22 @@ def table_instance(length: int) -> tuple[Dictionary, str]:
     return Dictionary(entries), query
 
 
-def table_oracle(d: Dictionary, query: str, z: int) -> MaskSet:
-    """The documented answer from a per-entry count of every mask: the
-    fewest positions, then the most matches, then the lexicographically
-    smallest position list."""
+def oracle_table(d: Dictionary, query: str) -> np.ndarray:
+    """counts[K] = entries ``query`` matches masked at K, from a per-entry
+    count of every mask."""
     every = np.arange(1 << d.length, dtype=np.uint64)
     counts = np.zeros(len(every), dtype=np.int64)
     for bits in oracle_mismatch_bits(d, query):
         counts += (every & np.uint64(bits)) == np.uint64(bits)
+    return counts
+
+
+def table_oracle(d: Dictionary, query: str, z: int) -> MaskSet:
+    """The documented answer from ``oracle_table``: the fewest positions,
+    then the most matches, then the lexicographically smallest position
+    list."""
+    counts = oracle_table(d, query)
+    every = np.arange(len(counts), dtype=np.uint64)
     qualifying = every[counts >= z]
     sizes = np.bitwise_count(qualifying)
     tied = [MaskSet.from_bits(int(m)) for m in qualifying[sizes == sizes.min()]]
@@ -630,10 +640,12 @@ def count_table_builds(monkeypatch) -> dict[str, int]:
 
 @pytest.mark.parametrize("length", MEMO_LENGTHS)
 def test_a_z_sweep_builds_each_query_table_once(length, monkeypatch):
-    """Sweeps up and down the thresholds over A, then B, then A again:
-    each sweep builds its query's table once, so the second A misses, and
-    the table is kept read-only; every answer equals a fresh dictionary's
-    and the oracle's."""
+    """Sweeps up and down the thresholds over A, then B, then A again,
+    answering each threshold by ``solve_pmdm`` and by
+    ``small_ell_build``/``small_ell_query`` in turn: each sweep builds its
+    query's table once, so the second A misses, and both paths read the
+    one read-only memoized table; every answer equals a fresh
+    dictionary's and the oracle's."""
     d, a, b, zs = memo_case(length)
     expected = {(q, z): table_oracle(d, q, z) for q in (a, b) for z in zs}
     for q, z in expected:
@@ -642,8 +654,10 @@ def test_a_z_sweep_builds_each_query_table_once(length, monkeypatch):
     for built, q in enumerate((a, b, a), 1):
         for z in zs + zs[::-1]:
             assert solve_pmdm(PmdmInstance(d, q, z)) == expected[q, z]
+            assert small_ell_query(small_ell_build(d, q), z) == expected[q, z]
         assert calls == {"mismatch_masks": built, "subset_counts": built}
         query, table = d._table_memo
+        assert small_ell_build(d, q) is table
         assert query == q and table.dtype == np.int32 and table.shape == (1 << length,)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -691,13 +705,18 @@ def test_multi_query_answers_share_the_memoized_table(length, monkeypatch):
 
 def test_no_table_is_kept_on_the_kept_set_path(monkeypatch):
     """Above ``TABLE_MAX_LENGTH``, and for queries whose tables together
-    pass 2^``DEFAULT_TABLE_LIMIT`` counters, nothing is memoized."""
+    pass 2^``DEFAULT_TABLE_LIMIT`` counters, nothing is memoized; nor is
+    the table ``small_ell_build`` returns above ``TABLE_MAX_LENGTH``."""
     d, a = table_instance(pmdm.exact.TABLE_MAX_LENGTH + 1)
     b = next(e for e in d.entries if e != a)
     inst = PmdmInstance(d, a, 5)
     k = len(solve_pmdm(inst))
     assert decide_k_pmdm(inst, k) and not (k and decide_k_pmdm(inst, k - 1))
     solve_mpmdm(MpmdmInstance(d, [a, b], 5))
+    assert d._table_memo is None
+    table = small_ell_build(d, a)
+    assert np.array_equal(table, oracle_table(d, a)) and not table.flags.writeable
+    assert small_ell_query(table, 5) == solve_pmdm(inst)
     assert d._table_memo is None
     d, a = table_instance(12)
     monkeypatch.setattr(pmdm.exact, "DEFAULT_TABLE_LIMIT", 12)

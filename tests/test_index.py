@@ -14,7 +14,6 @@ from pmdm import (
     InfeasibleThresholdError,
     MaskSet,
     PmdmInstance,
-    count_for_mask,
     load_index,
     save_index,
     simple_build,
@@ -50,11 +49,11 @@ def half_group(side, m: int, half: str) -> int:
 
 def test_small_ell_table_values():
     table = small_ell_build(t1(), "abab")
-    assert int(table.counts[0]) == 1
-    assert int(table.counts[0b0100]) == 2  # positions {3}
-    assert int(table.counts[0b1111]) == 5
+    assert int(table[0]) == 1
+    assert int(table[0b0100]) == 2  # positions {3}
+    assert int(table[0b1111]) == 5
     expected = oracle_counts_all_masks(t1(), "abab")
-    assert (table.counts == expected).all()
+    assert (table == expected).all()
 
 
 def test_small_ell_table_monotone_under_mask_growth():
@@ -62,7 +61,7 @@ def test_small_ell_table_monotone_under_mask_growth():
     for bits in range(16):
         for b in range(4):
             if not bits >> b & 1:
-                assert table.counts[bits] <= table.counts[bits | 1 << b]
+                assert table[bits] <= table[bits | 1 << b]
 
 
 def test_small_ell_query_examples():
@@ -72,6 +71,13 @@ def test_small_ell_query_examples():
     assert small_ell_query(table, 5) == MaskSet([1, 2, 3, 4])
     with pytest.raises(InfeasibleThresholdError):
         small_ell_query(table, 6)
+    # the size comes from the all-masked cell, which counts every duplicate
+    d = Dictionary(["abab", "bbab", "abab", "abab", "bbab"])
+    table = small_ell_build(d, "abab")
+    assert small_ell_query(table, 3) == MaskSet()
+    assert small_ell_query(table, d.size) == MaskSet([1])
+    with pytest.raises(InfeasibleThresholdError):
+        small_ell_query(table, d.size + 1)
 
 
 def test_small_ell_capacity_guard(monkeypatch):
@@ -213,8 +219,9 @@ def test_split_tau_one_pairs_answer_everything():
     d = t1()
     idx = split_build(d, 1)
     table = small_ell_build(d, "abab")
+    counts = split_counts(idx, "abab")
     for bits in range(16):
-        assert count_for_mask(idx, "abab", bits) == int(table.counts[bits])
+        assert counts[bits] == int(table[bits])
 
 
 def test_split_tau_d_and_intermediate_agree_with_oracle():
@@ -222,8 +229,9 @@ def test_split_tau_d_and_intermediate_agree_with_oracle():
     expected = oracle_counts_all_masks(d, "abab")
     for tau in (2, 5):
         idx = split_build(d, tau)
+        counts = split_counts(idx, "abab")
         for bits in range(16):
-            assert count_for_mask(idx, "abab", bits) == expected[bits]
+            assert counts[bits] == expected[bits]
 
 
 def test_split_example_mask_1_3():
@@ -231,7 +239,7 @@ def test_split_example_mask_1_3():
     # left halves masked at {1}: ?b occurs 4 times (frequent at tau = 2)
     gid = half_group(idx.left, 0b01, "\0b")
     assert int(idx.left.counts[gid]) == 4
-    count = count_for_mask(idx, "abab", MaskSet([1, 3]))
+    count = split_counts(idx, "abab")[MaskSet([1, 3]).bits]
     assert count == oracle_count(t1(), "abab", 0b0101) == 3
 
 
@@ -256,7 +264,7 @@ def test_split_single_entry_dictionary():
     d = Dictionary(["ab"])
     idx = split_build(d, 1)
     assert split_query(idx, "ab", 1) == MaskSet()
-    assert count_for_mask(idx, "cd", 0) == 0
+    assert split_counts(idx, "cd")[0] == 0
 
 
 def test_split_odd_length_and_length_one():
@@ -267,8 +275,9 @@ def test_split_odd_length_and_length_one():
         expected = oracle_counts_all_masks(d, q)
         for tau in (1, 2, len(entries)):
             idx = split_build(d, tau)
+            counts = split_counts(idx, q)
             for bits in range(1 << d.length):
-                assert count_for_mask(idx, q, bits) == expected[bits]
+                assert counts[bits] == expected[bits]
     del rng
 
 
@@ -280,8 +289,9 @@ def test_split_pair_table_entries_are_exact():
     idx = split_build(d, max(1, math.isqrt(d.size)))
     for q in set(d.entries):
         expected = oracle_counts_all_masks(d, q)
+        counts = split_counts(idx, q)
         for bits in range(1 << d.length):
-            assert count_for_mask(idx, q, bits) == expected[bits]
+            assert counts[bits] == expected[bits]
 
 
 def test_split_min_threshold_pruning_is_sound():
@@ -309,11 +319,12 @@ def test_cross_structure_agreement_randomized():
         q = d[rng.randrange(d.size)]
         expected = oracle_counts_all_masks(d, q)
         table = small_ell_build(d, q)
-        assert (table.counts == expected).all()
+        assert (table == expected).all()
         for tau in (1, max(1, math.isqrt(d.size)), d.size):
             idx = split_build(d, tau)
+            counts = split_counts(idx, q)
             for bits in range(1 << d.length):
-                assert count_for_mask(idx, q, bits) == expected[bits]
+                assert counts[bits] == expected[bits]
             for z in (1, rng.randint(1, d.size), d.size):
                 assert split_query(idx, q, z) == small_ell_query(table, z)
 
@@ -357,7 +368,6 @@ def test_split_counts_match_the_oracle_randomized(tmp_path):
                     for z in exact:
                         mask = split_query(built, q, z)
                         assert mask == exact[z]
-                assert count_for_mask(loaded, q, mask) == expected[mask.bits]
 
 
 def test_split_counts_scan_halves_below_z0():
@@ -370,7 +380,6 @@ def test_split_counts_scan_halves_below_z0():
     for q in ("abab", "bbbb", "abzz", "zzzz"):
         expected = oracle_counts_all_masks(d, q)
         assert (split_counts(idx, q) == expected).all()
-        assert count_for_mask(idx, q, 0b0011) == expected[0b0011]
 
 
 def test_split_counts_count_an_entry_in_rare_halves_of_both_sides_once():
@@ -400,7 +409,7 @@ def test_split_counts_at_length_22_with_tau_d_match_the_full_table():
     d = Dictionary(entries + entries[:5])
     idx = split_build(d, d.size)
     for q in (d[0], centre, "".join(rng.choice("ab日") for _ in range(22))):
-        assert (split_counts(idx, q) == small_ell_build(d, q).counts).all()
+        assert (split_counts(idx, q) == small_ell_build(d, q)).all()
 
 
 def test_split_pair_key_past_its_segment_is_not_found():
@@ -425,8 +434,6 @@ def test_split_wrong_length_query_fails_before_any_work(monkeypatch):
             split_counts(idx, q)
         with pytest.raises(ValueError, match="query length"):
             split_query(idx, q, 2)
-        with pytest.raises(ValueError, match="query length"):
-            count_for_mask(idx, q, 0)
     # so does a threshold the index cannot answer
     for z in (0, 2):
         with pytest.raises(ValueError, match="minimum supported threshold 3"):
@@ -456,8 +463,7 @@ def test_serialization_round_trips(tmp_path):
     loaded = load_index(path)
     assert loaded.tau == 2 and loaded.dictionary == d
     for q in ("abab", "bbbb"):
-        for bits in range(16):
-            assert count_for_mask(loaded, q, bits) == count_for_mask(sidx, q, bits)
+        assert (split_counts(loaded, q) == split_counts(sidx, q)).all()
     for z in range(1, 6):
         assert split_query(loaded, "abab", z) == split_query(sidx, "abab", z)
 
@@ -500,8 +506,6 @@ def test_serialization_round_trips_randomized(tmp_path):
         assert loaded.dictionary == d and np.array_equal(loaded.dictionary.codes, d.codes)
         q = d[rng.randrange(d.size)]
         assert (split_counts(loaded, q) == split_counts(sidx, q)).all()
-        mask = split_query(sidx, q, sidx.min_threshold)
-        assert count_for_mask(loaded, q, mask) == count_for_mask(sidx, q, mask)
         for z in (sidx.min_threshold, d.size):
             assert split_query(loaded, q, z) == split_query(sidx, q, z)
 
